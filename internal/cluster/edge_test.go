@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,11 +18,11 @@ import (
 func TestEdgeSelectKeyCanonicalization(t *testing.T) {
 	mustKey := func(body string) string {
 		t.Helper()
-		k, ok := edgeSelectKey([]byte(body))
+		sel, ok := edgeSelectKey([]byte(body))
 		if !ok {
 			t.Fatalf("body unexpectedly uncacheable: %s", body)
 		}
-		return k
+		return sel.key
 	}
 
 	// Spelling out the worker's defaults must not change the key.
@@ -70,50 +71,154 @@ func TestEdgeSelectKeyRefusesUnprovableBodies(t *testing.T) {
 		`{"category":"Cameras","target":"t","aspects":["size"]}`, // inline aspects
 		`{"category":"Cameras","target":"t","new_field":1}`,      // unknown to this router
 		`{"category":"Cameras",`,                                 // invalid JSON
+		`{"category":"Cameras","target":"t"} {}`,                 // trailing value
+		`{"category":"Cameras","target":"t"} x`,                  // trailing garbage
 	}
 	for _, body := range uncacheable {
-		if k, ok := edgeSelectKey([]byte(body)); ok {
-			t.Errorf("body cached despite being unprovable: %s -> %s", body, k)
+		if sel, ok := edgeSelectKey([]byte(body)); ok {
+			t.Errorf("body cached despite being unprovable: %s -> %s", body, sel.key)
 		}
 	}
 }
 
-// --- category state tokens --------------------------------------------------
+// TestEdgeSelectKeyReturnsRoutingFields: the one strict decode yields the
+// fields the read path routes, times, and scopes the select by.
+func TestEdgeSelectKeyReturnsRoutingFields(t *testing.T) {
+	sel, ok := edgeSelectKey([]byte(`{"category":"Cameras","target":"cam-1","m":3,"max_comparative":4,"timeout_ms":250} ` + "\n"))
+	if !ok {
+		t.Fatal("body unexpectedly uncacheable")
+	}
+	if sel.category != "Cameras" || sel.target != "cam-1" || sel.maxComparative != 4 || sel.timeoutMS != 250 {
+		t.Errorf("routing fields = %+v", sel)
+	}
+}
 
+// TestRouterRejectsInvalidSelectJSON: a body the strict edge decode refuses
+// falls through to the lenient peek, which still answers 400 for invalid
+// JSON — including a valid object followed by garbage — without touching a
+// backend.
+func TestRouterRejectsInvalidSelectJSON(t *testing.T) {
+	workers := []*mockWorker{newMockWorker(t)}
+	_, ts, _ := newTestRouter(t, workers, nil)
+	for _, body := range []string{
+		`{"category":"Cameras",`,
+		`{"category":"Cameras","target":"cam-1","m":3} x`,
+	} {
+		resp, out := postSelect(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q: status %d (%s), want 400", body, resp.StatusCode, out)
+		}
+	}
+	if selects, _ := workers[0].stats(); selects != 0 {
+		t.Errorf("backend saw %d selects for invalid bodies, want 0", selects)
+	}
+}
+
+// --- per-instance state tokens ---------------------------------------------
+
+// edgeProbe drives an edgeCache directly, as the read path does.
+type edgeProbe struct {
+	t *testing.T
+	e *edgeCache
+}
+
+func (p edgeProbe) sel(category, target string) *edgeSelect {
+	return &edgeSelect{key: "canon|" + category + "|" + target, category: category, target: target}
+}
+
+// key returns the read's cache key, or "" while its membership is unknown.
+func (p edgeProbe) key(s *edgeSelect) string {
+	_, look, _ := p.e.get(s)
+	if strings.Contains(look.flight, "|seq=") {
+		return ""
+	}
+	return look.flight
+}
+
+// fill snapshots a read and completes it with the given instance header.
+func (p edgeProbe) fill(s *edgeSelect, instance string) {
+	_, look, _ := p.e.get(s)
+	p.e.fill(s, look.seq, instance, []byte("payload-"+s.target))
+}
+
+// hit reports whether the read is answered from the cache.
+func (p edgeProbe) hit(s *edgeSelect) bool {
+	_, _, ok := p.e.get(s)
+	return ok
+}
+
+func (p edgeProbe) receipt(epoch, item string, gen int) {
+	p.e.applyReceipt("Cameras", []byte(fmt.Sprintf(
+		`{"kind":"append","category":"Cameras","item":%q,"epoch":%q,"generation":%d,"affected_items":[%q]}`,
+		item, epoch, gen, item)))
+}
+
+// TestEdgeCategoryStateTokens: a receipt for item X moves the token of
+// exactly the instances containing X; flushes and fingerprint changes move
+// every token of the category and forget memberships.
 func TestEdgeCategoryStateTokens(t *testing.T) {
-	e := newEdgeCache(1<<20, obs.NewRegistry())
-	token := func() string {
-		k := e.key("Cameras", "canon")
-		return strings.TrimPrefix(k, "canon|st=")
+	p := edgeProbe{t, newEdgeCache(1<<20, obs.NewRegistry())}
+	const epoch = "3.00000000deadbeef"
+	a, b := p.sel("Cameras", "cam-1"), p.sel("Cameras", "cam-3")
+
+	if p.key(a) != "" {
+		t.Fatal("membership known before any fill")
+	}
+	// The first receipt reconciles the category's lineage.
+	p.receipt(epoch, "cam-9", 1)
+	p.fill(a, "cam-1,cam-2")
+	p.fill(b, "cam-3,cam-4")
+	a0, b0 := p.key(a), p.key(b)
+	if a0 == "" || b0 == "" || a0 == b0 {
+		t.Fatalf("fills did not memoize distinct keys: %q %q", a0, b0)
+	}
+	if !p.hit(a) || !p.hit(b) {
+		t.Fatal("filled answers are not cache hits")
 	}
 
-	t0 := token()
-	receipt := `{"kind":"append","category":"Cameras","item":"cam-1","epoch":"3.00000000deadbeef","generation":2,"affected_items":["cam-1"]}`
-	e.applyReceipt("Cameras", []byte(receipt))
-	t1 := token()
-	if t1 == t0 {
-		t.Fatal("receipt did not advance the state token")
+	// A member of a only.
+	p.receipt(epoch, "cam-2", 1)
+	a1 := p.key(a)
+	if a1 == a0 {
+		t.Error("receipt for a member did not move its instance's token")
+	}
+	if p.key(b) != b0 || !p.hit(b) {
+		t.Error("receipt for a non-member moved the token")
 	}
 	// Re-applying the identical receipt is idempotent — no spurious churn.
-	e.applyReceipt("Cameras", []byte(receipt))
-	if token() != t1 {
+	p.receipt(epoch, "cam-2", 1)
+	if p.key(a) != a1 {
 		t.Error("identical receipt advanced the token again")
 	}
-	// The same item at a later generation advances it.
-	e.applyReceipt("Cameras", []byte(`{"item":"cam-1","epoch":"3.00000000deadbeef","generation":3,"affected_items":["cam-1"]}`))
-	t2 := token()
-	if t2 == t1 {
-		t.Error("later generation did not advance the token")
+	// A later generation of b's member moves only b.
+	p.receipt(epoch, "cam-4", 2)
+	b1 := p.key(b)
+	if b1 == b0 || p.key(a) != a1 {
+		t.Errorf("cam-4 receipt: a %q->%q, b %q->%q", a1, p.key(a), b0, b1)
 	}
-	// A flush always advances it.
-	e.flush("Cameras")
-	t3 := token()
-	if t3 == t2 {
-		t.Error("flush did not advance the token")
+	// An item in neither instance moves neither.
+	p.receipt(epoch, "cam-7", 1)
+	if p.key(a) != a1 || p.key(b) != b1 {
+		t.Error("receipt for an item in no instance moved a token")
+	}
+
+	// A flush moves every token and forgets membership.
+	p.e.flush("Cameras")
+	if p.key(a) != "" || p.key(b) != "" {
+		t.Fatal("flush kept memoized memberships")
+	}
+	p.fill(a, "cam-1,cam-2")
+	if k := p.key(a); k == a0 || k == a1 {
+		t.Errorf("post-flush token %q repeats a pre-flush token", k)
+	}
+	// A new corpus fingerprint starts a new lineage.
+	p.receipt("4.00000000feedf00d", "cam-9", 1)
+	if p.key(a) != "" {
+		t.Error("fingerprint change kept memoized memberships")
 	}
 	// Other categories are untouched throughout.
-	if got := e.key("Phones", "canon"); got != "canon|st=" {
-		t.Errorf("untouched category's token moved: %s", got)
+	if ph := p.sel("Phones", "ph-1"); p.key(ph) != "" || p.hit(ph) {
+		t.Error("untouched category gained state")
 	}
 
 	// Receipts the edge cannot interpret exactly degrade to flushes.
@@ -127,6 +232,77 @@ func TestEdgeCategoryStateTokens(t *testing.T) {
 	}
 	if got := counterSnapshot(reg, `comparesets_router_edge_invalidations_total{scope="receipt"}`); got != 0 {
 		t.Errorf("receipt invalidations = %d, want 0", got)
+	}
+}
+
+// TestEdgeFillRejectsStraddlingSnapshots: an answer is memoized only if no
+// flush and no receipt for any member landed after its read's snapshot,
+// and only if it names its instance.
+func TestEdgeFillRejectsStraddlingSnapshots(t *testing.T) {
+	p := edgeProbe{t, newEdgeCache(1<<20, obs.NewRegistry())}
+	const epoch = "3.00000000deadbeef"
+	p.receipt(epoch, "cam-9", 1)
+	a, b := p.sel("Cameras", "cam-1"), p.sel("Cameras", "cam-3")
+
+	// A member receipt between snapshot and fill: membership is learned
+	// (it cannot change within a lineage) but the bytes are dropped.
+	_, look, _ := p.e.get(a)
+	p.receipt(epoch, "cam-2", 1)
+	p.e.fill(a, look.seq, "cam-1,cam-2", []byte("pre-write"))
+	if p.key(a) == "" {
+		t.Error("membership not learned from a straddling fill")
+	}
+	if p.hit(a) {
+		t.Fatal("bytes of a fill straddling a member receipt were memoized")
+	}
+	// A non-member receipt between snapshot and fill leaves it valid.
+	_, look, _ = p.e.get(a)
+	p.receipt(epoch, "cam-7", 1)
+	p.e.fill(a, look.seq, "cam-1,cam-2", []byte("valid"))
+	if payload, _, ok := p.e.get(a); !ok || string(payload) != "valid" {
+		t.Errorf("fill straddling a non-member receipt not memoized (%q, %v)", payload, ok)
+	}
+
+	// A flush between snapshot and fill: nothing is learned or memoized.
+	_, look, _ = p.e.get(b)
+	p.e.flush("Cameras")
+	p.e.fill(b, look.seq, "cam-3,cam-4", []byte("pre-flush"))
+	if p.key(b) != "" || p.hit(b) {
+		t.Error("fill straddling a flush was memoized")
+	}
+
+	// Answers without the instance header are never memoized.
+	p.fill(b, "")
+	if p.key(b) != "" || p.hit(b) {
+		t.Error("header-less fill was memoized")
+	}
+	// A malformed header is no header.
+	p.fill(b, "cam-3,%zz")
+	if p.key(b) != "" {
+		t.Error("malformed header was memoized")
+	}
+}
+
+// TestEdgeInstanceMemoIsBounded: the membership memo resets on overflow.
+func TestEdgeInstanceMemoIsBounded(t *testing.T) {
+	p := edgeProbe{t, newEdgeCache(1<<20, obs.NewRegistry())}
+	for i := 0; i <= maxEdgeInstances; i++ {
+		p.fill(p.sel("Cameras", fmt.Sprintf("t-%d", i)), fmt.Sprintf("t-%d", i))
+	}
+	if n := len(p.e.cats["Cameras"].instances); n > maxEdgeInstances || n == 0 {
+		t.Errorf("membership memo holds %d entries, want 1..%d", n, maxEdgeInstances)
+	}
+}
+
+func TestParseInstanceHeader(t *testing.T) {
+	ids, ok := parseInstanceHeader("a%2Cb,50%25%0Aoff,plain+text")
+	if !ok || !slices.Equal(ids, []string{"a,b", "50%\noff", "plain text"}) {
+		t.Errorf("parseInstanceHeader = %q, %v", ids, ok)
+	}
+	for _, bad := range []string{"", "x,%zz"} {
+		if _, ok := parseInstanceHeader(bad); ok {
+			t.Errorf("parseInstanceHeader(%q) accepted", bad)
+		}
 	}
 }
 

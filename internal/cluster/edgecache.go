@@ -1,34 +1,51 @@
 // The router-tier edge response cache.
 //
 // Every byte a worker sends for a corpus-referenced select is a pure
-// function of the request's semantic fields and the category's corpus
-// state — and the router already learns every state change, because it
-// reconciles the MutationReceipt of each write it fans out. That makes the
-// routing tier a legal cache site: a warm read is answered at the edge in
+// function of the request's semantic fields and the reviews of the items in
+// the request's instance (the target plus its also-bought comparatives) —
+// and the router already learns every state change, because it reconciles
+// the MutationReceipt of each write it fans out. That makes the routing
+// tier a legal cache site: a warm read is answered at the edge in
 // microseconds, byte-identical to the proxied response it memoized, without
 // spending an upstream flight, a retry token, or a hedge.
 //
-// Keying mirrors the worker's own servecache discipline: the canonical
-// select-request key (every semantic field, timeout_ms excluded) is
-// suffixed with a per-category state token derived from the reconciled
-// epoch fingerprint and the per-item mutation-generation vector. A write's
-// receipt advances the token, so invalidation is a key change — stale
-// entries become unreachable instantly and age out of the LRU. Anything
-// that muddies the router's view of a category (an unparseable receipt, a
+// Keying mirrors the worker's own servecache discipline (instanceEpoch):
+// the canonical select-request key (every semantic field, timeout_ms
+// excluded) is suffixed with a per-instance state token, an FNV hash of the
+// reconciled epoch fingerprint, a conservative-flush counter, and the
+// mutation generation of each instance member that has one. The edge learns
+// an instance's members from the Comparesets-Instance header of the
+// worker's 200 answer and memoizes them per (target, max_comparative); a
+// mutation cannot change membership, because it can only touch reviews of
+// items that already exist. A receipt for item X therefore changes the key
+// of exactly the entries whose instance contains X: invalidation is a key
+// change, stale entries become unreachable instantly and age out of the
+// LRU, and selections for every other target stay warm. Anything that
+// muddies the router's view of a category (an unparseable receipt, a
 // multi-item mutation, a failed fan-out that may have partially applied, a
-// replica draining from or rejoining reads) bumps a flush sequence folded
-// into the token: conservative, category-wide, and cheap.
+// replica draining from or rejoining reads, a new corpus fingerprint)
+// bumps the flush counter and drops the membership memo: conservative,
+// category-wide, and cheap.
+//
+// A read whose instance membership is not yet known cannot be keyed by
+// token. Its flight is keyed by the category's write sequence instead, so a
+// reader admitted after a write's ack never joins a flight launched before
+// it, and its answer is memoized only if no flush and no receipt for any
+// member landed after the read took its snapshot.
 //
 // Requests the router cannot prove cacheable — inline instances, unknown
 // request fields added by newer workers — bypass the edge entirely and
-// take the plain proxied path.
+// take the plain proxied path; answers without the instance header are
+// served but never memoized.
 package cluster
 
 import (
 	"bytes"
 	"encoding/json"
 	"hash/fnv"
-	"sort"
+	"io"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,6 +61,15 @@ const DefaultEdgeCacheBytes int64 = 64 << 20
 // edgeKeyVersion is bumped whenever the canonical edge key changes shape,
 // so mixed router versions never serve each other's incompatible bytes.
 const edgeKeyVersion = "edge-v1"
+
+// edgeInstanceHeader is the worker's service.InstanceHeader: the instance's
+// item IDs in instance order, each url.QueryEscape'd, joined by commas.
+const edgeInstanceHeader = "Comparesets-Instance"
+
+// maxEdgeInstances bounds each category's membership memo; on overflow the
+// memo resets (the core.ProblemCache policy — it is a pure accelerator, and
+// forgotten memberships are relearned from the next fill).
+const maxEdgeInstances = 4096
 
 // edgeSelectRequest mirrors every field of the worker's SelectRequest. The
 // decoder runs with DisallowUnknownFields: a request carrying a field this
@@ -70,20 +96,34 @@ type edgeSelectRequest struct {
 	TimeoutMS int `json:"timeout_ms"`
 }
 
-// edgeSelectKey builds the canonical cache key of a select body, applying
-// the same defaults the worker applies (algorithm, shortlist method) so
-// requests that differ only in spelling share an entry. ok is false for
-// bodies the edge must not cache: inline instances, missing corpus
-// references, or fields this router version does not know.
-func edgeSelectKey(body []byte) (key string, ok bool) {
+// edgeSelect is a cacheable select body, decoded once: its canonical key
+// plus the fields the read path routes and scopes it by.
+type edgeSelect struct {
+	key            string
+	category       string
+	target         string
+	maxComparative int
+	timeoutMS      int
+}
+
+// edgeSelectKey decodes a select body and builds its canonical cache key,
+// applying the same defaults the worker applies (algorithm, shortlist
+// method) so requests that differ only in spelling share an entry. ok is
+// false for bodies the edge must not cache: inline instances, missing
+// corpus references, fields this router version does not know, or bodies
+// that are not exactly one JSON value.
+func edgeSelectKey(body []byte) (sel edgeSelect, ok bool) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req edgeSelectRequest
 	if err := dec.Decode(&req); err != nil {
-		return "", false
+		return edgeSelect{}, false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return edgeSelect{}, false
 	}
 	if req.Category == "" || req.Target == "" || len(req.Items) > 0 || len(req.Aspects) > 0 {
-		return "", false
+		return edgeSelect{}, false
 	}
 	if req.Algorithm == "" {
 		req.Algorithm = "CompaReSetS+"
@@ -114,7 +154,30 @@ func edgeSelectKey(body []byte) (key string, ok bool) {
 	sep("sum", strconv.Itoa(req.Summarize))
 	sep("exp", strconv.Itoa(req.Explain))
 	sep("met", strconv.FormatBool(req.Metrics))
-	return b.String(), true
+	return edgeSelect{
+		key:            b.String(),
+		category:       req.Category,
+		target:         req.Target,
+		maxComparative: req.MaxComparative,
+		timeoutMS:      req.TimeoutMS,
+	}, true
+}
+
+// parseInstanceHeader decodes an edgeInstanceHeader value into item IDs.
+// ok is false for an absent or malformed header.
+func parseInstanceHeader(v string) (ids []string, ok bool) {
+	if v == "" {
+		return nil, false
+	}
+	ids = strings.Split(v, ",")
+	for i, enc := range ids {
+		id, err := url.QueryUnescape(enc)
+		if err != nil {
+			return nil, false
+		}
+		ids[i] = id
+	}
+	return ids, true
 }
 
 // Worker-side markers of responses that are correct but not canonical: a
@@ -134,39 +197,77 @@ func edgeCacheable(payload []byte) bool {
 		!bytes.Contains(payload, edgeOptimalMarker)
 }
 
+// edgeItemGen is one item's reconciled mutation generation and the write
+// sequence number of the receipt that set it.
+type edgeItemGen struct {
+	gen, seq uint64
+}
+
+// edgeInstanceKey identifies a corpus-referenced instance: the worker
+// resolves membership from exactly these two request fields.
+type edgeInstanceKey struct {
+	target         string
+	maxComparative int
+}
+
+// edgeInstance is one memoized membership and its state token, valid while
+// the category's write sequence still equals tokenSeq.
+type edgeInstance struct {
+	ids      []string
+	token    string
+	tokenSeq uint64
+}
+
 // edgeCategoryState is the router's reconciled view of one category's cache
-// lineage, fed exclusively by quorum mutation receipts and flush events.
+// lineage, fed exclusively by quorum mutation receipts, flush events, and
+// the instance headers of fills.
 type edgeCategoryState struct {
 	// fp is the corpus-fingerprint suffix of the category's epoch token as
 	// last reported by a quorum receipt ("" until the first write).
 	fp string
-	// gens is the per-item mutation generation vector.
-	gens map[string]uint64
+	// gens is the per-item mutation generation vector of the lineage.
+	gens map[string]edgeItemGen
 	// flushes counts conservative category-wide invalidations.
 	flushes uint64
-	// token caches the state hash so the read hot path is one map lookup.
-	token string
+	// seq counts the category's writes: every receipt and every flush.
+	seq uint64
+	// flushSeq is seq at the last flush or fingerprint change.
+	flushSeq uint64
+	// instances memoizes membership per (target, max_comparative).
+	instances map[edgeInstanceKey]*edgeInstance
 }
 
-// recompute rebuilds the cached token from fp, flushes, and the generation
-// vector. Items are folded in sorted order so the hash is deterministic.
-func (st *edgeCategoryState) recompute() {
+// token returns the instance's state token: FNV-64a over the reconciled
+// fingerprint, the flush counter, and (id, generation) of each member with
+// a generation, in instance order — the worker's instanceEpoch rule. It is
+// recomputed at most once per write.
+func (st *edgeCategoryState) token(in *edgeInstance) string {
+	if in.token != "" && in.tokenSeq == st.seq {
+		return in.token
+	}
 	h := fnv.New64a()
 	h.Write([]byte(st.fp))
 	var buf [8]byte
 	putUint64(buf[:], st.flushes)
 	h.Write(buf[:])
-	items := make([]string, 0, len(st.gens))
-	for it := range st.gens {
-		items = append(items, it)
+	for _, id := range in.ids {
+		if g := st.gens[id].gen; g > 0 {
+			h.Write([]byte(id))
+			putUint64(buf[:], g)
+			h.Write(buf[:])
+		}
 	}
-	sort.Strings(items)
-	for _, it := range items {
-		h.Write([]byte(it))
-		putUint64(buf[:], st.gens[it])
-		h.Write(buf[:])
-	}
-	st.token = strconv.FormatUint(h.Sum64(), 16)
+	in.token = strconv.FormatUint(h.Sum64(), 16)
+	in.tokenSeq = st.seq
+	return in.token
+}
+
+// newLineage starts over after a flush or fingerprint change: the flush
+// counter moves every token, and memoized memberships are forgotten.
+func (st *edgeCategoryState) newLineage() {
+	st.flushes++
+	st.flushSeq = st.seq
+	st.instances = map[edgeInstanceKey]*edgeInstance{}
 }
 
 func putUint64(b []byte, v uint64) {
@@ -182,6 +283,9 @@ func putUint64(b []byte, v uint64) {
 type edgeCache struct {
 	cache   *servecache.Cache
 	flights *servecache.FlightGroup
+	// misses counts reads whose membership is unknown, which never reach a
+	// cache lookup.
+	misses *obs.Counter
 
 	mu   sync.Mutex
 	cats map[string]*edgeCategoryState
@@ -196,9 +300,11 @@ func newEdgeCache(budget int64, reg *obs.Registry) *edgeCache {
 	if budget <= 0 {
 		budget = DefaultEdgeCacheBytes
 	}
+	m := obs.NewCacheMetrics(reg, "router_edge")
 	e := &edgeCache{
-		cache:   servecache.New(budget, 0, obs.NewCacheMetrics(reg, "router_edge")),
+		cache:   servecache.New(budget, 0, m),
 		flights: servecache.NewFlightGroup(obs.NewCacheMetrics(reg, "router_edge_flight")),
+		misses:  m.Misses,
 		cats:    map[string]*edgeCategoryState{},
 	}
 	e.invalidations = func(scope string) {
@@ -209,17 +315,75 @@ func newEdgeCache(budget int64, reg *obs.Registry) *edgeCache {
 	return e
 }
 
-// key suffixes the canonical request key with the category's current state
-// token, making every receipt or flush an O(1) whole-lineage invalidation.
-func (e *edgeCache) key(category, canonical string) string {
+// edgeLookup is one read's snapshot of the edge state.
+type edgeLookup struct {
+	// flight is the key the read joins or launches its upstream flight
+	// under: the cache key when membership is known, else the canonical key
+	// tagged with the write sequence.
+	flight string
+	// seq is the category's write sequence at the snapshot.
+	seq uint64
+}
+
+// get answers a read from the cache when its instance membership is known
+// and an entry exists under the current token. Otherwise it returns the
+// snapshot the read's flight runs under; an unknown membership counts as a
+// miss.
+func (e *edgeCache) get(sel *edgeSelect) (payload []byte, look edgeLookup, ok bool) {
+	var key string
 	e.mu.Lock()
-	st := e.cats[category]
-	var token string
-	if st != nil {
-		token = st.token
+	if st := e.cats[sel.category]; st != nil {
+		look.seq = st.seq
+		if in := st.instances[edgeInstanceKey{sel.target, sel.maxComparative}]; in != nil {
+			key = sel.key + "|st=" + st.token(in)
+		}
 	}
 	e.mu.Unlock()
-	return canonical + "|st=" + token
+	if key == "" {
+		e.misses.Inc()
+		look.flight = sel.key + "|seq=" + strconv.FormatUint(look.seq, 10)
+		return nil, look, false
+	}
+	look.flight = key
+	payload, ok = e.cache.Get(key)
+	return payload, look, ok
+}
+
+// fill memoizes a canonical 200 answer of a read that took its snapshot at
+// write sequence seq, learning the instance's membership from the answer's
+// instance header. An answer without the header is not memoized. Neither
+// is one that a flush or fingerprint change landed after (its membership
+// and bytes may belong to an older lineage), nor one that a receipt for
+// any member landed after (its bytes may predate that write).
+func (e *edgeCache) fill(sel *edgeSelect, seq uint64, instance string, payload []byte) {
+	ids, ok := parseInstanceHeader(instance)
+	if !ok {
+		return
+	}
+	e.mu.Lock()
+	st := e.state(sel.category)
+	if st.flushSeq > seq {
+		e.mu.Unlock()
+		return
+	}
+	ik := edgeInstanceKey{sel.target, sel.maxComparative}
+	in := st.instances[ik]
+	if in == nil || !slices.Equal(in.ids, ids) {
+		if len(st.instances) >= maxEdgeInstances {
+			st.instances = map[edgeInstanceKey]*edgeInstance{}
+		}
+		in = &edgeInstance{ids: ids}
+		st.instances[ik] = in
+	}
+	for _, id := range ids {
+		if st.gens[id].seq > seq {
+			e.mu.Unlock()
+			return
+		}
+	}
+	key := sel.key + "|st=" + st.token(in)
+	e.mu.Unlock()
+	e.cache.Put(key, payload)
 }
 
 // state returns the category's state slot, creating it if needed. Caller
@@ -227,7 +391,10 @@ func (e *edgeCache) key(category, canonical string) string {
 func (e *edgeCache) state(category string) *edgeCategoryState {
 	st := e.cats[category]
 	if st == nil {
-		st = &edgeCategoryState{gens: map[string]uint64{}}
+		st = &edgeCategoryState{
+			gens:      map[string]edgeItemGen{},
+			instances: map[edgeInstanceKey]*edgeInstance{},
+		}
 		e.cats[category] = st
 	}
 	return st
@@ -242,10 +409,11 @@ type edgeReceipt struct {
 }
 
 // applyReceipt advances the category's state from a quorum-confirmed
-// mutation receipt: the epoch's fingerprint suffix replaces the reconciled
-// fingerprint (a changed fingerprint means the workers reloaded the corpus,
-// so the generation vector starts over) and the touched item's generation
-// is recorded. Receipts the edge cannot interpret exactly — unparseable, or
+// mutation receipt: the touched item's generation is recorded, which
+// re-keys exactly the instances containing it. A changed epoch fingerprint
+// means the workers reloaded the corpus, so the lineage starts over: the
+// generation vector and the membership memo are dropped and every token
+// moves. Receipts the edge cannot interpret exactly — unparseable, or
 // touching several items with a single generation — degrade to a
 // conservative flush.
 func (e *edgeCache) applyReceipt(category string, receipt []byte) {
@@ -271,24 +439,25 @@ func (e *edgeCache) applyReceipt(category string, receipt []byte) {
 	}
 	e.mu.Lock()
 	st := e.state(category)
+	st.seq++
 	if st.fp != fp {
 		st.fp = fp
-		st.gens = map[string]uint64{}
+		st.gens = map[string]edgeItemGen{}
+		st.newLineage()
 	}
-	st.gens[item] = rec.Generation
-	st.recompute()
+	st.gens[item] = edgeItemGen{gen: rec.Generation, seq: st.seq}
 	e.mu.Unlock()
 	e.invalidations("receipt")
 }
 
 // flush conservatively invalidates the category's whole edge lineage: the
-// flush sequence is folded into the state token, so every existing key of
-// the category becomes unreachable at once.
+// flush counter is folded into every token, so every existing key of the
+// category becomes unreachable at once.
 func (e *edgeCache) flush(category string) {
 	e.mu.Lock()
 	st := e.state(category)
-	st.flushes++
-	st.recompute()
+	st.seq++
+	st.newLineage()
 	e.mu.Unlock()
 	e.invalidations("flush")
 }

@@ -381,7 +381,10 @@ type fwdResp struct {
 	status      int
 	contentType string
 	retryAfter  string
-	body        []byte
+	// instance is the worker's instance header, which the edge learns
+	// membership from; it is not replayed to clients.
+	instance string
+	body     []byte
 }
 
 // fwdError carries a deterministic but non-cacheable upstream answer
@@ -442,6 +445,7 @@ func (rt *Router) doAttempt(ctx context.Context, addr, method, pathAndQuery stri
 		status:      resp.StatusCode,
 		contentType: resp.Header.Get("Content-Type"),
 		retryAfter:  resp.Header.Get("Retry-After"),
+		instance:    resp.Header.Get(edgeInstanceHeader),
 		body:        b,
 	}, nil
 }
@@ -509,13 +513,21 @@ func (rt *Router) countRoute(route string) {
 // --- read path --------------------------------------------------------------
 
 // handleRead forwards select/extract bodies with the full resilience stack.
-// Select bodies the router can prove cacheable take the edge fast path.
+// Select bodies the router can prove cacheable take the edge fast path;
+// their single strict decode also yields the routing fields, so only the
+// bodies it refuses are peeked at (and rejected if they are not JSON).
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	rt.countRoute("read")
 	body, err := readAllPooled(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
 		return
+	}
+	if rt.edge != nil && r.URL.Path == "/api/v1/select" {
+		if sel, ok := edgeSelectKey(body); ok {
+			rt.serveEdge(w, r, &sel, body)
+			return
+		}
 	}
 	var peek struct {
 		Category  string `json:"category"`
@@ -525,23 +537,17 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
-	if rt.edge != nil && r.URL.Path == "/api/v1/select" {
-		if canonical, ok := edgeSelectKey(body); ok {
-			rt.serveEdge(w, r, peek.Category, canonical, body, peek.TimeoutMS)
-			return
-		}
-	}
 	rt.forwardRead(w, r, peek.Category, r.URL.RequestURI(), body, peek.TimeoutMS)
 }
 
 // serveEdge answers a cacheable select at the edge: warm hits are written
 // straight from the response cache in microseconds, and identical
 // concurrent cold reads are coalesced into one proxied flight whose
-// canonical 200 result is memoized under the category's current state
-// token.
-func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, category, canonical string, body []byte, timeoutMS int) {
-	key := rt.edge.key(category, canonical)
-	if payload, ok := rt.edge.cache.Get(key); ok {
+// canonical 200 result is memoized under its instance's state token.
+func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, sel *edgeSelect, body []byte) {
+	category, timeoutMS := sel.category, sel.timeoutMS
+	payload, look, ok := rt.edge.get(sel)
+	if ok {
 		span := obs.StartStage(obs.StageRouterEdge)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -566,7 +572,7 @@ func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, category, ca
 	// waiter leaving early never cancels work others still want.
 	wctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	val, _, err := rt.edge.flights.Do(wctx, key, func(fctx context.Context) ([]byte, error) {
+	val, _, err := rt.edge.flights.Do(wctx, look.flight, func(fctx context.Context) ([]byte, error) {
 		span := obs.StartStage(obs.StageRouterForward)
 		defer span.Stop()
 		ctx, cancel := context.WithDeadline(fctx, deadline)
@@ -576,7 +582,7 @@ func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, category, ca
 			return nil, perr
 		}
 		if resp.status == http.StatusOK && edgeCacheable(resp.body) {
-			rt.edge.cache.Put(key, resp.body)
+			rt.edge.fill(sel, look.seq, resp.instance, resp.body)
 			return resp.body, nil
 		}
 		// Deterministic but not canonical (4xx, degraded, shed): replayed to

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,11 @@ type mockWorker struct {
 	// receipt is the mutation response body; tests vary it to simulate
 	// divergent replicas.
 	receipt atomic.Value // string
+	// members maps a select target to the instance members its answer's
+	// instance header names (default: the target alone); noInstance drops
+	// the header entirely.
+	members    atomic.Value // map[string][]string
+	noInstance atomic.Bool
 }
 
 func newMockWorker(t *testing.T) *mockWorker {
@@ -40,21 +46,43 @@ func newMockWorker(t *testing.T) *mockWorker {
 	w := &mockWorker{}
 	w.receipt.Store(`{"kind":"append","epoch":"1.00000000deadbeef","generation":1}`)
 	mux := http.NewServeMux()
+	w.members.Store(map[string][]string{})
 	mux.HandleFunc("POST /api/v1/select", func(rw http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
+		// The delay is read before the hit is recorded, so a test that sees
+		// the hit may change the delay for later selects only.
+		d := w.delay.Load()
 		w.mu.Lock()
 		w.selectHits++
 		w.bodies = append(w.bodies, string(body))
+		// writes stamps the answer with the mutations applied when the
+		// select arrived, so tests can tell pre-write bytes from post-write.
+		writes := w.mutateHits
 		w.mu.Unlock()
-		if d := w.delay.Load(); d > 0 {
+		if d > 0 {
 			time.Sleep(time.Duration(d))
 		}
 		if w.fail.Load() {
 			http.Error(rw, `{"error":{"code":"internal","message":"boom"}}`, http.StatusInternalServerError)
 			return
 		}
+		var req struct {
+			Target string `json:"target"`
+		}
+		json.Unmarshal(body, &req)
+		if !w.noInstance.Load() {
+			ids := w.members.Load().(map[string][]string)[req.Target]
+			if ids == nil {
+				ids = []string{req.Target}
+			}
+			enc := make([]string, len(ids))
+			for i, id := range ids {
+				enc[i] = url.QueryEscape(id)
+			}
+			rw.Header().Set(edgeInstanceHeader, strings.Join(enc, ","))
+		}
 		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"items":[],"served_by":%q}`, w.ts.URL)
+		fmt.Fprintf(rw, `{"items":[],"served_by":%q,"writes":%d}`, w.ts.URL, writes)
 	})
 	mux.HandleFunc("POST /api/v1/corpora/{category}/items/{item}/reviews", func(rw http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -115,6 +143,18 @@ func newTestRouter(t *testing.T, workers []*mockWorker, mutate func(*RouterOptio
 	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
+	// Every backend starts unreachable until its first poll lands; wait for
+	// the first sweep so candidate order is the ring's, not the order in
+	// which the polls happened to finish.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		settled := true
+		for _, st := range rt.health.States() {
+			settled = settled && st != HealthUnreachable
+		}
+		if settled {
+			break
+		}
+	}
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 	return rt, ts, byAddr

@@ -15,6 +15,7 @@ package regress
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -557,10 +558,12 @@ func appendExpand(dst []int, nu []int, members [][]int) []int {
 }
 
 // appendSelectionKey appends a compact byte encoding of a sorted selection;
-// used as a map key to deduplicate candidate evaluations.
+// used as a map key to deduplicate candidate evaluations. Each index is a
+// uvarint: self-delimiting and lossless, so distinct selections never share
+// a key however large their indices.
 func appendSelectionKey(dst []byte, sel []int) []byte {
 	for _, s := range sel {
-		dst = append(dst, byte(s), byte(s>>8), byte(s>>16), ',')
+		dst = binary.AppendUvarint(dst, uint64(s))
 	}
 	return dst
 }

@@ -356,3 +356,35 @@ func TestSolveHandlesDuplicateReviews(t *testing.T) {
 		t.Errorf("duplicate original index: %v", sel)
 	}
 }
+
+// TestSelectionKeyDistinguishesHighIndices: selections that differ only
+// above bit 24 of an index get distinct keys, so candidate dedup never
+// skips a distinct selection.
+func TestSelectionKeyDistinguishesHighIndices(t *testing.T) {
+	pairs := [][2][]int{
+		{{1}, {1<<24 | 1}},
+		{{0, 2}, {1 << 24, 2}},
+		{{3, 5}, {3, 1<<40 | 5}},
+	}
+	for _, p := range pairs {
+		a := appendSelectionKey(nil, p[0])
+		b := appendSelectionKey(nil, p[1])
+		if string(a) == string(b) {
+			t.Errorf("selections %v and %v share key %x", p[0], p[1], a)
+		}
+		var sc solverScratch
+		if sc.seenBefore(a) {
+			t.Fatalf("empty scratch reported %v as seen", p[0])
+		}
+		if sc.seenBefore(b) {
+			t.Errorf("selection %v skipped as a duplicate of %v", p[1], p[0])
+		}
+		if !sc.seenBefore(a) {
+			t.Errorf("selection %v not recorded", p[0])
+		}
+	}
+	// Concatenated indices stay unambiguous: [1, 2] is not [258].
+	if string(appendSelectionKey(nil, []int{1, 2})) == string(appendSelectionKey(nil, []int{258})) {
+		t.Error("multi-index selection aliases a single index")
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,4 +291,58 @@ func TestConcurrentCacheChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-churnDone
+}
+
+// TestSelectAnswersCarryInstanceHeader: every corpus-referenced select
+// answer — servecache miss, hit, and the cache-disabled path — names its
+// instance's members in instance order; inline instances carry no header.
+func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
+	c := cellphoneCorpus(t, 3)
+	cached := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	plain := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil, Options{CacheDisabled: true})
+	req := hotRequest(t, cached)
+	req.MaxComparative = 2
+	inst, err := c.NewInstance(req.Target, req.MaxComparative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, it := range inst.Items {
+		ids = append(ids, url.QueryEscape(it.ID))
+	}
+	want := strings.Join(ids, ",")
+
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"miss", cached.Handler()},
+		{"hit", cached.Handler()},
+		{"disabled", plain.Handler()},
+	} {
+		name := tc.name
+		w := postRecorded(t, tc.h, "/api/v1/select", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, w.Code)
+		}
+		if got := w.Header().Get(InstanceHeader); got != want {
+			t.Errorf("%s: %s = %q, want %q", name, InstanceHeader, got, want)
+		}
+	}
+
+	inline := SelectRequest{Aspects: c.Aspects.Names(), Items: inst.Items, M: 2, Lambda: 1, Mu: 0.1}
+	w := postRecorded(t, cached.Handler(), "/api/v1/select", inline)
+	if w.Code != http.StatusOK {
+		t.Fatalf("inline: status %d body %s", w.Code, w.Body.String())
+	}
+	if got := w.Header().Get(InstanceHeader); got != "" {
+		t.Errorf("inline instance carried %s = %q", InstanceHeader, got)
+	}
+}
+
+func TestInstanceHeaderValueEscapesSeparators(t *testing.T) {
+	inst := &model.Instance{Items: []*model.Item{{ID: "a,b"}, {ID: "50%\noff"}, {ID: "plain"}}}
+	if got, want := instanceHeaderValue(inst), "a%2Cb,50%25%0Aoff,plain"; got != want {
+		t.Errorf("instanceHeaderValue = %q, want %q", got, want)
+	}
 }

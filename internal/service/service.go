@@ -32,7 +32,10 @@
 // the touched item's feature columns, drops only its cached regression
 // problems, and re-keys only cached selections whose instance contains the
 // item (per-item generations folded into the cache key). Each returns a
-// MutationReceipt quantifying that invalidation. See mutate.go.
+// MutationReceipt quantifying that invalidation. See mutate.go. Every
+// corpus-referenced select answer names its instance's members in the
+// Comparesets-Instance header (InstanceHeader), so a cache in front of the
+// worker can apply the same per-instance invalidation scope.
 //
 // Errors are returned as a structured envelope
 // {"error":{"code":"...","message":"...","field":"..."}} with 400 for
@@ -51,8 +54,10 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -592,6 +597,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			s.writeAPIError(w, notFound("%v", instErr))
 			return
 		}
+		w.Header().Set(InstanceHeader, instanceHeaderValue(inst))
 		key := selectKey(&req, epoch)
 		staleKey := selectKey(&req, "")
 		if body, hit := s.cache.Get(key); hit {
@@ -675,6 +681,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, apiErr)
 		return
 	}
+	if req.Category != "" && req.Target != "" {
+		w.Header().Set(InstanceHeader, instanceHeaderValue(inst))
+	}
 	var pc *core.ProblemCache
 	if fs != nil {
 		s.mu.RLock()
@@ -687,6 +696,26 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// InstanceHeader names the response header every corpus-referenced select
+// answer carries, cache hit or miss: the resolved instance's item IDs in
+// instance order, each url.QueryEscape'd, joined by commas. The answer
+// depends on the reviews of exactly these items (the scope instanceEpoch
+// keys the response cache on), so a cache in front of the worker learns
+// from it which mutation receipts re-key the answer.
+const InstanceHeader = "Comparesets-Instance"
+
+// instanceHeaderValue encodes inst's member IDs for InstanceHeader.
+func instanceHeaderValue(inst *model.Instance) string {
+	var b strings.Builder
+	for i, it := range inst.Items {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(url.QueryEscape(it.ID))
+	}
+	return b.String()
 }
 
 // validateSelectRequest checks the numeric request parameters up front,
