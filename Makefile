@@ -44,19 +44,20 @@ chaos:
 chaos-cluster:
 	sh scripts/chaos_cluster.sh
 
-# Fuzz the store's crash-recovery scan, the mutation-log append path, and
-# the hand-rolled JSON encoders' byte parity with encoding/json (bounded;
-# raise -fuzztime locally).
+# Fuzz the store's crash-recovery scan, the mutation-log append path, the
+# hand-rolled JSON encoders' byte parity with encoding/json, and the
+# router/worker select-key parity (bounded; raise -fuzztime locally).
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzEncodeParity -fuzztime 30s ./internal/service/
 	go test -run '^$$' -fuzz FuzzReviewMarshalAppend -fuzztime 30s ./internal/model/
+	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
 
 # Open-loop load harness: zipfian target popularity, tunable read/write mix,
 # in-process server over the synthetic corpora. Records client-side
-# p50/p90/p99 plus the /metrics counter deltas (cache hit rate, shed, page
-# cache, encoder bytes) into BENCH_load.json; commit the diff alongside
+# p50/p90/p99 plus the /metrics counter deltas (cache hit rate, shed,
+# encoder bytes) into BENCH_load.json; commit the diff alongside
 # serving-edge changes. `-baseline BENCH_load.json` turns it into the perf
 # gate CI runs.
 loadgen:

@@ -32,11 +32,10 @@
 // and additionally gates the warm-hit p99 against -warm-floor-us noise.
 //
 // After each rate stage it scrapes /metrics and differences the counters,
-// recording cache hit rate, shed count, store page cache traffic, and
-// encoder bytes next to the client-side p50/p90/p99. -baseline compares the
-// run against a committed BENCH_load.json and fails (exit 1) when any
-// rate's p99 regresses more than -max-regress over the baseline — the CI
-// perf gate.
+// recording cache hit rate, shed count, and encoder bytes next to the
+// client-side p50/p90/p99. -baseline compares the run against a committed
+// BENCH_load.json and fails (exit 1) when any rate's p99 regresses more
+// than -max-regress over the baseline — the CI perf gate.
 package main
 
 import (
@@ -105,8 +104,6 @@ type RateRun struct {
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheMiss    uint64  `json:"cache_misses"`
 	CacheRate    float64 `json:"cache_hit_rate"`
-	PageHits     uint64  `json:"store_page_hits"`
-	PageMiss     uint64  `json:"store_page_misses"`
 	EncodeByte   uint64  `json:"encode_bytes"`
 	// Edge counters are populated when the scraped target is a router:
 	// warm reads answered at the routing tier without an upstream exchange.
@@ -589,8 +586,6 @@ func runStage(bases []string, targets []target, rate float64, duration time.Dura
 	if hits+misses > 0 {
 		run.CacheRate = float64(hits) / float64(hits+misses)
 	}
-	run.PageHits = after.delta(before, "comparesets_store_page_hits_total")
-	run.PageMiss = after.delta(before, "comparesets_store_page_misses_total")
 	run.EncodeByte = after.delta(before, "comparesets_encode_bytes_total")
 	eh := after.delta(before, `comparesets_cache_hits_total{cache="router_edge"}`)
 	em := after.delta(before, `comparesets_cache_misses_total{cache="router_edge"}`)

@@ -79,7 +79,6 @@ func main() {
 		batchWindow   = flag.Duration("batch-window", 0, "batch cold select requests of the same shape for up to this window (0 = no batching)")
 		batchMax      = flag.Int("batch-max", 0, "seal a batch group early at this many requests (0 = window only)")
 		float32Mode   = flag.Bool("float32", false, "serve selections from compact float32 feature slabs (float64 accumulation)")
-		pageCache     = flag.Int64("store-page-cache-bytes", 0, "byte budget of the -store read page cache (0 = default, negative = disabled)")
 		joinURL       = flag.String("join", "", "bootstrap corpora from a peer's snapshot endpoint (base URL of a worker or router) instead of -data/-synthetic")
 		joinDir       = flag.String("join-dir", "", "directory for snapshot logs fetched by -join (default: a temp dir)")
 		serveSnapshot = flag.Bool("serve-snapshot", false, "serve GET /internal/v1/snapshot/{category} so peers and the router can replicate from this worker")
@@ -115,7 +114,7 @@ func main() {
 	}
 	var st *store.Store
 	if *storePath != "" {
-		st, err = store.OpenWithOptions(*storePath, store.OpenOptions{Logger: logger, PageCacheBytes: *pageCache})
+		st, err = store.OpenWithOptions(*storePath, store.OpenOptions{Logger: logger})
 		if err != nil {
 			logger.Fatal(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"comparesets/internal/selectreq"
 )
 
 // benchRouter builds a quiet router over one mock-grade backend for
@@ -15,7 +17,7 @@ func benchRouter(b *testing.B, edgeDisabled bool) (*Router, http.Handler, *httpt
 	mux := http.NewServeMux()
 	payload := []byte(`{"selection":{"comparative":["c-1","c-2"],"unique":["u-1"]},"objective":3.217,"elapsed_ms":12}`)
 	mux.HandleFunc("POST /api/v1/select", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set(edgeInstanceHeader, "cam-1,cam-2")
+		rw.Header().Set(selectreq.InstanceHeader, "cam-1,cam-2")
 		rw.Header().Set("Content-Type", "application/json")
 		rw.Write(payload)
 	})

@@ -14,8 +14,11 @@ import (
 
 	"comparesets/internal/datagen"
 	"comparesets/internal/dataset"
+	"comparesets/internal/faultinject"
 	"comparesets/internal/lexicon"
 	"comparesets/internal/model"
+	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 	"comparesets/internal/service"
 )
 
@@ -404,14 +407,11 @@ func TestRouterEdgeInstanceHeaderRoundTrip(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if edgeInstanceHeader != service.InstanceHeader {
-		t.Fatalf("router reads %q, worker writes %q", edgeInstanceHeader, service.InstanceHeader)
-	}
-	raw := resp.Header.Get(service.InstanceHeader)
+	raw := resp.Header.Get(selectreq.InstanceHeader)
 	if strings.Contains(raw, "\n") || strings.Count(raw, ",") != len(want)-1 {
 		t.Fatalf("header not escaped: %q", raw)
 	}
-	got, ok := parseInstanceHeader(raw)
+	got, ok := selectreq.ParseInstance(raw)
 	if !ok || !slices.Equal(got, want) {
 		t.Fatalf("header %q decodes to %q, want %q", raw, got, want)
 	}
@@ -433,6 +433,89 @@ func TestRouterEdgeInstanceHeaderRoundTrip(t *testing.T) {
 	if c.counter(edgeMisses) != misses+1 {
 		t.Error("write to an escaped-ID member did not re-key its instance")
 	}
+}
+
+// TestRouterEdgeNeverMemoizesNonCanonicalAnswers: answers a real worker
+// serves without the instance header — a stale-while-error serve and an
+// exact shortlist shed for lack of deadline headroom — pass through the edge
+// verbatim but are never memoized, so each repeat read is proxied again and
+// the edge never reports a hit.
+func TestRouterEdgeNeverMemoizesNonCanonicalAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-corpus cluster test")
+	}
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	client := &http.Client{Timeout: 15 * time.Second}
+
+	// readTwice routes body twice through a router over svc alone. Both
+	// answers must carry marker, each must reach the worker (as counted by
+	// the worker-side series), and the edge must never hit.
+	readTwice := func(t *testing.T, svc *service.Server, body, marker, series string, labels obs.Labels) {
+		t.Helper()
+		w := httptest.NewServer(svc.Handler())
+		defer w.Close()
+		rt, err := NewRouter(RouterOptions{Backends: []string{w.URL}, Logger: testLogger(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routerTS := httptest.NewServer(rt.Handler())
+		defer routerTS.Close()
+		served := func() uint64 { return svc.Registry().Counter(series, "", labels).Value() }
+		before := served()
+		for i := 0; i < 2; i++ {
+			status, out, err := post(client, routerTS.URL+"/api/v1/select", body)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("read %d: status %d err %v body %s", i, status, err, out)
+			}
+			if !strings.Contains(string(out), marker) {
+				t.Fatalf("read %d lacks %s: %s", i, marker, out)
+			}
+		}
+		if got := served() - before; got != 2 {
+			t.Errorf("worker served %d of 2 reads: the edge memoized a non-canonical answer", got)
+		}
+		if hits := counterSnapshot(rt.Registry(), edgeHits); hits != 0 {
+			t.Errorf("edge hits = %d, want 0", hits)
+		}
+	}
+	corpora := defaultCorpora(42)
+	firstTarget := func(svc *service.Server) (cat, tgt string) {
+		cat = svc.Categories()[0]
+		corpus, _ := svc.Corpus(cat)
+		return cat, dataset.TargetIDs(corpus)[0]
+	}
+
+	t.Run("stale-while-error", func(t *testing.T) {
+		svc := service.NewWithOptions(corpora(), testLogger(t), service.Options{})
+		cat, tgt := firstTarget(svc)
+		body := selectBody(cat, tgt)
+		// A first answer seeds the worker's stale copy; replacing the
+		// corpus re-keys its primary entry, and the pipeline then fails.
+		w := httptest.NewServer(svc.Handler())
+		status, out, err := post(client, w.URL+"/api/v1/select", body)
+		w.Close()
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("seeding select: status %d err %v body %s", status, err, out)
+		}
+		c, _ := svc.Corpus(cat)
+		svc.AddCorpus(cat, c)
+		faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{Mode: faultinject.ModeError})
+		defer faultinject.Reset()
+		readTwice(t, svc, body, `"degraded":true`,
+			"comparesets_degraded_responses_total", obs.Labels{"reason": "stale_cache"})
+	})
+
+	t.Run("shed exact", func(t *testing.T) {
+		// Less deadline headroom than an exact solve needs: the worker
+		// answers greedy, flagged optimal:false. The deadline binds on the
+		// worker's uncoalesced path, which the header rule covers too.
+		svc := service.NewWithOptions(corpora(), testLogger(t), service.Options{CacheDisabled: true})
+		cat, tgt := firstTarget(svc)
+		body := fmt.Sprintf(`{"category":%q,"target":%q,"m":3,"lambda":1,"mu":1,"k":3,"method":"exact","timeout_ms":45}`, cat, tgt)
+		readTwice(t, svc, body, `"optimal":false`,
+			"comparesets_shortlist_fallback_total", obs.Labels{"reason": "deadline"})
+	})
 }
 
 // TestRouterEdgeStaleReadFuzz interleaves random review appends, updates,

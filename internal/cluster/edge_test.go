@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,10 +13,15 @@ import (
 	"time"
 
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 )
 
 // --- canonical key ----------------------------------------------------------
 
+// TestEdgeSelectKeyCanonicalization: the router's strict decode feeds
+// selectreq.Key with the worker's defaults applied, so bodies that differ
+// only in spelled-out defaults, timeout_ms or field order share a key, and
+// every semantic field separates.
 func TestEdgeSelectKeyCanonicalization(t *testing.T) {
 	mustKey := func(body string) string {
 		t.Helper()
@@ -91,6 +98,44 @@ func TestEdgeSelectKeyReturnsRoutingFields(t *testing.T) {
 	if sel.category != "Cameras" || sel.target != "cam-1" || sel.maxComparative != 4 || sel.timeoutMS != 250 {
 		t.Errorf("routing fields = %+v", sel)
 	}
+}
+
+// FuzzSelectKeyParity: for any body the router's strict decode accepts,
+// the worker's lenient decode (json.Decoder, first value only, unknown
+// fields ignored) followed by the same defaults yields the same canonical
+// key and the same routing fields, so the two tiers always agree on which
+// requests share an answer.
+func FuzzSelectKeyParity(f *testing.F) {
+	for _, seed := range []string{
+		`{"category":"Cameras","target":"cam-1","m":3}`,
+		`{"category":"Cameras","target":"cam-1","m":3,"algorithm":"CompaReSetS+","timeout_ms":250}`,
+		`{"Category":"Cameras","TARGET":"cam-1","m":3,"k":2}`,
+		`{"category":"Cameras","target":"cam-1","m":3,"k":2,"method":"exact","lambda":0.5,"mu":1e-1}`,
+		`{"category":"C|tgt=t","target":"u\u002c","m":1,"max_comparative":4,"summarize":2,"explain":1,"metrics":true}`,
+		`{"category":"Cameras","target":"cam-1","target":"cam-2","m":3}`,
+		`{"category":"Cameras","target":"cam-1","items":[],"aspects":null}`,
+		` {"category":"Cameras","target":"cam-1","lambda":1.0,"mu":0} ` + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sel, ok := edgeSelectKey(body)
+		if !ok {
+			return
+		}
+		var req selectreq.Request
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("worker refuses a body the router accepted: %v\n%s", err, body)
+		}
+		selectreq.ApplyDefaults(&req)
+		if got := selectreq.Key(&req); got != sel.key {
+			t.Fatalf("key mismatch for %s:\n router %s\n worker %s", body, sel.key, got)
+		}
+		if sel.category != req.Category || sel.target != req.Target ||
+			sel.maxComparative != req.MaxComparative || sel.timeoutMS != req.TimeoutMS {
+			t.Fatalf("routing fields %+v disagree with the worker's %+v", sel, req)
+		}
+	})
 }
 
 // TestRouterRejectsInvalidSelectJSON: a body the strict edge decode refuses
@@ -294,14 +339,25 @@ func TestEdgeInstanceMemoIsBounded(t *testing.T) {
 	}
 }
 
+// TestParseInstanceHeader: the edge learns an instance's members from the
+// worker's escaped instance header, and a malformed or empty header leaves
+// the membership unknown and the answer unmemoized.
 func TestParseInstanceHeader(t *testing.T) {
-	ids, ok := parseInstanceHeader("a%2Cb,50%25%0Aoff,plain+text")
-	if !ok || !slices.Equal(ids, []string{"a,b", "50%\noff", "plain text"}) {
-		t.Errorf("parseInstanceHeader = %q, %v", ids, ok)
+	p := edgeProbe{t, newEdgeCache(1<<20, obs.NewRegistry())}
+	sel := p.sel("Cameras", "cam-1")
+	p.fill(sel, "a%2Cb,50%25%0Aoff,plain+text")
+	in := p.e.cats["Cameras"].instances[edgeInstanceKey{sel.target, sel.maxComparative}]
+	if in == nil || !slices.Equal(in.ids, []string{"a,b", "50%\noff", "plain text"}) {
+		t.Errorf("learned membership = %+v", in)
+	}
+	if !p.hit(sel) {
+		t.Error("answer with a well-formed header was not memoized")
 	}
 	for _, bad := range []string{"", "x,%zz"} {
-		if _, ok := parseInstanceHeader(bad); ok {
-			t.Errorf("parseInstanceHeader(%q) accepted", bad)
+		sel := p.sel("Cameras", "bad-"+bad)
+		p.fill(sel, bad)
+		if k := p.key(sel); k != "" || p.hit(sel) {
+			t.Errorf("header %q: membership learned (key %q) or answer memoized", bad, k)
 		}
 	}
 }

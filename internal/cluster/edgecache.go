@@ -10,12 +10,15 @@
 // spending an upstream flight, a retry token, or a hedge.
 //
 // Keying mirrors the worker's own servecache discipline (instanceEpoch):
-// the canonical select-request key (every semantic field, timeout_ms
-// excluded) is suffixed with a per-instance state token, an FNV hash of the
+// the canonical select-request key (selectreq.Key, the one both tiers use)
+// is suffixed with a per-instance state token, an FNV hash of the
 // reconciled epoch fingerprint, a conservative-flush counter, and the
-// mutation generation of each instance member that has one. The edge learns
-// an instance's members from the Comparesets-Instance header of the
-// worker's 200 answer and memoizes them per (target, max_comparative); a
+// mutation generation of each instance member that has one. The worker
+// sends the Comparesets-Instance header only on canonical answers, so the
+// header is the edge's one cacheability rule: an answer without it
+// (degraded, shed, or from an older worker) is served but never memoized.
+// The edge learns an instance's members from that header and memoizes them
+// per (target, max_comparative); a
 // mutation cannot change membership, because it can only touch reviews of
 // items that already exist. A receipt for item X therefore changes the key
 // of exactly the entries whose instance contains X: invalidation is a key
@@ -35,8 +38,7 @@
 //
 // Requests the router cannot prove cacheable — inline instances, unknown
 // request fields added by newer workers — bypass the edge entirely and
-// take the plain proxied path; answers without the instance header are
-// served but never memoized.
+// take the plain proxied path.
 package cluster
 
 import (
@@ -44,13 +46,13 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"io"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 	"comparesets/internal/servecache"
 )
 
@@ -58,43 +60,10 @@ import (
 // RouterOptions leaves EdgeCacheBytes unset.
 const DefaultEdgeCacheBytes int64 = 64 << 20
 
-// edgeKeyVersion is bumped whenever the canonical edge key changes shape,
-// so mixed router versions never serve each other's incompatible bytes.
-const edgeKeyVersion = "edge-v1"
-
-// edgeInstanceHeader is the worker's service.InstanceHeader: the instance's
-// item IDs in instance order, each url.QueryEscape'd, joined by commas.
-const edgeInstanceHeader = "Comparesets-Instance"
-
 // maxEdgeInstances bounds each category's membership memo; on overflow the
 // memo resets (the core.ProblemCache policy — it is a pure accelerator, and
 // forgotten memberships are relearned from the next fill).
 const maxEdgeInstances = 4096
-
-// edgeSelectRequest mirrors every field of the worker's SelectRequest. The
-// decoder runs with DisallowUnknownFields: a request carrying a field this
-// router does not know could change the response without changing the key,
-// so it is forwarded uncached instead of risking a wrong-bytes collision.
-type edgeSelectRequest struct {
-	Category       string            `json:"category"`
-	Target         string            `json:"target"`
-	Aspects        []json.RawMessage `json:"aspects"`
-	Items          []json.RawMessage `json:"items"`
-	Algorithm      string            `json:"algorithm"`
-	M              int               `json:"m"`
-	Lambda         float64           `json:"lambda"`
-	Mu             float64           `json:"mu"`
-	MaxComparative int               `json:"max_comparative"`
-	K              int               `json:"k"`
-	Method         string            `json:"method"`
-	Summarize      int               `json:"summarize"`
-	Explain        int               `json:"explain"`
-	Metrics        bool              `json:"metrics"`
-	// TimeoutMS is parsed so it does not trip DisallowUnknownFields, and
-	// deliberately excluded from the key: it bounds computation time, never
-	// the result bytes (the router rewrites it per attempt anyway).
-	TimeoutMS int `json:"timeout_ms"`
-}
 
 // edgeSelect is a cacheable select body, decoded once: its canonical key
 // plus the fields the read path routes and scopes it by.
@@ -106,16 +75,17 @@ type edgeSelect struct {
 	timeoutMS      int
 }
 
-// edgeSelectKey decodes a select body and builds its canonical cache key,
-// applying the same defaults the worker applies (algorithm, shortlist
-// method) so requests that differ only in spelling share an entry. ok is
-// false for bodies the edge must not cache: inline instances, missing
-// corpus references, fields this router version does not know, or bodies
-// that are not exactly one JSON value.
+// edgeSelectKey strict-decodes a select body and returns its canonical key
+// with the worker's defaults applied. The decoder runs with
+// DisallowUnknownFields: a request carrying a field this router does not
+// know could change the response without changing the key. ok is false for
+// bodies the edge must not cache, which are forwarded uncached: inline
+// instances, missing corpus references, unknown fields, or bodies that are
+// not exactly one JSON value.
 func edgeSelectKey(body []byte) (sel edgeSelect, ok bool) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var req edgeSelectRequest
+	var req selectreq.Request
 	if err := dec.Decode(&req); err != nil {
 		return edgeSelect{}, false
 	}
@@ -125,76 +95,14 @@ func edgeSelectKey(body []byte) (sel edgeSelect, ok bool) {
 	if req.Category == "" || req.Target == "" || len(req.Items) > 0 || len(req.Aspects) > 0 {
 		return edgeSelect{}, false
 	}
-	if req.Algorithm == "" {
-		req.Algorithm = "CompaReSetS+"
-	}
-	if req.K > 0 && req.Method == "" {
-		req.Method = "greedy"
-	}
-	var b strings.Builder
-	b.Grow(160)
-	b.WriteString(edgeKeyVersion)
-	sep := func(field, val string) {
-		b.WriteByte('|')
-		b.WriteString(field)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	sep("cat", req.Category)
-	sep("tgt", req.Target)
-	sep("alg", req.Algorithm)
-	sep("m", strconv.Itoa(req.M))
-	sep("l", strconv.FormatFloat(req.Lambda, 'g', -1, 64))
-	sep("mu", strconv.FormatFloat(req.Mu, 'g', -1, 64))
-	sep("maxc", strconv.Itoa(req.MaxComparative))
-	sep("k", strconv.Itoa(req.K))
-	if req.K > 0 {
-		sep("meth", req.Method)
-	}
-	sep("sum", strconv.Itoa(req.Summarize))
-	sep("exp", strconv.Itoa(req.Explain))
-	sep("met", strconv.FormatBool(req.Metrics))
+	selectreq.ApplyDefaults(&req)
 	return edgeSelect{
-		key:            b.String(),
+		key:            selectreq.Key(&req),
 		category:       req.Category,
 		target:         req.Target,
 		maxComparative: req.MaxComparative,
 		timeoutMS:      req.TimeoutMS,
 	}, true
-}
-
-// parseInstanceHeader decodes an edgeInstanceHeader value into item IDs.
-// ok is false for an absent or malformed header.
-func parseInstanceHeader(v string) (ids []string, ok bool) {
-	if v == "" {
-		return nil, false
-	}
-	ids = strings.Split(v, ",")
-	for i, enc := range ids {
-		id, err := url.QueryUnescape(enc)
-		if err != nil {
-			return nil, false
-		}
-		ids[i] = id
-	}
-	return ids, true
-}
-
-// Worker-side markers of responses that are correct but not canonical: a
-// stale-while-error serve or a shed exact shortlist. The worker never
-// caches them, and neither does the edge — caching one would freeze the
-// degradation. The raw byte sequences cannot occur inside a JSON string
-// value (the quote characters would be escaped), so a contains check is
-// exact.
-var (
-	edgeDegradedMarker = []byte(`"degraded":true`)
-	edgeOptimalMarker  = []byte(`"optimal":false`)
-)
-
-// edgeCacheable reports whether a 200 payload may be memoized at the edge.
-func edgeCacheable(payload []byte) bool {
-	return !bytes.Contains(payload, edgeDegradedMarker) &&
-		!bytes.Contains(payload, edgeOptimalMarker)
 }
 
 // edgeItemGen is one item's reconciled mutation generation and the write
@@ -356,7 +264,7 @@ func (e *edgeCache) get(sel *edgeSelect) (payload []byte, look edgeLookup, ok bo
 // and bytes may belong to an older lineage), nor one that a receipt for
 // any member landed after (its bytes may predate that write).
 func (e *edgeCache) fill(sel *edgeSelect, seq uint64, instance string, payload []byte) {
-	ids, ok := parseInstanceHeader(instance)
+	ids, ok := selectreq.ParseInstance(instance)
 	if !ok {
 		return
 	}

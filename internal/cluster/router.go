@@ -44,6 +44,7 @@ import (
 
 	"comparesets/internal/faultinject"
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 )
 
 // RouterOptions configures a Router. Backends is required; every other
@@ -445,7 +446,7 @@ func (rt *Router) doAttempt(ctx context.Context, addr, method, pathAndQuery stri
 		status:      resp.StatusCode,
 		contentType: resp.Header.Get("Content-Type"),
 		retryAfter:  resp.Header.Get("Retry-After"),
-		instance:    resp.Header.Get(edgeInstanceHeader),
+		instance:    resp.Header.Get(selectreq.InstanceHeader),
 		body:        b,
 	}, nil
 }
@@ -581,7 +582,9 @@ func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, sel *edgeSel
 		if perr != nil {
 			return nil, perr
 		}
-		if resp.status == http.StatusOK && edgeCacheable(resp.body) {
+		// The worker's instance header is the cacheability statement: it
+		// rides only on canonical answers.
+		if resp.status == http.StatusOK && resp.instance != "" {
 			rt.edge.fill(sel, look.seq, resp.instance, resp.body)
 			return resp.body, nil
 		}

@@ -7,12 +7,14 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"comparesets/internal/model"
+	"comparesets/internal/selectreq"
 )
 
 // mockWorker is a scriptable stand-in for a worker replica: per-route
@@ -75,11 +77,11 @@ func newMockWorker(t *testing.T) *mockWorker {
 			if ids == nil {
 				ids = []string{req.Target}
 			}
-			enc := make([]string, len(ids))
+			items := make([]*model.Item, len(ids))
 			for i, id := range ids {
-				enc[i] = url.QueryEscape(id)
+				items[i] = &model.Item{ID: id}
 			}
-			rw.Header().Set(edgeInstanceHeader, strings.Join(enc, ","))
+			rw.Header().Set(selectreq.InstanceHeader, selectreq.InstanceValue(items))
 		}
 		rw.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(rw, `{"items":[],"served_by":%q,"writes":%d}`, w.ts.URL, writes)

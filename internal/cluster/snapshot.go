@@ -235,7 +235,7 @@ func FetchSnapshot(ctx context.Context, client *http.Client, base, category, dir
 		return nil, err
 	}
 
-	st, err := store.OpenWithOptions(logPath, store.OpenOptions{PageCacheBytes: -1})
+	st, err := store.Open(logPath)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: replaying snapshot log: %w", err)
 	}

@@ -36,7 +36,9 @@ func (e *PanicError) Error() string {
 // running for the remaining participants (and, on success, still populates
 // whatever cache the compute function writes to). Only when the last
 // participant leaves is the flight's context canceled, so abandoned work
-// is reclaimed at the pipeline's next cancellation checkpoint.
+// is reclaimed at the pipeline's next cancellation checkpoint. A canceled
+// flight leaves the group at once: a caller arriving while it winds down
+// leads a fresh flight rather than inheriting the cancellation.
 //
 // A compute function that panics does not crash the process or strand its
 // waiters: the panic is recovered in the flight goroutine and every
@@ -103,7 +105,9 @@ func (g *FlightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		}()
 		g.mu.Lock()
 		f.val, f.err = v, ferr
-		delete(g.flights, key)
+		if g.flights[key] == f {
+			delete(g.flights, key)
+		}
 		g.mu.Unlock()
 		close(f.done)
 		cancel()
@@ -131,6 +135,12 @@ func (g *FlightGroup) wait(ctx context.Context, key string, f *flight, shared bo
 	}
 	f.refs--
 	last := f.refs == 0
+	if last {
+		// A canceled flight takes no new participants: it ends in
+		// ctx.Err(), which a caller arriving now never asked for. The
+		// next caller for key leads a fresh flight.
+		delete(g.flights, key)
+	}
 	g.mu.Unlock()
 	if last {
 		f.cancel()

@@ -125,6 +125,40 @@ func TestLastDetachingParticipantCancelsFlight(t *testing.T) {
 	}
 }
 
+// TestCallerAfterCancellationLeadsFreshFlight: a caller arriving after the
+// last participant detached, while the canceled flight is still winding
+// down, must not inherit its context.Canceled; it gets a flight of its own.
+func TestCallerAfterCancellationLeadsFreshFlight(t *testing.T) {
+	g := NewFlightGroup(nil)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) ([]byte, error) {
+			close(started)
+			<-fctx.Done()
+			<-release // the canceled flight has not returned yet
+			return nil, fctx.Err()
+		})
+		done <- err
+	}()
+	<-started
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("detached caller err = %v", err)
+	}
+	defer close(release)
+	later, cancelLater := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelLater()
+	v, shared, err := g.Do(later, "k", func(context.Context) ([]byte, error) {
+		return []byte("fresh"), nil
+	})
+	if err != nil || shared || string(v) != "fresh" {
+		t.Fatalf("later caller: v=%q shared=%v err=%v, want its own flight", v, shared, err)
+	}
+}
+
 func TestFlightErrorSharedNotCached(t *testing.T) {
 	g := NewFlightGroup(nil)
 	boom := errors.New("boom")

@@ -2,12 +2,11 @@ package service
 
 import (
 	"context"
-	"strconv"
-	"strings"
 
 	"comparesets/internal/core"
 	"comparesets/internal/model"
 	"comparesets/internal/opinion"
+	"comparesets/internal/selectreq"
 	"comparesets/internal/simgraph"
 )
 
@@ -32,42 +31,8 @@ type batchReq struct {
 // poison the co-batched requests.
 type batchRes struct {
 	payload   []byte
-	cacheable bool
+	canonical bool
 	err       error
-}
-
-// batchKey groups select requests that can share pipeline state: every
-// selectKey field except the target. Same corpus epoch, algorithm, scheme,
-// and selection hyperparameters means the per-item regression problems are
-// interchangeable across members (they are keyed by item, and instances
-// alias corpus item pointers), so one group execution shares a feature-slab
-// pass and a ProblemCache across merely-similar requests.
-func batchKey(req *SelectRequest, epoch string) string {
-	var b strings.Builder
-	b.Grow(128)
-	b.WriteString(selectKeyVersion)
-	sep := func(field, val string) {
-		b.WriteByte('|')
-		b.WriteString(field)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	sep("epoch", epoch)
-	sep("cat", req.Category)
-	sep("alg", req.Algorithm)
-	sep("m", strconv.Itoa(req.M))
-	sep("l", formatFloat(req.Lambda))
-	sep("mu", formatFloat(req.Mu))
-	sep("maxc", strconv.Itoa(req.MaxComparative))
-	sep("sch", opinion.Binary{}.Name())
-	sep("k", strconv.Itoa(req.K))
-	if req.K > 0 {
-		sep("meth", req.Method)
-	}
-	sep("sum", strconv.Itoa(req.Summarize))
-	sep("exp", strconv.Itoa(req.Explain))
-	sep("met", strconv.FormatBool(req.Metrics))
-	return b.String()
 }
 
 // executeBatch runs one sealed group of same-shape select requests. The
@@ -132,7 +97,7 @@ func (s *Server) executeBatch(gctx context.Context, reqs []*batchReq) ([]*batchR
 			out[i] = &batchRes{err: err}
 			continue
 		}
-		resp, apiErr := s.computeSelect(q.ctx, q.req, insts[i], fs, q.sel, q.solver, pc, selectKey(q.req, ""))
+		resp, apiErr := s.computeSelect(q.ctx, q.req, insts[i], fs, q.sel, q.solver, pc, selectreq.Key(q.req))
 		if apiErr != nil {
 			out[i] = &batchRes{err: apiErr}
 			continue
@@ -140,7 +105,7 @@ func (s *Server) executeBatch(gctx context.Context, reqs []*batchReq) ([]*batchR
 		// Pooled-scratch encoding with writeJSON's trailing-newline framing
 		// baked in (byte-identical to the unbatched flight path).
 		payload := s.encodeSelectPayload(resp)
-		out[i] = &batchRes{payload: payload, cacheable: resp.Optimal == nil}
+		out[i] = &batchRes{payload: payload, canonical: canonical(resp)}
 	}
 	return out, nil
 }

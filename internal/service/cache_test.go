@@ -9,12 +9,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"comparesets/internal/datagen"
 	"comparesets/internal/dataset"
+	"comparesets/internal/faultinject"
 	"comparesets/internal/lexicon"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 )
 
 func cellphoneCorpus(tb testing.TB, seed int64) *model.Corpus {
@@ -202,56 +205,6 @@ func TestCacheDisabledServerStillServes(t *testing.T) {
 	}
 }
 
-func TestSelectKeyCanonicalization(t *testing.T) {
-	base := SelectRequest{Category: "C", Target: "t", Algorithm: "CompaReSetS+", M: 3, Lambda: 1, Mu: 0.1}
-	k1 := selectKey(&base, "1.abc")
-
-	// TimeoutMS must not participate.
-	to := base
-	to.TimeoutMS = 5000
-	if selectKey(&to, "1.abc") != k1 {
-		t.Error("timeout_ms leaked into the cache key")
-	}
-	// Epoch must.
-	if selectKey(&base, "2.abc") == k1 {
-		t.Error("epoch ignored by the cache key")
-	}
-	// Every payload-shaping field must.
-	variants := []SelectRequest{}
-	for _, mutate := range []func(r *SelectRequest){
-		func(r *SelectRequest) { r.Target = "u" },
-		func(r *SelectRequest) { r.Algorithm = "CompaReSetS" },
-		func(r *SelectRequest) { r.M = 4 },
-		func(r *SelectRequest) { r.Lambda = 2 },
-		func(r *SelectRequest) { r.Mu = 0.2 },
-		func(r *SelectRequest) { r.MaxComparative = 7 },
-		func(r *SelectRequest) { r.K = 3; r.Method = "greedy" },
-		func(r *SelectRequest) { r.Summarize = 1 },
-		func(r *SelectRequest) { r.Explain = 2 },
-		func(r *SelectRequest) { r.Metrics = true },
-	} {
-		v := base
-		mutate(&v)
-		variants = append(variants, v)
-	}
-	seen := map[string]int{k1: -1}
-	for i, v := range variants {
-		k := selectKey(&v, "1.abc")
-		if j, dup := seen[k]; dup {
-			t.Errorf("variants %d and %d collide on key %q", i, j, k)
-		}
-		seen[k] = i
-	}
-	// Method distinguishes keys when K > 0.
-	g := base
-	g.K, g.Method = 3, "greedy"
-	e := base
-	e.K, e.Method = 3, "exact"
-	if selectKey(&g, "1.abc") == selectKey(&e, "1.abc") {
-		t.Error("shortlist method ignored by the cache key")
-	}
-}
-
 // TestConcurrentCacheChurn exercises the full serving path while corpora
 // are being replaced — the race certificate for the epoch/cache/flight
 // interplay.
@@ -293,13 +246,74 @@ func TestConcurrentCacheChurn(t *testing.T) {
 	<-churnDone
 }
 
-// TestSelectAnswersCarryInstanceHeader: every corpus-referenced select
-// answer — servecache miss, hit, and the cache-disabled path — names its
-// instance's members in instance order; inline instances carry no header.
+// TestSelectAnswersCarryInstanceHeader: every canonical corpus-referenced
+// select answer — servecache miss, hit, and the cache-disabled path — names
+// its instance's members in instance order. Answers no cache may memoize
+// carry no header: inline instances, stale-while-error serves, and shed
+// exact shortlists, including the copy a coalesced waiter receives.
+// TestSelectKeyCanonicalization: the worker keys its result cache on
+// selectreq.Key after applying the defaults, so requests that differ only
+// in timeout_ms or in spelled-out defaults share an entry, and a request
+// differing in any payload-shaping field does not.
+func TestSelectKeyCanonicalization(t *testing.T) {
+	s := New(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil)
+	h := s.Handler()
+	hits := obs.NewCacheMetrics(s.reg, "servecache").Hits
+	hit := func(req SelectRequest) bool {
+		t.Helper()
+		before := hits.Value()
+		w := postRecorded(t, h, "/api/v1/select", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%+v: status %d body %s", req, w.Code, w.Body.String())
+		}
+		return hits.Value() > before
+	}
+	base := hotRequest(t, s)
+	base.Method = ""
+	if hit(base) {
+		t.Fatal("cold request hit")
+	}
+	same := []func(r *SelectRequest){
+		func(r *SelectRequest) { r.TimeoutMS = 5000 },
+		func(r *SelectRequest) { r.Algorithm = "CompaReSetS+" },
+		func(r *SelectRequest) { r.Method = "greedy" },
+	}
+	for i, mutate := range same {
+		v := base
+		mutate(&v)
+		if !hit(v) {
+			t.Errorf("equivalent variant %d missed the cache: %+v", i, v)
+		}
+	}
+	targets := dataset.TargetIDs(s.corpora["Cellphone"])
+	distinct := []func(r *SelectRequest){
+		func(r *SelectRequest) { r.Target = targets[1] },
+		func(r *SelectRequest) { r.Algorithm = "CompaReSetS" },
+		func(r *SelectRequest) { r.M = 4 },
+		func(r *SelectRequest) { r.Lambda = 2 },
+		func(r *SelectRequest) { r.Mu = 0.2 },
+		func(r *SelectRequest) { r.MaxComparative = 2 },
+		func(r *SelectRequest) { r.Method = "exact" },
+		func(r *SelectRequest) { r.Summarize = 1 },
+		func(r *SelectRequest) { r.Explain = 2 },
+		func(r *SelectRequest) { r.Metrics = true },
+	}
+	for i, mutate := range distinct {
+		v := base
+		mutate(&v)
+		if hit(v) {
+			t.Errorf("variant %d shared the base entry: %+v", i, v)
+		}
+	}
+}
+
 func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
 	c := cellphoneCorpus(t, 3)
-	cached := New(map[string]*model.Corpus{"Cellphone": c}, nil)
-	plain := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil, Options{CacheDisabled: true})
+	cached := NewWithOptions(map[string]*model.Corpus{"Cellphone": c}, nil, Options{MaxInflight: 3})
+	plain := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil,
+		Options{CacheDisabled: true, MaxInflight: 3})
 	req := hotRequest(t, cached)
 	req.MaxComparative = 2
 	inst, err := c.NewInstance(req.Target, req.MaxComparative)
@@ -311,6 +325,7 @@ func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 		ids = append(ids, url.QueryEscape(it.ID))
 	}
 	want := strings.Join(ids, ",")
+	header := func(w *httptest.ResponseRecorder) string { return w.Header().Get(selectreq.InstanceHeader) }
 
 	for _, tc := range []struct {
 		name string
@@ -320,13 +335,12 @@ func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 		{"hit", cached.Handler()},
 		{"disabled", plain.Handler()},
 	} {
-		name := tc.name
 		w := postRecorded(t, tc.h, "/api/v1/select", req)
 		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", name, w.Code)
+			t.Fatalf("%s: status %d", tc.name, w.Code)
 		}
-		if got := w.Header().Get(InstanceHeader); got != want {
-			t.Errorf("%s: %s = %q, want %q", name, InstanceHeader, got, want)
+		if got := header(w); got != want {
+			t.Errorf("%s: %s = %q, want %q", tc.name, selectreq.InstanceHeader, got, want)
 		}
 	}
 
@@ -335,14 +349,103 @@ func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("inline: status %d body %s", w.Code, w.Body.String())
 	}
-	if got := w.Header().Get(InstanceHeader); got != "" {
-		t.Errorf("inline instance carried %s = %q", InstanceHeader, got)
+	if got := header(w); got != "" {
+		t.Errorf("inline instance carried %s = %q", selectreq.InstanceHeader, got)
 	}
+
+	t.Run("stale-while-error", func(t *testing.T) {
+		// As in TestStaleWhileError: the epoch bump misses the primary
+		// cache, the pipeline fails, and the stale copy is served.
+		cached.AddCorpus("Cellphone", c)
+		faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{Mode: faultinject.ModeError})
+		defer faultinject.Reset()
+		w := postRecorded(t, cached.Handler(), "/api/v1/select", req)
+		if w.Code != http.StatusOK || !decodeSelect(t, w.Body.Bytes()).Degraded {
+			t.Fatalf("want a degraded 200, got %d %s", w.Code, w.Body.String())
+		}
+		if got := header(w); got != "" {
+			t.Errorf("stale serve carried %s = %q", selectreq.InstanceHeader, got)
+		}
+	})
+
+	// Queue pressure sheds exact solves to greedy (optimal:false), as in
+	// TestFallbackResultsNotCached: the slots the test's own requests do not
+	// hold are taken, and one request is waiting.
+	exact := req
+	exact.Method = "exact"
+	pressure := func(s *Server, free int) func() {
+		taken := len(s.limiter.slots) - free
+		for i := 0; i < taken; i++ {
+			<-s.limiter.slots
+		}
+		s.limiter.queued.Add(1)
+		return func() {
+			s.limiter.queued.Add(-1)
+			for i := 0; i < taken; i++ {
+				s.limiter.slots <- struct{}{}
+			}
+		}
+	}
+	assertShed := func(t *testing.T, w *httptest.ResponseRecorder) {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", w.Code, w.Body.String())
+		}
+		if resp := decodeSelect(t, w.Body.Bytes()); resp.Optimal == nil || *resp.Optimal {
+			t.Fatalf("exact solve not shed: %s", w.Body.String())
+		}
+		if got := header(w); got != "" {
+			t.Errorf("shed answer carried %s = %q", selectreq.InstanceHeader, got)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Server
+	}{{"shed exact", cached}, {"shed exact disabled", plain}} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := pressure(tc.s, 1)
+			defer release()
+			assertShed(t, postRecorded(t, tc.s.Handler(), "/api/v1/select", exact))
+		})
+	}
+
+	t.Run("shed exact coalesced", func(t *testing.T) {
+		// The leader is held in the pipeline long enough for an identical
+		// request to join its flight; both must receive the leader's
+		// verdict.
+		release := pressure(cached, 2)
+		defer release()
+		faultinject.Arm(faultinject.PointServiceSelect,
+			faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 200 * time.Millisecond})
+		defer faultinject.Reset()
+		coalesced := counterValue(cached, "comparesets_cache_coalesced_waiters_total", obs.Labels{"cache": "selectflight"})
+		h := cached.Handler()
+		exact.Summarize = 1 // a key no earlier subtest has filled
+		leader := make(chan *httptest.ResponseRecorder, 1)
+		go func() { leader <- postRecorded(t, h, "/api/v1/select", exact) }()
+		for deadline := time.Now().Add(5 * time.Second); cached.flights.InFlight() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("leader flight never started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		assertShed(t, postRecorded(t, h, "/api/v1/select", exact))
+		assertShed(t, <-leader)
+		if got := counterValue(cached, "comparesets_cache_coalesced_waiters_total", obs.Labels{"cache": "selectflight"}); got != coalesced+1 {
+			t.Errorf("selectflight coalesced delta = %d, want 1", got-coalesced)
+		}
+	})
 }
 
+// TestInstanceHeaderValueEscapesSeparators: the instance header the worker
+// writes escapes item IDs holding the separator, the escape character or a
+// newline, so every member survives the trip to the edge.
 func TestInstanceHeaderValueEscapesSeparators(t *testing.T) {
+	s := New(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil)
 	inst := &model.Instance{Items: []*model.Item{{ID: "a,b"}, {ID: "50%\noff"}, {ID: "plain"}}}
-	if got, want := instanceHeaderValue(inst), "a%2Cb,50%25%0Aoff,plain"; got != want {
-		t.Errorf("instanceHeaderValue = %q, want %q", got, want)
+	w := httptest.NewRecorder()
+	s.writeAnswer(w, inst, []byte("{}\n"))
+	if got, want := w.Header().Get(selectreq.InstanceHeader), "a%2Cb,50%25%0Aoff,plain"; got != want {
+		t.Errorf("%s = %q, want %q", selectreq.InstanceHeader, got, want)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"comparesets/internal/dataset"
 	"comparesets/internal/lexicon"
 	"comparesets/internal/model"
+	"comparesets/internal/selectreq"
 )
 
 // doJSON issues one request with a JSON body (nil payload sends no body) and
@@ -273,12 +274,13 @@ func TestWarmHitPreservation(t *testing.T) {
 		t.Fatalf("select: status %d body %s", resp.StatusCode, body)
 	}
 	canonical := req
-	canonical.Algorithm = "CompaReSetS+" // handler default, applied pre-keying
+	selectreq.ApplyDefaults(&canonical) // as the handler does before keying
+	workerKey := func(epoch string) string { return selectreq.Key(&canonical) + "|epoch=" + epoch }
 
 	s.mu.RLock()
 	base := s.epochs["Cellphone"]
 	s.mu.RUnlock()
-	key := selectKey(&canonical, base)
+	key := workerKey(base)
 	if _, hit := s.cache.Get(key); !hit {
 		t.Fatalf("no cached entry under base epoch key after select")
 	}
@@ -321,13 +323,13 @@ func TestWarmHitPreservation(t *testing.T) {
 	if epoch2 == base {
 		t.Fatalf("instance epoch unchanged after mutating a member")
 	}
-	if _, hit := s.cache.Get(selectKey(&canonical, epoch2)); hit {
+	if _, hit := s.cache.Get(workerKey(epoch2)); hit {
 		t.Fatalf("fresh epoch key already cached before re-select")
 	}
 	if resp, body := post(t, ts.URL+"/api/v1/select", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-select: status %d body %s", resp.StatusCode, body)
 	}
-	if _, hit := s.cache.Get(selectKey(&canonical, epoch2)); !hit {
+	if _, hit := s.cache.Get(workerKey(epoch2)); !hit {
 		t.Errorf("re-select did not cache under the new epoch key")
 	}
 }

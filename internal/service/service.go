@@ -33,9 +33,10 @@
 // problems, and re-keys only cached selections whose instance contains the
 // item (per-item generations folded into the cache key). Each returns a
 // MutationReceipt quantifying that invalidation. See mutate.go. Every
-// corpus-referenced select answer names its instance's members in the
-// Comparesets-Instance header (InstanceHeader), so a cache in front of the
-// worker can apply the same per-instance invalidation scope.
+// canonical corpus-referenced select answer names its instance's members in
+// the Comparesets-Instance header (selectreq.InstanceHeader), so a cache in
+// front of the worker learns that it may memoize the answer and applies the
+// same per-instance invalidation scope.
 //
 // Errors are returned as a structured envelope
 // {"error":{"code":"...","message":"...","field":"..."}} with 400 for
@@ -54,10 +55,8 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +72,7 @@ import (
 	"comparesets/internal/metrics"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 	"comparesets/internal/servecache"
 	"comparesets/internal/simgraph"
 	"comparesets/internal/store"
@@ -443,39 +443,9 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, dataset.TargetIDs(c))
 }
 
-// SelectRequest is the /api/v1/select request body.
-type SelectRequest struct {
-	// Category + Target reference a loaded corpus...
-	Category string `json:"category,omitempty"`
-	Target   string `json:"target,omitempty"`
-	// ...or Items + Aspects supply an inline instance (Items[0] = target).
-	Aspects []string      `json:"aspects,omitempty"`
-	Items   []*model.Item `json:"items,omitempty"`
-
-	// Algorithm defaults to "CompaReSetS+".
-	Algorithm string  `json:"algorithm,omitempty"`
-	M         int     `json:"m"`
-	Lambda    float64 `json:"lambda"`
-	Mu        float64 `json:"mu"`
-	// MaxComparative truncates the also-bought list (0 = full).
-	MaxComparative int `json:"max_comparative,omitempty"`
-	// K > 0 additionally shortlists with the given method
-	// ("exact", "greedy", "topk", "random"; default "greedy").
-	K      int    `json:"k,omitempty"`
-	Method string `json:"method,omitempty"`
-	// Summarize > 0 adds up to that many extracted summary sentences per
-	// item; Explain > 0 adds up to that many comparative explanation
-	// lines.
-	Summarize int `json:"summarize,omitempty"`
-	Explain   int `json:"explain,omitempty"`
-	// Metrics requests the §5.1 selection-quality scores in the response.
-	Metrics bool `json:"metrics,omitempty"`
-	// TimeoutMS bounds the request's total processing time; when the
-	// deadline passes, the selection is cancelled at its next checkpoint
-	// and the request fails with 504/deadline_exceeded. 0 means no
-	// per-request deadline beyond the client connection's.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
+// SelectRequest is the /api/v1/select request body, shared with the
+// routing tier through internal/selectreq.
+type SelectRequest = selectreq.Request
 
 // SelectedReview is one chosen review in the response.
 type SelectedReview struct {
@@ -548,9 +518,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, ae)
 		return
 	}
-	if req.Algorithm == "" {
-		req.Algorithm = "CompaReSetS+"
-	}
+	selectreq.ApplyDefaults(&req)
 	sel, ok := core.SelectorByName(req.Algorithm)
 	if !ok {
 		s.writeAPIError(w, fieldError("algorithm", "unknown algorithm %q", req.Algorithm))
@@ -558,9 +526,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	var solver simgraph.Solver
 	if req.K > 0 {
-		if req.Method == "" {
-			req.Method = "greedy"
-		}
 		var err error
 		if solver, err = solverFor(req.Method); err != nil {
 			s.writeAPIError(w, fieldError("method", "%v", err))
@@ -597,14 +562,18 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			s.writeAPIError(w, notFound("%v", instErr))
 			return
 		}
-		w.Header().Set(InstanceHeader, instanceHeaderValue(inst))
-		key := selectKey(&req, epoch)
-		staleKey := selectKey(&req, "")
+		// The stale copy is keyed without the epoch so it stays reachable
+		// after AddCorpus bumps it — by design: stale-while-error may serve
+		// previous-epoch data, flagged.
+		staleKey := selectreq.Key(&req)
+		key := staleKey + "|epoch=" + epoch
 		if body, hit := s.cache.Get(key); hit {
-			s.writeRawJSON(w, body)
+			s.writeAnswer(w, inst, body)
 			return
 		}
 		body, _, err := s.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
+			var payload []byte
+			var canon bool
 			// Coalescing has already collapsed identical requests into this
 			// flight; with batching on, the flight joins a group of
 			// merely-similar requests (same shape, different targets) that
@@ -613,7 +582,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				// The group key uses the base epoch: members differ by
 				// target, so per-instance generation suffixes would split
 				// otherwise batchable groups.
-				res, _, err := s.batcher.Submit(fctx, batchKey(&req, base), &batchReq{
+				group := req
+				group.Target = ""
+				res, _, err := s.batcher.Submit(fctx, selectreq.Key(&group)+"|epoch="+base, &batchReq{
 					ctx: fctx, req: &req, inst: inst, corpus: c, sel: sel, solver: solver,
 				})
 				if err != nil {
@@ -622,32 +593,29 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				if res.err != nil {
 					return nil, res.err
 				}
-				if res.cacheable {
-					s.cache.Put(key, res.payload)
-					s.staleCache.Put(staleKey, res.payload)
+				payload, canon = res.payload, res.canonical
+			} else {
+				resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc, staleKey)
+				if apiErr != nil {
+					return nil, apiErr
 				}
-				return res.payload, nil
+				payload, canon = s.encodeSelectPayload(resp), canonical(resp)
 			}
-			resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc, staleKey)
-			if apiErr != nil {
-				return nil, apiErr
+			if !canon {
+				// Every waiter learns the verdict with the bytes.
+				return nil, &nonCanonical{payload: payload}
 			}
-			// Pooled-scratch encoding with writeJSON's trailing-newline
-			// framing baked in, so cached and fresh responses stay
-			// byte-identical.
-			payload := s.encodeSelectPayload(resp)
-			// Degraded results (shed exact solves) are correct but not
-			// canonical: caching them would freeze the degradation.
-			if resp.Optimal == nil {
-				s.cache.Put(key, payload)
-				// The stale copy is keyed without the epoch so it stays
-				// reachable after AddCorpus bumps it — by design:
-				// stale-while-error may serve previous-epoch data, flagged.
-				s.staleCache.Put(staleKey, payload)
-			}
+			s.cache.Put(key, payload)
+			s.staleCache.Put(staleKey, payload)
 			return payload, nil
 		})
-		if err != nil {
+		var nc *nonCanonical
+		switch {
+		case err == nil:
+			s.writeAnswer(w, inst, body)
+		case errors.As(err, &nc):
+			s.writeRawJSON(w, nc.payload)
+		default:
 			ae := asAPIError(err)
 			if ae.code == CodeInternal {
 				// A panicking flight is a recovered panic too: account for
@@ -666,9 +634,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			s.writeAPIError(w, ae)
-			return
 		}
-		s.writeRawJSON(w, body)
 		return
 	}
 
@@ -681,9 +647,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, apiErr)
 		return
 	}
-	if req.Category != "" && req.Target != "" {
-		w.Header().Set(InstanceHeader, instanceHeaderValue(inst))
-	}
 	var pc *core.ProblemCache
 	if fs != nil {
 		s.mu.RLock()
@@ -695,27 +658,30 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, apiErr)
 		return
 	}
+	if req.Category != "" && req.Target != "" && canonical(resp) {
+		w.Header().Set(selectreq.InstanceHeader, selectreq.InstanceValue(inst.Items))
+	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// InstanceHeader names the response header every corpus-referenced select
-// answer carries, cache hit or miss: the resolved instance's item IDs in
-// instance order, each url.QueryEscape'd, joined by commas. The answer
-// depends on the reviews of exactly these items (the scope instanceEpoch
-// keys the response cache on), so a cache in front of the worker learns
-// from it which mutation receipts re-key the answer.
-const InstanceHeader = "Comparesets-Instance"
+// canonical is the worker's one cacheability rule: it decides both the
+// servecache fill and the instance header. A shed exact solve
+// (Optimal=false) is correct but not canonical, and memoizing it at any
+// tier would freeze the degradation.
+func canonical(resp *SelectResponse) bool { return resp.Optimal == nil }
 
-// instanceHeaderValue encodes inst's member IDs for InstanceHeader.
-func instanceHeaderValue(inst *model.Instance) string {
-	var b strings.Builder
-	for i, it := range inst.Items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(url.QueryEscape(it.ID))
-	}
-	return b.String()
+// nonCanonical carries an answer that must not be memoized through the
+// flight group's ([]byte, error) result contract, so every coalesced waiter
+// serves the same bytes without the instance header.
+type nonCanonical struct{ payload []byte }
+
+func (*nonCanonical) Error() string { return "non-canonical select answer" }
+
+// writeAnswer writes a canonical corpus-referenced select payload, naming
+// its instance in the instance header.
+func (s *Server) writeAnswer(w http.ResponseWriter, inst *model.Instance, body []byte) {
+	w.Header().Set(selectreq.InstanceHeader, selectreq.InstanceValue(inst.Items))
+	s.writeRawJSON(w, body)
 }
 
 // validateSelectRequest checks the numeric request parameters up front,

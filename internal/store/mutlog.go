@@ -125,12 +125,6 @@ func (s *Store) writeRecord(payload []byte) (int64, error) {
 	}
 	offset := s.size
 	s.size += headerSize + int64(len(payload))
-	if s.pages != nil {
-		// Drop the page(s) the append touched: the cached tail page is now
-		// short, and refilling on the next read beats a guaranteed
-		// length-miss there.
-		s.pages.invalidateRange(offset, s.size)
-	}
 	return offset, nil
 }
 

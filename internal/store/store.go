@@ -115,10 +115,6 @@ type OpenOptions struct {
 	// Logger receives a recovery report when scan drops corrupt data; nil
 	// discards it.
 	Logger *log.Logger
-	// PageCacheBytes budgets the read-path page cache: 0 uses
-	// DefaultPageCacheBytes, a negative value disables caching (every read
-	// goes back to the one-shot buffered pass).
-	PageCacheBytes int64
 }
 
 // Store is an open review store.
@@ -138,10 +134,6 @@ type Store struct {
 
 	recovery RecoveryStats
 	retries  atomic.Uint64 // transient-read retry count (ItemReviews)
-
-	// pages caches immutable 64 KiB extents of the log for the read path
-	// (nil when disabled via OpenOptions.PageCacheBytes < 0).
-	pages *pageCache
 }
 
 // Open opens (or creates) a store at path with default options, scanning
@@ -171,15 +163,6 @@ func OpenWithOptions(path string, opts OpenOptions) (*Store, error) {
 	if err := s.scan(opts); err != nil {
 		f.Close()
 		return nil, err
-	}
-	// The cache is built after scan so it can never hold bytes past the
-	// recovery truncation point.
-	if opts.PageCacheBytes >= 0 {
-		budget := opts.PageCacheBytes
-		if budget == 0 {
-			budget = DefaultPageCacheBytes
-		}
-		s.pages = newPageCache(f, budget)
 	}
 	if s.recovery.DroppedBytes > 0 && opts.Logger != nil {
 		opts.Logger.Printf("store: %s: dropped %d record(s) (%d bytes) past offset %d: %s",
@@ -474,52 +457,10 @@ func sortVisits(offsets []int64) []visit {
 	return order
 }
 
-// readRecords performs one batch-read attempt over the given offsets,
-// through the page cache when enabled. Caller holds at least the read
-// lock.
+// readRecords performs one batch-read attempt over the given offsets: one
+// throwaway buffered pass in ascending offset order. Caller holds at least
+// the read lock.
 func (s *Store) readRecords(offsets []int64) ([]*model.Review, error) {
-	if s.pages != nil {
-		return s.readRecordsPaged(offsets)
-	}
-	return s.readRecordsBuffered(offsets)
-}
-
-// readRecordsPaged serves a batch from cached log pages. Records that fall
-// inside one page are decoded from a borrowed subslice with no copy;
-// page-straddling records assemble into one reused scratch buffer.
-func (s *Store) readRecordsPaged(offsets []int64) ([]*model.Review, error) {
-	order := sortVisits(offsets)
-	out := make([]*model.Review, len(offsets))
-	var scratch []byte
-	for _, v := range order {
-		hdr, err := s.pages.view(v.off, headerSize, s.size, &scratch)
-		if err != nil {
-			return nil, fmt.Errorf("%w: header at %d: %v", ErrCorruptRecord, v.off, err)
-		}
-		length := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if length == 0 || length > MaxRecordSize {
-			return nil, fmt.Errorf("%w: bad length %d at %d", ErrCorruptRecord, length, v.off)
-		}
-		payload, err := s.pages.view(v.off+headerSize, int(length), s.size, &scratch)
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload at %d: %v", ErrCorruptRecord, v.off, err)
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return nil, fmt.Errorf("%w: checksum mismatch at %d", ErrCorruptRecord, v.off)
-		}
-		_, rec, _, _, err := decodeRecord(payload)
-		if err != nil || rec == nil {
-			return nil, fmt.Errorf("%w: decode at %d: %v", ErrCorruptRecord, v.off, err)
-		}
-		out[v.pos] = rec
-	}
-	return out, nil
-}
-
-// readRecordsBuffered is the cache-off path: one throwaway buffered pass
-// in ascending offset order.
-func (s *Store) readRecordsBuffered(offsets []int64) ([]*model.Review, error) {
 	order := sortVisits(offsets)
 	start := order[0].off
 	r := bufio.NewReaderSize(io.NewSectionReader(s.f, start, s.size-start), itemReviewsBufferSize)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -240,6 +241,36 @@ func TestItemReviewsInterleavedKeepsAppendOrder(t *testing.T) {
 			if want := fmt.Sprintf("%s-r%03d", item, i); r.ID != want {
 				t.Fatalf("%s[%d] = %s, want %s", item, i, r.ID, want)
 			}
+		}
+	}
+}
+
+// TestItemReviewsStraddlingRecords: records larger than the batch reader's
+// read-ahead window decode intact, in append order, interleaved with small
+// records of another item.
+func TestItemReviewsStraddlingRecords(t *testing.T) {
+	s, _ := tempStore(t)
+	textLen := itemReviewsBufferSize * 3 / 2
+	for i := 0; i < 6; i++ {
+		big := review(fmt.Sprintf("big-r%d", i), "big", i%4)
+		big.Text = strings.Repeat(string(rune('a'+i)), textLen)
+		if err := s.Append(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(review(fmt.Sprintf("small-r%d", i), "small")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.ItemReviews("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("got %d reviews, want 6", len(got))
+	}
+	for i, r := range got {
+		if want := strings.Repeat(string(rune('a'+i)), textLen); r.ID != fmt.Sprintf("big-r%d", i) || r.Text != want {
+			t.Fatalf("review %d: id %s, text length %d (want %d)", i, r.ID, len(r.Text), textLen)
 		}
 	}
 }
