@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-json bce-check chaos chaos-cluster fuzz loadgen loadgen-router experiments examples clean
+.PHONY: all build vet test race cover bench bench-json bce-check chaos chaos-cluster fuzz loadgen loadgen-router quality experiments examples clean
 
 all: build vet test
 
@@ -45,14 +45,16 @@ chaos-cluster:
 	sh scripts/chaos_cluster.sh
 
 # Fuzz the store's crash-recovery scan, the mutation-log append path, the
-# hand-rolled JSON encoders' byte parity with encoding/json, and the
-# router/worker select-key parity (bounded; raise -fuzztime locally).
+# hand-rolled JSON encoders' byte parity with encoding/json, the
+# router/worker select-key parity, and the rounding apportionment
+# invariants (bounded; raise -fuzztime locally).
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzEncodeParity -fuzztime 30s ./internal/service/
 	go test -run '^$$' -fuzz FuzzReviewMarshalAppend -fuzztime 30s ./internal/model/
 	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
+	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
 
 # Open-loop load harness: zipfian target popularity, tunable read/write mix,
 # in-process server over the synthetic corpora. Records client-side
@@ -103,6 +105,13 @@ bce-check:
 	if [ -n "$$out" ]; then \
 		echo "bounds checks found in kernels:"; echo "$$out"; exit 1; \
 	else echo "bce-check: kernels are bounds-check free"; fi
+
+# Rewrite QUALITY.json, the committed answers of the fixed select workload
+# that `go test ./internal/quality/` diffs against. Run it only when a
+# change is meant to move selections or objectives, and say why in the
+# commit.
+quality:
+	go run ./cmd/quality QUALITY.json
 
 # Regenerate every table and figure (plus CSVs and SVG charts) into results/.
 experiments:

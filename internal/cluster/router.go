@@ -173,6 +173,10 @@ type Router struct {
 	logger   *log.Logger
 	edge     *edgeCache // nil when EdgeCacheDisabled
 
+	// Per-request counters, resolved once per route and (backend, outcome).
+	routes   *obs.CounterSet[string]
+	forwards *obs.CounterSet[forwardKey]
+
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -200,6 +204,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		catLocks:  map[string]*sync.Mutex{},
 		divergent: map[string]bool{},
 	}
+	rt.routes = obs.NewCounterSet(rt.reg, "comparesets_router_requests_total",
+		"Requests accepted by the router, by route.",
+		func(route string) obs.Labels { return obs.Labels{"route": route} })
+	rt.forwards = obs.NewCounterSet(rt.reg, "comparesets_router_forward_total",
+		"Forward attempts per backend by outcome.",
+		func(k forwardKey) obs.Labels { return obs.Labels{"backend": k.addr, "outcome": k.outcome} })
 	if !opts.EdgeCacheDisabled {
 		rt.edge = newEdgeCache(opts.EdgeCacheBytes, rt.reg)
 	}
@@ -499,16 +509,15 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	w.Write(f.body)
 }
 
+// forwardKey labels one comparesets_router_forward_total series.
+type forwardKey struct{ addr, outcome string }
+
 func (rt *Router) countForward(addr, outcome string) {
-	rt.reg.Counter("comparesets_router_forward_total",
-		"Forward attempts per backend by outcome.",
-		obs.Labels{"backend": addr, "outcome": outcome}).Inc()
+	rt.forwards.With(forwardKey{addr, outcome}).Inc()
 }
 
 func (rt *Router) countRoute(route string) {
-	rt.reg.Counter("comparesets_router_requests_total",
-		"Requests accepted by the router, by route.",
-		obs.Labels{"route": route}).Inc()
+	rt.routes.With(route).Inc()
 }
 
 // --- read path --------------------------------------------------------------

@@ -12,6 +12,7 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -267,4 +268,51 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 		buckets = DurationBuckets
 	}
 	return r.lookup(name, help, kindHistogram, buckets, labels).h
+}
+
+// CounterSet memoizes the counter series of one family over a small key
+// set (a route, a backend and outcome, a status code), for hot paths that
+// would otherwise render labels and take the registry lock on every event.
+// A series is still created at its key's first use — exactly when an
+// uncached Counter call would have created it — so the exposition is
+// unchanged; later uses cost one atomic load and a map read.
+type CounterSet[K comparable] struct {
+	reg    *Registry
+	name   string
+	help   string
+	labels func(K) Labels
+
+	mu sync.Mutex                     // serializes first uses
+	m  atomic.Pointer[map[K]*Counter] // copy-on-write; never mutated once stored
+}
+
+// NewCounterSet returns a set over the family (name, help) whose series for
+// key k carries labels(k).
+func NewCounterSet[K comparable](reg *Registry, name, help string, labels func(K) Labels) *CounterSet[K] {
+	return &CounterSet[K]{reg: reg, name: name, help: help, labels: labels}
+}
+
+// With returns the counter for key k, resolving it on first use.
+func (s *CounterSet[K]) With(k K) *Counter {
+	if m := s.m.Load(); m != nil {
+		if c, ok := (*m)[k]; ok {
+			return c
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.m.Load()
+	if old != nil {
+		if c, ok := (*old)[k]; ok {
+			return c
+		}
+	}
+	c := s.reg.Counter(s.name, s.help, s.labels(k))
+	next := map[K]*Counter{}
+	if old != nil {
+		next = maps.Clone(*old)
+	}
+	next[k] = c
+	s.m.Store(&next)
+	return c
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -203,5 +204,56 @@ func TestStageTimer(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `comparesets_pipeline_stage_duration_seconds_count{stage="nomp"}`) {
 		t.Fatalf("default registry missing stage series:\n%s", b.String())
+	}
+}
+
+// A CounterSet creates each series at its key's first use, so a registry
+// driven through one renders byte-for-byte what uncached Counter lookups
+// render for the same event sequence, including series that never fire.
+func TestCounterSetMatchesUncachedExposition(t *testing.T) {
+	type key struct{ route, code string }
+	labels := func(k key) Labels { return Labels{"route": k.route, "code": k.code} }
+	events := []key{{"read", "200"}, {"read", "200"}, {"mutate", "503"}, {"read", "499"}, {"mutate", "503"}}
+	direct, cached := NewRegistry(), NewRegistry()
+	set := NewCounterSet(cached, "reqs_total", "Requests.", labels)
+	var want, got strings.Builder
+	for i, k := range events {
+		for _, r := range []*Registry{direct, cached} {
+			r.Gauge("g", "", nil).Set(float64(i))
+		}
+		direct.Counter("reqs_total", "Requests.", labels(k)).Inc()
+		set.With(k).Inc()
+		want.Reset()
+		got.Reset()
+		_ = direct.WritePrometheus(&want)
+		_ = cached.WritePrometheus(&got)
+		if want.String() != got.String() {
+			t.Fatalf("after event %d:\nuncached:\n%s\ncached:\n%s", i, want.String(), got.String())
+		}
+	}
+	if set.With(key{"read", "200"}) != cached.Counter("reqs_total", "", labels(key{"read", "200"})) {
+		t.Fatal("cached handle differs from the registry's series")
+	}
+}
+
+// Concurrent first uses of one key resolve to the registry's single series.
+func TestCounterSetConcurrentFirstUse(t *testing.T) {
+	r := NewRegistry()
+	set := NewCounterSet(r, "c_total", "", func(k int) Labels { return Labels{"k": strconv.Itoa(k)} })
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				set.With(i % 5).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	for k := 0; k < 5; k++ {
+		if got := r.Counter("c_total", "", Labels{"k": strconv.Itoa(k)}).Value(); got != 8*40 {
+			t.Fatalf("key %d: %d increments, want %d", k, got, 8*40)
+		}
 	}
 }

@@ -17,24 +17,26 @@ import (
 // never escapes the package.
 var errGramFallback = errors.New("regress: gram solver fallback")
 
-// Problem is a preprocessed Integer-Regression instance: the deduplicated
-// design matrix together with every target-independent structure the solver
-// needs — the sparse column forms for correlation, and the unique-column
-// Gram matrix that powers the incremental NNLS. Build one per design matrix
-// and reuse it across targets: CompaReSetS+ re-solves the same per-item
-// design against a fresh target on every sweep, and the dedup grouping,
-// sparsity pattern, and Gram matrix are all invariant across those sweeps.
+// Problem is a preprocessed Integer-Regression instance: the dedup grouping
+// of the design matrix together with every target-independent structure
+// the solver reads — the unique columns' sparse forms for correlation, and
+// their Gram matrix that powers the incremental NNLS. Build one per design
+// matrix and reuse it across targets: CompaReSetS+ re-solves the same
+// per-item design against a fresh target on every sweep, and the dedup
+// grouping, sparsity pattern, and Gram matrix are all invariant across
+// those sweeps. No dense copy of the deduplicated design is kept: the
+// rare numerical fallback rebuilds it from the sparse forms.
 //
 // A Problem additionally owns reusable solver scratch, so it is NOT safe
 // for concurrent use; give each goroutine its own Problem (the per-item
 // fan-out in internal/core assigns every item's Problem to one worker).
 type Problem struct {
-	// Unique, Counts, Members are the Dedup outputs for the design matrix.
-	Unique  *linalg.Matrix
+	rows, cols int // shape of the deduplicated design
+	// Counts, Members are the Dedup outputs for the design matrix.
 	Counts  []int
 	Members [][]int
 	sparse  *sparseColumns
-	gram    *linalg.Matrix // Uniqueᵀ·Unique over the unique columns
+	gram    *linalg.Matrix // Gram matrix of the unique columns
 	scratch *solverScratch
 }
 
@@ -110,7 +112,7 @@ func (s *solverScratch) cloneIterate(x linalg.Vector) linalg.Vector {
 }
 
 func (p *Problem) scratchState(maxAtoms int) *solverScratch {
-	n := p.Unique.Cols
+	n := p.cols
 	if p.scratch == nil {
 		p.scratch = scratchPool.Get().(*solverScratch)
 	}
@@ -156,22 +158,25 @@ func (p *Problem) releaseScratch() {
 	}
 }
 
-// NewProblem preprocesses the design matrix a: deduplicate columns, extract
-// sparse forms, and compute the unique-column Gram matrix.
+// NewProblem preprocesses the design matrix a: group identical columns,
+// extract the sparse forms of the unique columns, and compute their Gram
+// matrix. Each group's values are read from its first column of a, so
+// building a Problem materializes no deduplicated copy of a.
 func NewProblem(a *linalg.Matrix) *Problem {
-	unique, counts, members := Dedup(a)
+	counts, members := groupColumns(a)
+	n := len(members)
 	p := &Problem{
-		Unique:  unique,
+		rows:    a.Rows,
+		cols:    n,
 		Counts:  counts,
 		Members: members,
-		sparse:  newSparseColumns(unique),
+		sparse:  newSparseColumns(n, func(g int) linalg.Vector { return a.Col(members[g][0]) }),
+		gram:    linalg.NewMatrix(n, n),
 	}
-	n := unique.Cols
-	p.gram = linalg.NewMatrix(n, n)
 	for j := 0; j < n; j++ {
 		idx, val := p.sparse.idx[j], p.sparse.val[j]
 		for k := 0; k <= j; k++ {
-			s := linalg.GatherDotKernel(idx, val, unique.Col(k))
+			s := linalg.GatherDotKernel(idx, val, a.Col(members[k][0]))
 			p.gram.Set(j, k, s)
 			p.gram.Set(k, j, s)
 		}
@@ -179,15 +184,16 @@ func NewProblem(a *linalg.Matrix) *Problem {
 	return p
 }
 
-// Share returns a Problem backed by the same preprocessed state — the
-// deduplicated design, sparse column forms, and Gram matrix — but with its
-// own (lazily allocated) solver scratch. Preprocessing is the expensive
-// step and none of the shared fields are ever written after NewProblem, so
+// Share returns a Problem backed by the same preprocessed state — the dedup
+// grouping, sparse column forms, and Gram matrix — but with its own
+// (lazily allocated) solver scratch. Preprocessing is the expensive step
+// and none of the shared fields are ever written after NewProblem, so
 // Share is how concurrent or cached users reuse one preprocessing pass:
 // hand every holder its own share and the solves cannot interfere.
 func (p *Problem) Share() *Problem {
 	return &Problem{
-		Unique:  p.Unique,
+		rows:    p.rows,
+		cols:    p.cols,
 		Counts:  p.Counts,
 		Members: p.Members,
 		sparse:  p.sparse,
@@ -219,7 +225,7 @@ func (p *Problem) Solve(y linalg.Vector, m int, round Rounding, eval func(select
 // the start of the next solve — and an uncancelled call returns exactly
 // what Solve returns.
 func (p *Problem) SolveContext(ctx context.Context, y linalg.Vector, m int, round Rounding, eval func(selected []int) float64) ([]int, float64, error) {
-	if p.Unique.Cols == 0 || m <= 0 {
+	if p.cols == 0 || m <= 0 {
 		return nil, math.Inf(1), nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -339,20 +345,33 @@ func (p *Problem) NOMPPath(y linalg.Vector, maxAtoms int) []linalg.Vector {
 // back to the dense reference path on numerical failure. Cancellation
 // propagates from either path as ctx.Err().
 func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) ([]linalg.Vector, error) {
-	n := p.Unique.Cols
-	if maxAtoms > n {
-		maxAtoms = n
+	if maxAtoms > p.cols {
+		maxAtoms = p.cols
 	}
-	if maxAtoms > p.Unique.Rows {
+	if maxAtoms > p.rows {
 		// The NNLS subproblem needs at least as many rows as support
 		// columns; larger supports cannot improve an exact fit anyway.
-		maxAtoms = p.Unique.Rows
+		maxAtoms = p.rows
 	}
 	path, err := p.nompGram(ctx, y, maxAtoms)
 	if errors.Is(err, errGramFallback) {
-		return nompPathDense(ctx, p.Unique, y, maxAtoms)
+		return nompPathDense(ctx, p.denseUnique(), y, maxAtoms)
 	}
 	return path, err
+}
+
+// denseUnique rebuilds Dedup's unique matrix from the sparse forms. Only
+// the dense fallback reads it, so it is built per fallback call rather than
+// kept in every template.
+func (p *Problem) denseUnique() *linalg.Matrix {
+	u := linalg.NewMatrix(p.rows, p.cols)
+	for j, idx := range p.sparse.idx {
+		col := u.Col(j)
+		for t, i := range idx {
+			col[i] = p.sparse.val[j][t]
+		}
+	}
+	return u
 }
 
 // nompGram runs the Gram-space NOMP loop. It returns errGramFallback when
@@ -363,7 +382,7 @@ func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) (
 // state lives in the Problem's reusable scratch; only the returned path
 // vectors are allocated per call.
 func (p *Problem) nompGram(ctx context.Context, y linalg.Vector, maxAtoms int) ([]linalg.Vector, error) {
-	n := p.Unique.Cols
+	n := p.cols
 	const tol = 1e-10
 	sc := p.scratchState(maxAtoms)
 	sc.resetSolver()

@@ -35,7 +35,8 @@ func TestProblemNOMPPathMatchesDenseReference(t *testing.T) {
 		a, y := sparseProblem(rng, rows, cols, 2+rng.Intn(4))
 		m := 1 + rng.Intn(8)
 		p := NewProblem(a)
-		dense := NOMPPath(p.Unique, y, minInt(m, minInt(p.Unique.Cols, p.Unique.Rows)))
+		u := p.denseUnique()
+		dense := NOMPPath(u, y, minInt(m, minInt(u.Cols, u.Rows)))
 		inc := p.NOMPPath(y, m)
 		if len(dense) != len(inc) {
 			t.Fatalf("trial %d: path lengths %d vs %d", trial, len(dense), len(inc))
@@ -53,10 +54,11 @@ func TestProblemNOMPPathResidualMonotone(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a, y := sparseProblem(rng, 40, 12, 3)
 		p := NewProblem(a)
+		u := p.denseUnique()
 		path := p.NOMPPath(y, 6)
 		prev := math.Inf(1)
 		for step, x := range path {
-			r := y.Sub(p.Unique.MulVec(x)).Norm2()
+			r := y.Sub(u.MulVec(x)).Norm2()
 			if r > prev+1e-9 {
 				t.Fatalf("trial %d: residual grew at step %d: %v > %v", trial, step, r, prev)
 			}
@@ -132,8 +134,8 @@ func TestProblemDuplicateColumnsDedup(t *testing.T) {
 		{1, 0, 1, 0},
 	}
 	p := NewProblem(linalg.MatrixFromColumns(cols))
-	if p.Unique.Cols != 2 {
-		t.Fatalf("unique cols = %d, want 2", p.Unique.Cols)
+	if u := p.denseUnique(); u.Cols != 2 {
+		t.Fatalf("unique cols = %d, want 2", u.Cols)
 	}
 	if p.Counts[0] != 3 || p.Counts[1] != 1 {
 		t.Fatalf("counts = %v", p.Counts)

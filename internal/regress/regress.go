@@ -23,12 +23,12 @@ import (
 	"comparesets/internal/linalg"
 )
 
-// dedupScratch is the per-call working state of Dedup, pooled across calls
-// so the grouping pass allocates nothing on the selection hot path: the
-// hash index (with collision chains), the per-column group assignment, and
-// the per-group bookkeeping all come back from the pool. Only the returned
-// structures — the unique matrix, counts, and members — are fresh
-// allocations, because callers retain them.
+// dedupScratch is the per-call working state of groupColumns, pooled across
+// calls so the grouping pass allocates nothing on the selection hot path:
+// the hash index (with collision chains), the per-column group assignment,
+// and the per-group bookkeeping all come back from the pool. Only the
+// returned counts and members are fresh allocations, because callers
+// retain them.
 type dedupScratch struct {
 	index    map[uint64]int32 // column hash → head of the group chain
 	chain    []int32          // per group: next group with the same hash
@@ -74,6 +74,19 @@ func sameColumn(a, b linalg.Vector) bool {
 // is DeduplicateColumns of Algorithm 1, line 5. Groups are ordered by first
 // occurrence, exactly as the original columns are scanned.
 func Dedup(a *linalg.Matrix) (unique *linalg.Matrix, counts []int, members [][]int) {
+	counts, members = groupColumns(a)
+	unique = linalg.NewMatrix(a.Rows, len(members))
+	for g, mem := range members {
+		copy(unique.Col(g), a.Col(mem[0]))
+	}
+	return unique, counts, members
+}
+
+// groupColumns is the grouping pass of Dedup: the multiplicity and the
+// ascending member list of every group of identical columns, groups in
+// order of first occurrence. members[g][0] is the group's first column, so
+// callers read a group's values straight from a without a unique copy.
+func groupColumns(a *linalg.Matrix) (counts []int, members [][]int) {
 	sc := dedupPool.Get().(*dedupScratch)
 	defer func() {
 		clear(sc.index)
@@ -118,7 +131,6 @@ func Dedup(a *linalg.Matrix) (unique *linalg.Matrix, counts []int, members [][]i
 	// Output pass: one flat backing for all member lists (members within a
 	// group come out ascending because columns are scanned in order).
 	ng := len(sc.firstCol)
-	unique = linalg.NewMatrix(a.Rows, ng)
 	counts = make([]int, ng)
 	members = make([][]int, ng)
 	backing := make([]int, 0, a.Cols)
@@ -128,12 +140,11 @@ func Dedup(a *linalg.Matrix) (unique *linalg.Matrix, counts []int, members [][]i
 		counts[g] = n
 		members[g] = backing[offset:offset:(offset + n)]
 		offset += n
-		copy(unique.Col(g), a.Col(int(sc.firstCol[g])))
 	}
 	for j, g := range sc.colGroup {
 		members[g] = append(members[g], j)
 	}
-	return unique, counts, members
+	return counts, members
 }
 
 // sparseColumns extracts each column's non-zero entries once; the NOMP
@@ -145,10 +156,12 @@ type sparseColumns struct {
 	val [][]float64 // matching values, per column
 }
 
-func newSparseColumns(a *linalg.Matrix) *sparseColumns {
+// newSparseColumns extracts the non-zeros of n columns, reading column j
+// from col(j).
+func newSparseColumns(n int, col func(j int) linalg.Vector) *sparseColumns {
 	nnz := 0
-	for j := 0; j < a.Cols; j++ {
-		for _, v := range a.Col(j) {
+	for j := 0; j < n; j++ {
+		for _, v := range col(j) {
 			if v != 0 {
 				nnz++
 			}
@@ -159,12 +172,12 @@ func newSparseColumns(a *linalg.Matrix) *sparseColumns {
 	idxFlat := make([]int32, 0, nnz)
 	valFlat := make([]float64, 0, nnz)
 	s := &sparseColumns{
-		idx: make([][]int32, a.Cols),
-		val: make([][]float64, a.Cols),
+		idx: make([][]int32, n),
+		val: make([][]float64, n),
 	}
-	for j := 0; j < a.Cols; j++ {
+	for j := 0; j < n; j++ {
 		start := len(idxFlat)
-		for i, v := range a.Col(j) {
+		for i, v := range col(j) {
 			if v != 0 {
 				idxFlat = append(idxFlat, int32(i))
 				valFlat = append(valFlat, v)
@@ -205,7 +218,7 @@ func nompPathDense(ctx context.Context, a *linalg.Matrix, y linalg.Vector, maxAt
 		// columns; larger supports cannot improve an exact fit anyway.
 		maxAtoms = a.Rows
 	}
-	sparse := newSparseColumns(a)
+	sparse := newSparseColumns(a.Cols, a.Col)
 	corr := linalg.NewVector(n)
 	path := make([]linalg.Vector, 0, maxAtoms)
 	support := []int{}

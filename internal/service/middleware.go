@@ -164,10 +164,10 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // instrument wraps a handler with per-endpoint observability and panic
 // containment: an in-flight gauge, a latency histogram (resolved once, at
-// wrap time), a request counter labeled with endpoint and status code, and
-// a recover that converts a panicking handler into a 500 error envelope
-// (stack to the log, comparesets_http_panics_total incremented) so one bad
-// request can never take the process down.
+// wrap time), a request counter labeled with endpoint and status code
+// (resolved once per code), and a recover that converts a panicking handler
+// into a 500 error envelope (stack to the log, comparesets_http_panics_total
+// incremented) so one bad request can never take the process down.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	hist := s.reg.Histogram("comparesets_http_request_duration_seconds",
 		"HTTP request latency by endpoint.", nil, obs.Labels{"endpoint": endpoint})
@@ -175,6 +175,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		"Requests currently being served.", nil)
 	panics := s.reg.Counter("comparesets_http_panics_total",
 		"Handler panics recovered by the middleware.", obs.Labels{"endpoint": endpoint})
+	requests := obs.NewCounterSet(s.reg, "comparesets_http_requests_total",
+		"HTTP requests by endpoint and status code.",
+		func(code int) obs.Labels { return obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)} })
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inflight.Add(1)
@@ -189,9 +192,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			}
 			inflight.Add(-1)
 			hist.ObserveDuration(time.Since(start))
-			s.reg.Counter("comparesets_http_requests_total",
-				"HTTP requests by endpoint and status code.",
-				obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(rec.status)}).Inc()
+			requests.With(rec.status).Inc()
 		}()
 		if err := faultinject.Check(faultinject.PointServiceHandler); err != nil {
 			s.writeAPIError(rec, asAPIError(err))
