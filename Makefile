@@ -94,7 +94,7 @@ bench-json: loadgen loadgen-router
 	go run ./cmd/bench -out BENCH_service.json ./internal/service/
 	go run ./cmd/bench -out BENCH_simgraph.json -benchtime 10x ./internal/simgraph/
 	go run ./cmd/bench -out BENCH_batch.json -bench 'SelectBatch|SelectConcurrent' ./internal/service/
-	go run ./cmd/bench -out BENCH_mutate.json -bench 'Mutate|BuilderUpdate|BuildFull' ./internal/service/ ./internal/simgraph/
+	go run ./cmd/bench -out BENCH_mutate.json -bench 'Mutate' ./internal/service/
 
 # Prove the compute kernels stay free of bounds checks: build the linalg
 # package with the BCE diagnostic and fail if the compiler reports a bounds

@@ -17,9 +17,9 @@
 //
 // Reads of /api/v1/select additionally pass through a receipt-driven edge
 // cache: a warm hit replays the exact bytes of a previously proxied
-// response without any upstream exchange, identical concurrent cold reads
-// coalesce into one upstream flight, and mutation receipts (or any
-// divergence/rejoin event) invalidate the affected category's entries.
+// response without any upstream exchange, a miss is a plain forward, and
+// mutation receipts (or any divergence/rejoin event) invalidate the
+// affected category's entries.
 // -edge-cache-bytes sizes it; -edge-cache-disabled turns the fast path off.
 //
 // Operational routes: GET /healthz, GET /readyz (cluster view: per-backend
@@ -61,7 +61,7 @@ func main() {
 		retryTokens    = flag.Float64("retry-tokens", 10, "retry budget bucket capacity")
 		retryRatio     = flag.Float64("retry-ratio", 0.1, "retry budget deposited per successful request")
 		edgeBytes      = flag.Int64("edge-cache-bytes", cluster.DefaultEdgeCacheBytes, "edge response cache budget in bytes")
-		edgeDisabled   = flag.Bool("edge-cache-disabled", false, "disable the edge response cache and cold-read coalescing")
+		edgeDisabled   = flag.Bool("edge-cache-disabled", false, "disable the edge response cache")
 		idleConns      = flag.Int("upstream-idle-conns", 0, "pooled idle connections kept per backend (0 = default 32)")
 		drain          = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	)

@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
+
+	"comparesets/internal/faultinject"
+	"comparesets/internal/obs"
 )
 
 // TestRouterEdgeWarmHitByteParityAgainstRealWorkers proves the edge cache's
@@ -99,5 +104,78 @@ func TestRouterEdgeWarmHitByteParityAgainstRealWorkers(t *testing.T) {
 	}
 	if got, want := normalizeElapsed(fresh), normalizeElapsed(directFresh); got != want {
 		t.Errorf("post-mutation edge bytes diverge from the worker:\n edge  %s\n direct %s", got, want)
+	}
+}
+
+// TestRouterColdReadsCoalesceAtWorker: the edge does not coalesce, so
+// identical concurrent cold reads through the router are plain forwards,
+// and the worker's select flight group runs the pipeline once for all of
+// them. Hedging is off so no secondary attempt can add an execution.
+func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-corpus cluster test")
+	}
+	const seed = 42
+	svc, w1 := newWorker(t, seed)
+	defer w1.Close()
+	_, w2 := newWorker(t, seed)
+	defer w2.Close()
+
+	rt, err := NewRouter(RouterOptions{
+		Backends:       []string{w1.URL, w2.URL},
+		HealthInterval: 50 * time.Millisecond,
+		HedgeDisabled:  true,
+		Logger:         testLogger(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+
+	client := &http.Client{Timeout: 15 * time.Second}
+	cat := svc.Categories()[0]
+	var targets []string
+	if err := getJSON(client, routerTS.URL+"/api/v1/targets?category="+cat, &targets); err != nil || len(targets) == 0 {
+		t.Fatalf("listing %s targets: %v (%d targets)", cat, err, len(targets))
+	}
+	body := selectBody(cat, targets[0])
+
+	// Both workers record into the process-wide registry, so the counter
+	// sums executions over the replicas.
+	executions := obs.NewCacheMetrics(svc.Registry(), "selectflight").Executions
+	before := executions.Value()
+	// Hold the one pipeline execution long enough for every read to reach
+	// the worker while it runs.
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{
+		Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond, Remaining: 1,
+	})
+
+	const concurrency = 8
+	bodies := make([][]byte, concurrency)
+	var wg sync.WaitGroup
+	for i := 0; i < concurrency; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			status, b, err := post(client, routerTS.URL+"/api/v1/select", body)
+			if err != nil || status != http.StatusOK {
+				t.Errorf("concurrent select %d: status %d err %v", i, status, err)
+			}
+			bodies[i] = b
+		}(i)
+	}
+	wg.Wait()
+
+	for i := 1; i < concurrency; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("concurrent cold reads saw different bytes:\n%s\n%s", bodies[0], bodies[i])
+		}
+	}
+	if got := executions.Value() - before; got != 1 {
+		t.Errorf("select pipeline executions = %d, want exactly 1", got)
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"comparesets/internal/obs"
 	"comparesets/internal/selectreq"
@@ -173,17 +171,14 @@ func (p edgeProbe) sel(category, target string) *edgeSelect {
 
 // key returns the read's cache key, or "" while its membership is unknown.
 func (p edgeProbe) key(s *edgeSelect) string {
-	_, look, _ := p.e.get(s)
-	if strings.Contains(look.flight, "|seq=") {
-		return ""
-	}
-	return look.flight
+	key, _ := p.e.lookup(s)
+	return key
 }
 
 // fill snapshots a read and completes it with the given instance header.
 func (p edgeProbe) fill(s *edgeSelect, instance string) {
-	_, look, _ := p.e.get(s)
-	p.e.fill(s, look.seq, instance, []byte("payload-"+s.target))
+	_, seq, _ := p.e.get(s)
+	p.e.fill(s, seq, instance, []byte("payload-"+s.target))
 }
 
 // hit reports whether the read is answered from the cache.
@@ -291,9 +286,9 @@ func TestEdgeFillRejectsStraddlingSnapshots(t *testing.T) {
 
 	// A member receipt between snapshot and fill: membership is learned
 	// (it cannot change within a lineage) but the bytes are dropped.
-	_, look, _ := p.e.get(a)
+	_, seq, _ := p.e.get(a)
 	p.receipt(epoch, "cam-2", 1)
-	p.e.fill(a, look.seq, "cam-1,cam-2", []byte("pre-write"))
+	p.e.fill(a, seq, "cam-1,cam-2", []byte("pre-write"))
 	if p.key(a) == "" {
 		t.Error("membership not learned from a straddling fill")
 	}
@@ -301,17 +296,17 @@ func TestEdgeFillRejectsStraddlingSnapshots(t *testing.T) {
 		t.Fatal("bytes of a fill straddling a member receipt were memoized")
 	}
 	// A non-member receipt between snapshot and fill leaves it valid.
-	_, look, _ = p.e.get(a)
+	_, seq, _ = p.e.get(a)
 	p.receipt(epoch, "cam-7", 1)
-	p.e.fill(a, look.seq, "cam-1,cam-2", []byte("valid"))
+	p.e.fill(a, seq, "cam-1,cam-2", []byte("valid"))
 	if payload, _, ok := p.e.get(a); !ok || string(payload) != "valid" {
 		t.Errorf("fill straddling a non-member receipt not memoized (%q, %v)", payload, ok)
 	}
 
 	// A flush between snapshot and fill: nothing is learned or memoized.
-	_, look, _ = p.e.get(b)
+	_, seq, _ = p.e.get(b)
 	p.e.flush("Cameras")
-	p.e.fill(b, look.seq, "cam-3,cam-4", []byte("pre-flush"))
+	p.e.fill(b, seq, "cam-3,cam-4", []byte("pre-flush"))
 	if p.key(b) != "" || p.hit(b) {
 		t.Error("fill straddling a flush was memoized")
 	}
@@ -490,49 +485,12 @@ func TestRouterEdgeReceiptInvalidatesMutatedCategoryOnly(t *testing.T) {
 	}
 }
 
-// TestRouterEdgeCoalescesConcurrentColdReads: identical concurrent cold
-// reads share one upstream flight and one backend exchange.
-func TestRouterEdgeCoalescesConcurrentColdReads(t *testing.T) {
-	workers := []*mockWorker{newMockWorker(t)}
-	rt, ts, _ := newTestRouter(t, workers, nil)
-	workers[0].delay.Store(int64(300 * time.Millisecond))
-
-	const concurrency = 8
-	body := `{"category":"Cameras","target":"cam-1","m":3}`
-	bodies := make([]string, concurrency)
-	var wg sync.WaitGroup
-	for i := 0; i < concurrency; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, b := postSelect(t, ts.URL, body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("concurrent select %d: status %d", i, resp.StatusCode)
-			}
-			bodies[i] = b
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 1; i < concurrency; i++ {
-		if bodies[i] != bodies[0] {
-			t.Fatalf("coalesced waiters saw different bytes:\n%s\n%s", bodies[0], bodies[i])
-		}
-	}
-	if selects, _ := workers[0].stats(); selects != 1 {
-		t.Errorf("backend saw %d selects, want 1 (flight not coalesced)", selects)
-	}
-	if got := counterSnapshot(rt.Registry(), `comparesets_cache_coalesced_waiters_total{cache="router_edge_flight"}`); got != concurrency-1 {
-		t.Errorf("coalesced waiters = %d, want %d", got, concurrency-1)
-	}
-}
-
-// TestRouterEdgeErrorFlightsAreNotMemoized: a failing flight is shared by
-// its concurrent waiters but never cached — the next read retries upstream.
+// TestRouterEdgeErrorFlightsAreNotMemoized: a failed upstream answer is
+// replayed but never cached — the next read goes upstream again.
 func TestRouterEdgeErrorFlightsAreNotMemoized(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t)}
 	rt, ts, _ := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.MaxRetries = -1 // no retries: one failed attempt settles the flight
+		o.MaxRetries = -1 // no retries: one failed attempt settles the read
 	})
 	_ = rt
 	workers[0].fail.Store(true)

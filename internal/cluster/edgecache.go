@@ -7,7 +7,7 @@
 // the MutationReceipt of each write it fans out. That makes the routing
 // tier a legal cache site: a warm read is answered at the edge in
 // microseconds, byte-identical to the proxied response it memoized, without
-// spending an upstream flight, a retry token, or a hedge.
+// spending an upstream exchange, a retry token, or a hedge.
 //
 // Keying mirrors the worker's own servecache discipline (instanceEpoch):
 // the canonical select-request key (selectreq.Key, the one both tiers use)
@@ -30,11 +30,12 @@
 // bumps the flush counter and drops the membership memo: conservative,
 // category-wide, and cheap.
 //
-// A read whose instance membership is not yet known cannot be keyed by
-// token. Its flight is keyed by the category's write sequence instead, so a
-// reader admitted after a write's ack never joins a flight launched before
-// it, and its answer is memoized only if no flush and no receipt for any
-// member landed after the read took its snapshot.
+// A miss is a plain forward; the edge does not coalesce. Identical
+// concurrent misses meet in the worker's select flight group, the one
+// coalescing layer of the serving path. Every read snapshots the
+// category's write sequence, and its answer is memoized only if no flush
+// and no receipt for any member landed after that snapshot, so a fill can
+// never carry bytes that predate a write it straddled.
 //
 // Requests the router cannot prove cacheable — inline instances, unknown
 // request fields added by newer workers — bypass the edge entirely and
@@ -185,12 +186,10 @@ func putUint64(b []byte, v uint64) {
 	}
 }
 
-// edgeCache is the router's response cache plus the cross-replica flight
-// group that coalesces identical concurrent cold reads into one upstream
-// exchange.
+// edgeCache is the router's response cache and its reconciled view of each
+// category's write lineage.
 type edgeCache struct {
-	cache   *servecache.Cache
-	flights *servecache.FlightGroup
+	cache *servecache.Cache
 	// misses counts reads whose membership is unknown, which never reach a
 	// cache lookup.
 	misses *obs.Counter
@@ -202,18 +201,16 @@ type edgeCache struct {
 }
 
 // newEdgeCache builds the edge tier with the given byte budget, recording
-// hit/miss/eviction and coalescing counters into reg under the
-// "router_edge" and "router_edge_flight" cache labels.
+// hit/miss/eviction counters into reg under the "router_edge" cache label.
 func newEdgeCache(budget int64, reg *obs.Registry) *edgeCache {
 	if budget <= 0 {
 		budget = DefaultEdgeCacheBytes
 	}
 	m := obs.NewCacheMetrics(reg, "router_edge")
 	e := &edgeCache{
-		cache:   servecache.New(budget, 0, m),
-		flights: servecache.NewFlightGroup(obs.NewCacheMetrics(reg, "router_edge_flight")),
-		misses:  m.Misses,
-		cats:    map[string]*edgeCategoryState{},
+		cache:  servecache.New(budget, 0, m),
+		misses: m.Misses,
+		cats:   map[string]*edgeCategoryState{},
 	}
 	e.invalidations = func(scope string) {
 		reg.Counter("comparesets_router_edge_invalidations_total",
@@ -223,38 +220,32 @@ func newEdgeCache(budget int64, reg *obs.Registry) *edgeCache {
 	return e
 }
 
-// edgeLookup is one read's snapshot of the edge state.
-type edgeLookup struct {
-	// flight is the key the read joins or launches its upstream flight
-	// under: the cache key when membership is known, else the canonical key
-	// tagged with the write sequence.
-	flight string
-	// seq is the category's write sequence at the snapshot.
-	seq uint64
-}
-
-// get answers a read from the cache when its instance membership is known
-// and an entry exists under the current token. Otherwise it returns the
-// snapshot the read's flight runs under; an unknown membership counts as a
-// miss.
-func (e *edgeCache) get(sel *edgeSelect) (payload []byte, look edgeLookup, ok bool) {
-	var key string
+// lookup snapshots the edge state for one read: its cache key, "" while
+// the instance membership is unknown, and the category's write sequence,
+// which decides whether the read's answer may later be filled.
+func (e *edgeCache) lookup(sel *edgeSelect) (key string, seq uint64) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if st := e.cats[sel.category]; st != nil {
-		look.seq = st.seq
+		seq = st.seq
 		if in := st.instances[edgeInstanceKey{sel.target, sel.maxComparative}]; in != nil {
 			key = sel.key + "|st=" + st.token(in)
 		}
 	}
-	e.mu.Unlock()
+	return key, seq
+}
+
+// get answers a read from the cache when its instance membership is known
+// and an entry exists under the current token; an unknown membership
+// counts as a miss. seq is the read's snapshot for fill.
+func (e *edgeCache) get(sel *edgeSelect) (payload []byte, seq uint64, ok bool) {
+	key, seq := e.lookup(sel)
 	if key == "" {
 		e.misses.Inc()
-		look.flight = sel.key + "|seq=" + strconv.FormatUint(look.seq, 10)
-		return nil, look, false
+		return nil, seq, false
 	}
-	look.flight = key
 	payload, ok = e.cache.Get(key)
-	return payload, look, ok
+	return payload, seq, ok
 }
 
 // fill memoizes a canonical 200 answer of a read that took its snapshot at

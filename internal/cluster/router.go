@@ -89,8 +89,8 @@ type RouterOptions struct {
 	// EdgeCacheBytes is the edge response-cache budget (default
 	// DefaultEdgeCacheBytes).
 	EdgeCacheBytes int64
-	// EdgeCacheDisabled turns the edge response cache and cold-read
-	// coalescing off; every read takes the plain proxied path.
+	// EdgeCacheDisabled turns the edge response cache off; every read
+	// takes the plain proxied path.
 	EdgeCacheDisabled bool
 	// Registry receives router metrics (default obs.NewRegistry(), so
 	// in-process tests don't collide with worker registries).
@@ -398,15 +398,6 @@ type fwdResp struct {
 	body     []byte
 }
 
-// fwdError carries a deterministic but non-cacheable upstream answer
-// through the flight group's ([]byte, error) result contract, so every
-// coalesced waiter replays the same fwdResp verbatim.
-type fwdError struct{ resp *fwdResp }
-
-func (e *fwdError) Error() string {
-	return fmt.Sprintf("upstream answered %d", e.resp.status)
-}
-
 // bodyBufPool recycles the scratch buffers that drain request and upstream
 // bodies. io.ReadAll grows and abandons a fresh buffer per attempt; under
 // retry/hedge fan-out that garbage dominates the router's allocation
@@ -547,16 +538,16 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
-	rt.forwardRead(w, r, peek.Category, r.URL.RequestURI(), body, peek.TimeoutMS)
+	rt.forwardRead(w, r, peek.Category, body, peek.TimeoutMS, nil)
 }
 
 // serveEdge answers a cacheable select at the edge: warm hits are written
-// straight from the response cache in microseconds, and identical
-// concurrent cold reads are coalesced into one proxied flight whose
-// canonical 200 result is memoized under its instance's state token.
+// straight from the response cache in microseconds, and a miss is a plain
+// forward whose canonical 200 is memoized under its instance's state token.
+// Identical concurrent misses coalesce in the worker's select flight group,
+// which every forwarded read passes through.
 func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, sel *edgeSelect, body []byte) {
-	category, timeoutMS := sel.category, sel.timeoutMS
-	payload, look, ok := rt.edge.get(sel)
+	payload, seq, ok := rt.edge.get(sel)
 	if ok {
 		span := obs.StartStage(obs.StageRouterEdge)
 		w.Header().Set("Content-Type", "application/json")
@@ -567,78 +558,26 @@ func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, sel *edgeSel
 		span.Stop()
 		return
 	}
-
-	budgetDur := rt.opts.DefaultTimeout
-	if timeoutMS > 0 {
-		budgetDur = time.Duration(timeoutMS) * time.Millisecond
-	}
-	deadline := time.Now().Add(budgetDur)
-	method := r.Method
-	pathAndQuery := r.URL.RequestURI()
-	contentType := r.Header.Get("Content-Type")
-
-	// Each participant bounds its own wait by its own deadline; the flight
-	// itself runs detached with the leader's deadline, so a short-fused
-	// waiter leaving early never cancels work others still want.
-	wctx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
-	val, _, err := rt.edge.flights.Do(wctx, look.flight, func(fctx context.Context) ([]byte, error) {
-		span := obs.StartStage(obs.StageRouterForward)
-		defer span.Stop()
-		ctx, cancel := context.WithDeadline(fctx, deadline)
-		defer cancel()
-		resp, perr := rt.proxyRead(ctx, fctx, method, category, pathAndQuery, body, contentType, timeoutMS, deadline)
-		if perr != nil {
-			return nil, perr
-		}
+	rt.forwardRead(w, r, sel.category, body, sel.timeoutMS, func(resp *fwdResp) {
 		// The worker's instance header is the cacheability statement: it
 		// rides only on canonical answers.
 		if resp.status == http.StatusOK && resp.instance != "" {
-			rt.edge.fill(sel, look.seq, resp.instance, resp.body)
-			return resp.body, nil
+			rt.edge.fill(sel, seq, resp.instance, resp.body)
 		}
-		// Deterministic but not canonical (4xx, degraded, shed): replayed to
-		// every waiter, never memoized.
-		return nil, &fwdError{resp: resp}
 	})
-	switch {
-	case err == nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if _, werr := w.Write(val); werr != nil {
-			rt.countClientAbort("edge")
-		}
-	case errors.Is(err, faultinject.ErrConnDrop):
-		abortConn(w)
-	default:
-		var fe *fwdError
-		if errors.As(err, &fe) {
-			rt.writeFwd(w, fe.resp)
-			return
-		}
-		if r.Context().Err() != nil {
-			writeErr(w, 499, "client_closed", "client closed request")
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeErr(w, http.StatusGatewayTimeout, "deadline_exceeded", "deadline exhausted routing to "+category)
-			return
-		}
-		// Panicked or abandoned flight: nothing deterministic to replay.
-		writeErr(w, http.StatusBadGateway, "internal", "edge flight failed: "+err.Error())
-	}
 }
 
 // handleTargets routes the idempotent targets listing by its category query
 // parameter through the same retry/hedge machinery (with no body).
 func (rt *Router) handleTargets(w http.ResponseWriter, r *http.Request) {
 	rt.countRoute("targets")
-	rt.forwardRead(w, r, r.URL.Query().Get("category"), r.URL.RequestURI(), nil, 0)
+	rt.forwardRead(w, r, r.URL.Query().Get("category"), nil, 0, nil)
 }
 
 // forwardRead runs the resilient proxy engine against the client's request
-// and replays its outcome: the uncached read path.
-func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category, pathAndQuery string, body []byte, timeoutMS int) {
+// and replays its outcome. fill, when non-nil, sees the answer before it is
+// replayed, so an edge fill is in place before the client can read again.
+func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category string, body []byte, timeoutMS int, fill func(*fwdResp)) {
 	span := obs.StartStage(obs.StageRouterForward)
 	defer span.Stop()
 
@@ -646,11 +585,10 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category, 
 	if timeoutMS > 0 {
 		budgetDur = time.Duration(timeoutMS) * time.Millisecond
 	}
-	deadline := time.Now().Add(budgetDur)
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), budgetDur)
 	defer cancel()
 
-	resp, err := rt.proxyRead(ctx, r.Context(), r.Method, category, pathAndQuery, body, r.Header.Get("Content-Type"), timeoutMS, deadline)
+	resp, err := rt.proxyRead(ctx, r, category, body, timeoutMS)
 	if err != nil {
 		if errors.Is(err, faultinject.ErrConnDrop) {
 			// Injected router crash: tear the client connection down
@@ -661,6 +599,9 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category, 
 		writeErr(w, 499, "client_closed", "client closed request")
 		return
 	}
+	if fill != nil {
+		fill(resp)
+	}
 	rt.writeFwd(w, resp)
 }
 
@@ -668,12 +609,14 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category, 
 // candidates, breaker gating, budgeted retries with jittered backoff,
 // p95-armed hedging, and deadline propagation. Every deterministic outcome
 // — an upstream answer or a router-originated 502/503/504 envelope — comes
-// back as a replayable *fwdResp so callers (direct or coalesced behind a
-// flight) write identical bytes. An error means nothing is replayable: the
-// parent context was abandoned, or an injected fault wants the connection
-// torn down. parent distinguishes caller abandonment from deadline
-// exhaustion when ctx fires.
-func (rt *Router) proxyRead(ctx, parent context.Context, method, category, pathAndQuery string, body []byte, contentType string, timeoutMS int, deadline time.Time) (*fwdResp, error) {
+// back as a replayable *fwdResp. An error means nothing is replayable: the
+// client went away, or an injected fault wants the connection torn down.
+// ctx is r's context bounded by the read's deadline; when ctx fires, r's
+// own context tells client abandonment from deadline exhaustion.
+func (rt *Router) proxyRead(ctx context.Context, r *http.Request, category string, body []byte, timeoutMS int) (*fwdResp, error) {
+	parent := r.Context()
+	deadline, _ := ctx.Deadline()
+	method, pathAndQuery, contentType := r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type")
 	cands := rt.readCandidates(category)
 	if len(cands) == 0 {
 		return errResp(http.StatusServiceUnavailable, "overloaded", "no replicas for category "+category), nil

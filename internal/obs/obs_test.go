@@ -187,12 +187,16 @@ func TestConcurrentWrites(t *testing.T) {
 }
 
 func TestStageTimer(t *testing.T) {
-	before := StageHistogram(StageNOMP).Count()
-	stop := StageTimer(StageNOMP)
+	h := StageHistogram(StageNOMP)
+	before, sumBefore := h.Count(), h.Sum()
+	span := StartStage(StageNOMP)
 	time.Sleep(time.Millisecond)
-	stop()
-	if got := StageHistogram(StageNOMP).Count(); got != before+1 {
+	span.Stop()
+	if got := h.Count(); got != before+1 {
 		t.Fatalf("stage count = %d, want %d", got, before+1)
+	}
+	if d := h.Sum() - sumBefore; d < time.Millisecond.Seconds() {
+		t.Fatalf("stage span recorded %gs, want at least the 1ms it covered", d)
 	}
 	ObserveStage("custom_stage", 5*time.Millisecond)
 	if StageHistogram("custom_stage").Count() == 0 {

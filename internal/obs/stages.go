@@ -85,24 +85,14 @@ func ObserveStage(stage string, d time.Duration) {
 	StageHistogram(stage).ObserveDuration(d)
 }
 
-// StageTimer starts timing a stage; the returned stop function records the
-// elapsed time: defer obs.StageTimer(obs.StageNOMP)().
-//
-// The returned closure escapes to the heap; on per-request hot paths
-// prefer StartStage, whose value form costs nothing to create.
-func StageTimer(stage string) func() {
-	h := StageHistogram(stage)
-	t := time.Now()
-	return func() { h.ObserveDuration(time.Since(t)) }
-}
-
 // StageSpan is one in-flight stage timing started by StartStage.
 type StageSpan struct {
 	h *Histogram
 	t time.Time
 }
 
-// StartStage is the allocation-free counterpart of StageTimer:
+// StartStage starts timing a stage; Stop records the elapsed time. The
+// value form costs nothing to create, so it suits per-request hot paths:
 //
 //	span := obs.StartStage(obs.StageNOMP)
 //	defer span.Stop()

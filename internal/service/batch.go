@@ -6,7 +6,6 @@ import (
 	"comparesets/internal/core"
 	"comparesets/internal/model"
 	"comparesets/internal/opinion"
-	"comparesets/internal/selectreq"
 	"comparesets/internal/simgraph"
 )
 
@@ -97,7 +96,7 @@ func (s *Server) executeBatch(gctx context.Context, reqs []*batchReq) ([]*batchR
 			out[i] = &batchRes{err: err}
 			continue
 		}
-		resp, apiErr := s.computeSelect(q.ctx, q.req, insts[i], fs, q.sel, q.solver, pc, selectreq.Key(q.req))
+		resp, apiErr := s.computeSelect(q.ctx, q.req, insts[i], fs, q.sel, q.solver, pc)
 		if apiErr != nil {
 			out[i] = &batchRes{err: apiErr}
 			continue

@@ -13,8 +13,6 @@
 //	featstore  per-item column refill reusing every unchanged review column
 //	core       ProblemCache.InvalidateItem drops only the touched item's
 //	           regression problems
-//	simgraph   memoized builders recompute only rows whose item stats
-//	           changed (see memoGraph)
 //	servecache per-item generations fold into the select cache key, so only
 //	           cached responses whose instance contains the touched item
 //	           become unreachable
@@ -28,16 +26,12 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/fnv"
-	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"comparesets/internal/core"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
-	"comparesets/internal/simgraph"
 )
 
 // MutationReceipt is the response body of every mutation endpoint: what
@@ -258,101 +252,4 @@ func instanceEpoch(base string, gens map[string]uint64, inst *model.Instance) st
 		return base
 	}
 	return base + "." + strconv.FormatUint(h.Sum64(), 16)
-}
-
-// maxGraphEntries bounds the graph memo; on overflow the map resets (same
-// pure-accelerator policy as core.ProblemCache).
-const maxGraphEntries = 256
-
-// graphMemo holds one incremental similarity-graph builder per select
-// shape (epoch-less select key). A mutation does not drop entries: the
-// next request with the same shape diffs its fresh per-item stats against
-// the memoized ones and recomputes only the changed rows, which is the
-// whole point — the O(n²·z) pairwise pass shrinks to O(n·z) for a
-// single-item delta. Entries are dropped only on corpus replacement, when
-// instance membership itself may change.
-type graphMemo struct {
-	mu sync.Mutex
-	m  map[string]*graphEntry
-}
-
-type graphEntry struct {
-	mu       sync.Mutex
-	category string
-	builder  *simgraph.Builder
-	stats    []core.ItemStats
-}
-
-// entry returns the memo slot for the key, creating it if needed.
-func (gm *graphMemo) entry(category, key string) *graphEntry {
-	gm.mu.Lock()
-	defer gm.mu.Unlock()
-	e, ok := gm.m[key]
-	if !ok {
-		if len(gm.m) >= maxGraphEntries {
-			gm.m = map[string]*graphEntry{}
-		}
-		e = &graphEntry{category: category}
-		gm.m[key] = e
-	}
-	return e
-}
-
-// dropCategory removes every memo entry of the category.
-func (gm *graphMemo) dropCategory(category string) {
-	gm.mu.Lock()
-	defer gm.mu.Unlock()
-	for k, e := range gm.m {
-		if e.category == category {
-			delete(gm.m, k)
-		}
-	}
-}
-
-// memoGraph builds the similarity graph for the request's selection stats.
-// With a graph key (corpus-referenced cached requests), the distance matrix
-// is memoized per select shape and only rows whose item stats changed since
-// the previous request are recomputed; the result is byte-identical to a
-// fresh simgraph.Build (see simgraph.Builder). Without a key (inline
-// instances, cache disabled), it is exactly a fresh Build.
-func (s *Server) memoGraph(graphKey, category string, stats []core.ItemStats, cfg core.Config) *simgraph.Graph {
-	if graphKey == "" {
-		return simgraph.Build(stats, cfg)
-	}
-	e := s.graphs.entry(category, graphKey)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.builder == nil || len(e.stats) != len(stats) {
-		e.builder = simgraph.NewBuilder(stats, cfg)
-		e.stats = stats
-		return e.builder.Graph()
-	}
-	var touched []int
-	for i := range stats {
-		if !statsEqual(&e.stats[i], &stats[i]) {
-			touched = append(touched, i)
-		}
-	}
-	if len(touched) > 0 {
-		e.builder.Update(stats, touched)
-	}
-	e.stats = stats
-	return e.builder.Graph()
-}
-
-// statsEqual compares two items' selection statistics bitwise — the
-// distance d_ij is a pure function of the two entries, so bit equality of
-// the entries guarantees bit equality of every incident edge.
-func statsEqual(a, b *core.ItemStats) bool {
-	if math.Float64bits(a.OpinionLoss) != math.Float64bits(b.OpinionLoss) ||
-		math.Float64bits(a.AspectLoss) != math.Float64bits(b.AspectLoss) ||
-		len(a.Phi) != len(b.Phi) {
-		return false
-	}
-	for k := range a.Phi {
-		if math.Float64bits(a.Phi[k]) != math.Float64bits(b.Phi[k]) {
-			return false
-		}
-	}
-	return true
 }

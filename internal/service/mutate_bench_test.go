@@ -94,8 +94,8 @@ func benchMutateAppend(b *testing.B, n int) {
 // the mutation API existed: a whole-epoch AddCorpus flush followed by the
 // feature precompute needed to restore a servable warm state. This is a
 // lower bound on the old cost — the flush also discarded every cached
-// regression problem, memoized graph, and cached response, whose rebuild
-// on the next selects is not counted here.
+// regression problem and cached response, whose rebuild on the next
+// selects is not counted here.
 func benchMutateRebuild(b *testing.B, n int) {
 	c := mutationBenchCorpus(b, n)
 	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)

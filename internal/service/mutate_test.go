@@ -353,8 +353,11 @@ func stripTiming(t *testing.T, body []byte) []byte {
 // TestMutationRebuildParity is the incremental-path certificate: a server
 // that absorbed a seeded sequence of HTTP mutations must serve selections
 // byte-identical (modulo timing) to a server built fresh from the final
-// corpus — i.e. the delta path through featstore, ProblemCache, graph memo,
-// and cache keying loses nothing relative to a whole-epoch rebuild.
+// corpus — i.e. the delta path through featstore, ProblemCache and cache
+// keying loses nothing relative to a whole-epoch rebuild. The live server
+// serves every compared select once before the writes, so its feature
+// columns, regression problems and response cache are warm when the
+// mutations land and must be invalidated exactly.
 func TestMutationRebuildParity(t *testing.T) {
 	cfg := datagen.Config{
 		Category: lexicon.Cellphone, Products: 24, Reviewers: 40,
@@ -376,6 +379,15 @@ func TestMutationRebuildParity(t *testing.T) {
 	// is then constructed from the shadow's final state in one shot.
 	shadow := gen()
 	ids := dataset.TargetIDs(shadow)
+	targets := ids[:6]
+	selectReq := func(target string) SelectRequest {
+		return SelectRequest{Category: "Cellphone", Target: target, M: 3, Lambda: 1, Mu: 0.1, K: 3, Method: "greedy"}
+	}
+	for _, target := range targets {
+		if resp, body := post(t, ts.URL+"/api/v1/select", selectReq(target)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("pre-write select %s: status %d body %s", target, resp.StatusCode, body)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 12; i++ {
@@ -422,10 +434,10 @@ func TestMutationRebuildParity(t *testing.T) {
 	ts2 := httptest.NewServer(rebuilt.Handler())
 	defer ts2.Close()
 
-	for _, target := range ids[:6] {
-		req := SelectRequest{Category: "Cellphone", Target: target, M: 3, Lambda: 1, Mu: 0.1, K: 3, Method: "greedy"}
-		// Two rounds: the second exercises the live server's memoized graph
-		// and warm caches against the rebuilt server's.
+	for _, target := range targets {
+		req := selectReq(target)
+		// Two rounds: the second compares the live server's warm caches
+		// against the rebuilt server's.
 		for round := 0; round < 2; round++ {
 			r1, b1 := post(t, ts.URL+"/api/v1/select", req)
 			r2, b2 := post(t, ts2.URL+"/api/v1/select", req)
@@ -442,7 +454,7 @@ func TestMutationRebuildParity(t *testing.T) {
 
 // TestMutateWhileSelect hammers the mutation endpoints concurrently with
 // selects; under -race this certifies the copy-on-write swap, the featstore
-// atomic corpus pointer, and the graph memo locking.
+// atomic corpus pointer, and the cache and flight locking.
 func TestMutateWhileSelect(t *testing.T) {
 	s, ts := testServer(t)
 	s.mu.RLock()

@@ -24,8 +24,13 @@
 // (internal/featstore), a sharded byte-budgeted LRU over fully marshaled
 // responses keyed by a canonical request key that includes the corpus
 // epoch (internal/servecache), and request coalescing so N concurrent
-// identical requests run the pipeline once. Replacing a corpus with
-// AddCorpus bumps its epoch, invalidating its cached results atomically.
+// identical requests run the pipeline once. That flight group is the only
+// coalescing layer of the serving path: a router forwards its edge-cache
+// misses as they come, so identical routed misses meet here. The shortlist
+// similarity graph is not memoized; an instance's graph is small enough
+// that simgraph.Build per request costs microseconds. Replacing a corpus
+// with AddCorpus bumps its epoch, invalidating its cached results
+// atomically.
 //
 // The mutation endpoints are the incremental write path: each applies one
 // typed delta (append/update/remove a review) copy-on-write, refills only
@@ -169,9 +174,6 @@ type Server struct {
 	draining   atomic.Bool
 	// mutlog is Options.MutationLog (nil = mutations are in-memory only).
 	mutlog *store.Store
-	// graphs memoizes similarity-graph builders per select shape so a
-	// mutation recomputes only the touched items' adjacency rows.
-	graphs graphMemo
 
 	clientAborts *obs.Counter
 	staleServed  *obs.Counter
@@ -206,7 +208,6 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 		reg:      obs.Default(),
 		mutlog:   opts.MutationLog,
 	}
-	s.graphs.m = map[string]*graphEntry{}
 	s.clientAborts = s.reg.Counter("comparesets_client_aborts_total",
 		"Responses whose write failed because the client disconnected.", nil)
 	s.staleServed = s.reg.Counter("comparesets_degraded_responses_total",
@@ -295,10 +296,8 @@ func (s *Server) registerCorpus(name string, c *model.Corpus) {
 	s.problems[name] = core.NewProblemCache()
 	s.epochs[name] = fmt.Sprintf("%d.%016x", s.epochSeq, c.Fingerprint())
 	// A corpus (re)load is an epoch-scope invalidation: the epoch token in
-	// every cache key changes, per-item generations start over, and graph
-	// memos for the category are dropped (instance membership may differ).
+	// every cache key changes and per-item generations start over.
 	s.gens[name] = map[string]uint64{}
-	s.graphs.dropCategory(name)
 	if replacing {
 		s.reg.Counter("comparesets_invalidations_total",
 			"Cache invalidations by scope: item (mutation) or epoch (corpus replace).",
@@ -595,7 +594,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				}
 				payload, canon = res.payload, res.canonical
 			} else {
-				resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc, staleKey)
+				resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc)
 				if apiErr != nil {
 					return nil, apiErr
 				}
@@ -653,7 +652,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		pc = s.problems[req.Category]
 		s.mu.RUnlock()
 	}
-	resp, apiErr := s.computeSelect(ctx, &req, inst, fs, sel, solver, pc, "")
+	resp, apiErr := s.computeSelect(ctx, &req, inst, fs, sel, solver, pc)
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
@@ -732,10 +731,8 @@ func degradeBody(body []byte) []byte {
 // and the optional shortlist solve. fs supplies corpus-resident features
 // (nil for inline instances); solver is non-nil exactly when req.K > 0;
 // problems is the batch group's shared problem cache (nil outside batched
-// execution); graphKey, when non-empty, memoizes the shortlist similarity
-// graph's distance matrix across requests of the same shape (see
-// memoGraph).
-func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, fs *featstore.Store, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache, graphKey string) (*SelectResponse, *apiError) {
+// execution).
+func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, fs *featstore.Store, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
 	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Float32: s.float32, Problems: problems}
 	if fs != nil {
 		cfg.Features = fs
@@ -773,7 +770,7 @@ func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *mo
 	}
 	if solver != nil {
 		tg := core.NewTargets(inst, cfg)
-		g := s.memoGraph(graphKey, req.Category, core.StatsForSets(inst, tg, cfg, sets), cfg)
+		g := simgraph.Build(core.StatsForSets(inst, tg, cfg, sets), cfg)
 		shortlistSpan := obs.StartStage(obs.StageShortlist)
 		res, reason := s.solveShortlist(ctx, g, req.K, solver, req.Method)
 		shortlistSpan.Stop()
