@@ -46,8 +46,9 @@ chaos-cluster:
 
 # Fuzz the store's crash-recovery scan, the mutation-log append path, the
 # hand-rolled JSON encoders' byte parity with encoding/json, the
-# router/worker select-key parity, and the rounding apportionment
-# invariants (bounded; raise -fuzztime locally).
+# router/worker select-key parity, the rounding apportionment invariants,
+# and the sparse rounder against the dense reference apportionment
+# (bounded; raise -fuzztime locally).
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
@@ -55,6 +56,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReviewMarshalAppend -fuzztime 30s ./internal/model/
 	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
 	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
+	go test -run '^$$' -fuzz FuzzSparseApportion -fuzztime 30s ./internal/regress/
 
 # Open-loop load harness: zipfian target popularity, tunable read/write mix,
 # in-process server over the synthetic corpora. Records client-side

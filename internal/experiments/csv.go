@@ -44,10 +44,13 @@ func (r Table3Result) CSV() [][]string {
 	out := [][]string{{"dataset", "algorithm", "m", "part", "r1", "r2", "rl", "star_r1", "star_r2", "star_rl"}}
 	for _, row := range r.Rows {
 		for mi, m := range r.Ms {
-			for part, cells := range map[string][]Table3Cell{"target_vs": row.TargetVs, "among": row.Among} {
-				c := cells[mi]
+			for _, part := range []struct {
+				name  string
+				cells []Table3Cell
+			}{{"target_vs", row.TargetVs}, {"among", row.Among}} {
+				c := part.cells[mi]
 				out = append(out, []string{
-					row.Dataset, row.Algorithm, itoa(m), part,
+					row.Dataset, row.Algorithm, itoa(m), part.name,
 					ftoa(c.Align.R1), ftoa(c.Align.R2), ftoa(c.Align.RL),
 					strconv.FormatBool(c.Star[0]), strconv.FormatBool(c.Star[1]), strconv.FormatBool(c.Star[2]),
 				})
@@ -85,9 +88,12 @@ func (r Table6Result) CSV() [][]string {
 	out := [][]string{{"dataset", "solver", "k", "part", "r1", "r2", "rl"}}
 	for _, row := range r.Rows {
 		for ki, k := range r.Ks {
-			for part, cells := range map[string][]Alignment{"target_vs": row.TargetVs, "among": row.Among} {
-				c := cells[ki]
-				out = append(out, []string{row.Dataset, row.Solver, itoa(k), part, ftoa(c.R1), ftoa(c.R2), ftoa(c.RL)})
+			for _, part := range []struct {
+				name  string
+				cells []Alignment
+			}{{"target_vs", row.TargetVs}, {"among", row.Among}} {
+				c := part.cells[ki]
+				out = append(out, []string{row.Dataset, row.Solver, itoa(k), part.name, ftoa(c.R1), ftoa(c.R2), ftoa(c.RL)})
 			}
 		}
 	}

@@ -106,3 +106,42 @@ func TestCSVExports(t *testing.T) {
 	}
 	csvShape(t, "passes", pa)
 }
+
+// Table 3 and Table 6 rows come out in one fixed order: per (row, m) the
+// target_vs part first, then among — never in map iteration order, so two
+// exports of one result are byte-identical even when the parts hold equal
+// values.
+func TestCSVPartOrderStable(t *testing.T) {
+	cell := func(v float64) Table3Cell { return Table3Cell{Align: Alignment{R1: v, R2: v, RL: v}} }
+	t3 := Table3Result{Ms: []int{3, 5}, Rows: []Table3Row{
+		{Dataset: "Toy", Algorithm: "Crs", TargetVs: []Table3Cell{cell(1), cell(2)}, Among: []Table3Cell{cell(1), cell(2)}},
+	}}
+	t6 := Table6Result{Ks: []int{3}, Rows: []Table6Row{
+		{Dataset: "Toy", Solver: "Random", TargetVs: []Alignment{{R1: 4}}, Among: []Alignment{{R1: 4}}},
+	}}
+	for _, r := range []struct {
+		name string
+		rows CSVRows
+	}{{"table3", t3}, {"table6", t6}} {
+		first := r.rows.CSV()
+		for row := 1; row < len(first); row++ {
+			want := "target_vs"
+			if row%2 == 0 {
+				want = "among"
+			}
+			if got := first[row][3]; got != want {
+				t.Fatalf("%s row %d: part %q, want %q", r.name, row, got, want)
+			}
+		}
+		for call := 0; call < 50; call++ {
+			again := r.rows.CSV()
+			for i := range first {
+				for j := range first[i] {
+					if again[i][j] != first[i][j] {
+						t.Fatalf("%s call %d: row %d differs: %v vs %v", r.name, call, i, again[i], first[i])
+					}
+				}
+			}
+		}
+	}
+}

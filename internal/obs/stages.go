@@ -15,6 +15,10 @@ const (
 	// StageNNLS is the cumulative warm-started NNLS time within one NOMP
 	// path (the Lawson–Hanson refits).
 	StageNNLS = "nnls"
+	// StageRound is one solve's candidate loop after its NOMP path:
+	// rounding every iterate, deduplicating the candidates, expanding and
+	// scoring them (internal/regress.Problem).
+	StageRound = "round"
 	// StageSweep is one full alternating re-selection pass of Algorithm 1
 	// (internal/core.CompaReSetSPlus).
 	StageSweep = "sweep"
@@ -59,7 +63,7 @@ func Default() *Registry { return defaultRegistry }
 // stageHists is populated once at init and read-only afterwards, so the
 // hot-path lookup in ObserveStage is a plain map read with no locking.
 var stageHists = func() map[string]*Histogram {
-	known := []string{StageFeatureBuild, StageNOMP, StageNNLS, StageSweep, StageShortlist, StageShortlistExact, StagePrecompute, StageBatchGroup, StageMutateApply, StageRouterForward, StageRouterEdge, StageSnapshotShip}
+	known := []string{StageFeatureBuild, StageNOMP, StageNNLS, StageRound, StageSweep, StageShortlist, StageShortlistExact, StagePrecompute, StageBatchGroup, StageMutateApply, StageRouterForward, StageRouterEdge, StageSnapshotShip}
 	m := make(map[string]*Histogram, len(known))
 	for _, stage := range known {
 		m[stage] = defaultRegistry.Histogram(stageMetricName,

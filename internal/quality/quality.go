@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 
+	"comparesets/internal/core"
 	"comparesets/internal/datagen"
 	"comparesets/internal/dataset"
 	"comparesets/internal/model"
@@ -223,6 +224,63 @@ func Diff(want, got []Answer) []string {
 				out = append(out, fmt.Sprintf("%s: item %d selected %s %v, want %s %v",
 					name, j, g.Items[j].ID, g.Items[j].Reviews, w.Items[j].ID, w.Items[j].Reviews))
 			}
+		}
+	}
+	return out
+}
+
+// Violations lists every answer that breaks a response invariant: an item
+// with more than m reviews, a review ID that is not one of its item's
+// reviews or is repeated, or a reported objective that differs by more
+// than RelTol relative from core.ObjectivePlus recomputed from the
+// returned sets. corpora are the corpora the answers were served from.
+func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
+	var out []string
+	for i, a := range answers {
+		r := a.Request
+		name := fmt.Sprintf("answer %d (%s/%s m=%d λ=%g k=%d)", i, r.Category, r.Target, r.M, r.Lambda, r.K)
+		c := corpora[r.Category]
+		if c == nil {
+			out = append(out, fmt.Sprintf("%s: unknown category", name))
+			continue
+		}
+		inst := &model.Instance{Aspects: c.Aspects}
+		sets := make([][]*model.Review, 0, len(a.Items))
+		for _, item := range a.Items {
+			it := c.Items[item.ID]
+			if it == nil {
+				out = append(out, fmt.Sprintf("%s: unknown item %s", name, item.ID))
+				break
+			}
+			if len(item.Reviews) > r.M {
+				out = append(out, fmt.Sprintf("%s: item %s has %d reviews, more than m", name, item.ID, len(item.Reviews)))
+			}
+			byID := make(map[string]*model.Review, len(it.Reviews))
+			for _, rv := range it.Reviews {
+				byID[rv.ID] = rv
+			}
+			set := make([]*model.Review, 0, len(item.Reviews))
+			seen := map[string]bool{}
+			for _, id := range item.Reviews {
+				switch rv := byID[id]; {
+				case rv == nil:
+					out = append(out, fmt.Sprintf("%s: review %s is not a review of item %s", name, id, item.ID))
+				case seen[id]:
+					out = append(out, fmt.Sprintf("%s: review %s repeated in item %s", name, id, item.ID))
+				default:
+					seen[id] = true
+					set = append(set, rv)
+				}
+			}
+			inst.Items = append(inst.Items, it)
+			sets = append(sets, set)
+		}
+		if len(inst.Items) != len(a.Items) || len(inst.Items) == 0 {
+			continue
+		}
+		cfg := core.Config{M: r.M, Lambda: r.Lambda, Mu: r.Mu}
+		if obj := core.ObjectivePlus(inst, core.NewTargets(inst, cfg), cfg, sets); !within(a.Objective, obj) {
+			out = append(out, fmt.Sprintf("%s: objective %v, recomputed %v", name, a.Objective, obj))
 		}
 	}
 	return out

@@ -92,3 +92,65 @@ func TestDiffCatchesPerturbations(t *testing.T) {
 		}
 	}
 }
+
+// Every served answer keeps the response invariants: at most m reviews per
+// item, each review one of its item's own and none repeated, and the
+// reported objective equal to Eq. 5 recomputed from the returned sets.
+func TestAnswerInvariants(t *testing.T) {
+	corpora, err := Corpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range Violations(corpora, answers) {
+		if i == 20 {
+			t.Errorf("...")
+			break
+		}
+		t.Error(v)
+	}
+	if len(answers) != len(Requests(corpora)) {
+		t.Fatalf("%d answers for %d requests", len(answers), len(Requests(corpora)))
+	}
+}
+
+// Violations must trip on each broken invariant.
+func TestViolationsCatchBrokenAnswers(t *testing.T) {
+	corpora, err := Corpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := answers[0]
+	if v := Violations(corpora, []Answer{base}); len(v) != 0 {
+		t.Fatalf("committed answer reported: %v", v)
+	}
+	other := base.Items[1].Reviews[0]
+	for name, perturb := range map[string]func(*Answer){
+		"over m":    func(a *Answer) { a.Request.M = len(a.Items[0].Reviews) - 1 },
+		"foreign":   func(a *Answer) { a.Items[0].Reviews[0] = other },
+		"repeat":    func(a *Answer) { a.Items[0].Reviews[1] = a.Items[0].Reviews[0] },
+		"objective": func(a *Answer) { a.Objective *= 1 + 1e-9 },
+	} {
+		a := base
+		a.Items = make([]Item, len(base.Items))
+		for j, it := range base.Items {
+			a.Items[j] = Item{ID: it.ID, Reviews: append([]string(nil), it.Reviews...)}
+		}
+		perturb(&a)
+		if v := Violations(corpora, []Answer{a}); len(v) == 0 {
+			t.Errorf("%s not reported", name)
+		}
+	}
+}

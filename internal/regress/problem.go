@@ -1,7 +1,6 @@
 package regress
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -48,11 +47,6 @@ type Problem struct {
 // reallocate the whole NNLS working set per item.
 var scratchPool = sync.Pool{New: func() any { return &solverScratch{} }}
 
-// keySpan locates one deduplicated candidate key inside the scratch key
-// arena. Spans index by offset rather than holding subslices so arena
-// growth (which may move the backing array) cannot invalidate them.
-type keySpan struct{ off, n int }
-
 // solverScratch holds every buffer the NOMP/rounding pipeline needs, sized
 // on first use and reused across Solve calls on the same Problem.
 type solverScratch struct {
@@ -64,23 +58,15 @@ type solverScratch struct {
 	passive   []int // NNLS passive set, in factorization order
 	chol      *linalg.UpdatableCholesky
 	ss        linalg.Vector // supportSolver row/solve workspace
-	selBuf    []int         // candidate selection buffer
-	keyBuf    []byte        // candidate dedup key buffer
 
-	// Candidate dedup: keys seen this solve live back to back in keyArena,
-	// located by keySpans. Candidate counts are small (≤ m per iterate), so
-	// a linear bytes.Equal scan replaces the old map[string]struct{} —
-	// which interned a fresh string per unique candidate on the hot path.
-	keyArena []byte
-	keySpans []keySpan
-
-	// Default-rounding scratch (SolveContext with a nil Rounding): the
-	// normalized iterate, one multiplicity slab carved into per-total
-	// views, and the shared apportionment remainder buffer.
-	u         linalg.Vector
-	roundSlab []int
-	cands     [][]int
-	rems      []frac
+	// Candidate loop: the normalized iterate and its rounder (default
+	// Rounding), the sparse form of a custom Rounding's candidate, the
+	// candidates scored this solve, and the expanded selection.
+	u      linalg.Vector
+	rnd    rounder
+	nuBuf  []mult
+	seen   candidateSet
+	selBuf []int
 
 	// NOMP path scratch: iterate copies live back to back in pathSlab and
 	// path holds one view per iterate. Slab growth may move the backing
@@ -88,20 +74,6 @@ type solverScratch struct {
 	// backing, so consumers remain correct either way.
 	pathSlab linalg.Vector
 	path     []linalg.Vector
-}
-
-// seenBefore reports whether key was already recorded this solve,
-// recording it when new. The arena copy is the only write; steady state
-// performs no allocations.
-func (s *solverScratch) seenBefore(key []byte) bool {
-	for _, sp := range s.keySpans {
-		if bytes.Equal(s.keyArena[sp.off:sp.off+sp.n], key) {
-			return true
-		}
-	}
-	s.keySpans = append(s.keySpans, keySpan{off: len(s.keyArena), n: len(key)})
-	s.keyArena = append(s.keyArena, key...)
-	return false
 }
 
 // cloneIterate copies x into the path slab and returns a capped view.
@@ -238,86 +210,100 @@ func (p *Problem) SolveContext(ctx context.Context, y linalg.Vector, m int, roun
 	if err != nil {
 		return nil, math.Inf(1), err
 	}
+	roundSpan := obs.StartStage(obs.StageRound)
+	defer roundSpan.Stop()
+	return p.scoreCandidates(ctx, path, m, round, eval)
+}
+
+// scoreCandidates is Algorithm 1, lines 8–9, over a NOMP path: round each
+// iterate to candidate multiplicity vectors, and score the selection of
+// every candidate not seen earlier in the solve. Candidates are compared
+// as sparse ν, before expansion; an iterate equal to the one before it
+// yields only seen candidates and is skipped.
+func (p *Problem) scoreCandidates(ctx context.Context, path []linalg.Vector, m int, round Rounding, eval func(selected []int) float64) ([]int, float64, error) {
 	sc := p.scratchState(1)
-	sc.keyArena = sc.keyArena[:0]
-	sc.keySpans = sc.keySpans[:0]
+	sc.seen.reset()
+	capacity := 0
+	for _, c := range p.Counts {
+		capacity += c
+	}
+	limit := min(m, capacity)
 	var best []int
 	bestObj := math.Inf(1)
-	for _, x := range path {
+	score := func(nu []mult, size int) {
+		if !sc.seen.add(nu, size) {
+			return
+		}
+		sel := appendExpandSparse(sc.selBuf[:0], nu, p.Members)
+		sc.selBuf = sel
+		if obj := eval(sel); obj < bestObj {
+			bestObj = obj
+			best = append(best[:0], sel...)
+		}
+	}
+	for it, x := range path {
 		if err := ctx.Err(); err != nil {
 			return nil, math.Inf(1), err
 		}
-		var cands [][]int
-		if round == nil {
-			cands = p.roundCandidatesScratch(sc, x, m)
-		} else {
-			cands = round(x, p.Counts, m)
-		}
-		for _, nu := range cands {
-			sel := appendExpand(sc.selBuf[:0], nu, p.Members)
-			sc.selBuf = sel
-			key := appendSelectionKey(sc.keyBuf[:0], sel)
-			sc.keyBuf = key
-			if sc.seenBefore(key) {
-				continue
+		if round != nil {
+			for _, dense := range round(x, p.Counts, m) {
+				nu := sc.nuBuf[:0]
+				for i, k := range dense {
+					if k != 0 {
+						nu = append(nu, mult{i, k})
+					}
+				}
+				sc.nuBuf = nu
+				score(canonicalize(nu, p.Members))
 			}
-			if obj := eval(sel); obj < bestObj {
-				bestObj = obj
-				best = append(best[:0], sel...)
+			continue
+		}
+		if (it > 0 && sameBits(x, path[it-1])) || !sc.normalize(x) {
+			continue
+		}
+		sc.rnd.load(sc.u, p.Counts)
+		for total := 1; total <= limit; total++ {
+			nu, ok := sc.rnd.apportion(total)
+			switch {
+			case !ok:
+			case sc.rnd.dense:
+				score(canonicalize(nu, p.Members))
+			default:
+				score(nu, total) // already canonical
 			}
 		}
 	}
 	return best, bestObj, nil
 }
 
-// roundCandidatesScratch is RoundCandidates backed by solver scratch: same
-// apportionments in the same order, but the normalized iterate, the
-// multiplicity slab, and the remainder buffer are all reused across
-// iterates and solves. The returned views are valid until the next call.
-func (p *Problem) roundCandidatesScratch(sc *solverScratch, x linalg.Vector, maxTotal int) [][]int {
-	n := len(x)
-	sc.u = growVec(sc.u, n)
+// normalize writes x/‖x‖₁ into sc.u, exactly as RoundCandidates
+// normalizes, and reports whether any weight is left to apportion.
+func (sc *solverScratch) normalize(x linalg.Vector) bool {
+	sc.u = growVec(sc.u, len(x))
 	n1 := x.Norm1()
 	if n1 == 0 {
-		return nil
+		return false
 	}
 	inv := 1 / n1
 	for i, v := range x {
 		sc.u[i] = inv * v
 	}
-	if sc.u.Norm1() == 0 {
-		// Matches RoundCandidates on pathological scales (x.Norm1() = +Inf
-		// normalizes to all zeros).
-		return nil
+	// A ‖x‖₁ that overflows to +Inf normalizes finite weights to zeros;
+	// RoundCandidates gives up on them the same way.
+	return sc.u.Norm1() != 0
+}
+
+// sameBits reports bit-for-bit equality of two iterates.
+func sameBits(a, b linalg.Vector) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	capacity := 0
-	for _, c := range p.Counts {
-		capacity += c
-	}
-	limit := maxTotal
-	if limit > capacity {
-		limit = capacity
-	}
-	if limit <= 0 {
-		return nil
-	}
-	if cap(sc.roundSlab) < limit*n {
-		sc.roundSlab = make([]int, limit*n)
-	}
-	slab := sc.roundSlab[:limit*n]
-	out := sc.cands[:0]
-	rems := sc.rems
-	for total := 1; total <= limit; total++ {
-		nu := slab[len(out)*n : (len(out)+1)*n : (len(out)+1)*n]
-		var ok bool
-		ok, rems = apportionInto(sc.u, p.Counts, total, nu, rems)
-		if ok {
-			out = append(out, nu)
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
 		}
 	}
-	sc.cands = out
-	sc.rems = rems
-	return out
+	return true
 }
 
 // NOMPPath is the incremental counterpart of the package-level NOMPPath: it

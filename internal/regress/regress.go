@@ -15,7 +15,6 @@ package regress
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -288,12 +287,18 @@ func Round(x linalg.Vector, counts []int, maxTotal int) []int {
 	for _, c := range counts {
 		capacity += c
 	}
+	var r rounder
+	r.load(u, counts)
 	var best []int
 	bestDist := math.Inf(1)
 	for total := 1; total <= maxTotal && total <= capacity; total++ {
-		nu := apportion(u, counts, total)
-		if nu == nil {
+		sparse, ok := r.apportion(total)
+		if !ok {
 			continue
+		}
+		nu := make([]int, len(u))
+		for _, e := range sparse {
+			nu[e.idx] = e.k
 		}
 		d := roundingDistance(nu, u, total)
 		if d < bestDist-1e-15 {
@@ -309,9 +314,8 @@ func Round(x linalg.Vector, counts []int, maxTotal int) []int {
 // Round's L1 criterion: the L1-closest candidate is always in the pool, and
 // the true objective — not the relaxation — picks the winner.
 //
-// All candidate vectors are carved from one slab and the remainder buffer
-// is shared across totals: this runs once per NOMP iterate on the solver
-// hot path, where per-total allocations dominated the profile.
+// All candidate vectors are carved from one slab. Problem.Solve with a nil
+// Rounding scores the same candidates without materializing them.
 func RoundCandidates(x linalg.Vector, counts []int, maxTotal int) [][]int {
 	u := x.Normalized()
 	if u.Norm1() == 0 {
@@ -331,14 +335,18 @@ func RoundCandidates(x linalg.Vector, counts []int, maxTotal int) [][]int {
 	n := len(u)
 	out := make([][]int, 0, limit)
 	slab := make([]int, limit*n)
-	rems := make([]frac, 0, n)
+	var r rounder
+	r.load(u, counts)
 	for total := 1; total <= limit; total++ {
-		nu := slab[len(out)*n : (len(out)+1)*n : (len(out)+1)*n]
-		var ok bool
-		ok, rems = apportionInto(u, counts, total, nu, rems)
-		if ok {
-			out = append(out, nu)
+		sparse, ok := r.apportion(total)
+		if !ok {
+			continue
 		}
+		nu := slab[len(out)*n : (len(out)+1)*n : (len(out)+1)*n]
+		for _, e := range sparse {
+			nu[e.idx] = e.k
+		}
+		out = append(out, nu)
 	}
 	return out
 }
@@ -396,127 +404,6 @@ func SolveWithRounding(a *linalg.Matrix, y linalg.Vector, m int, round Rounding,
 	return NewProblem(a).Solve(y, m, round, eval)
 }
 
-// frac is one uncapped entry's fractional part during apportionment.
-type frac struct {
-	idx int
-	rem float64
-}
-
-// apportion distributes total units over entries proportionally to u with
-// per-entry caps, using the largest-remainder method.
-func apportion(u linalg.Vector, counts []int, total int) []int {
-	nu := make([]int, len(u))
-	ok, _ := apportionInto(u, counts, total, nu, nil)
-	if !ok {
-		return nil
-	}
-	return nu
-}
-
-// apportionInto is apportion writing into caller-owned buffers: nu (length
-// len(u), fully overwritten) receives the multiplicities and rems is a
-// reusable scratch returned for the next call. ok is false when the caps
-// make the total infeasible.
-func apportionInto(u linalg.Vector, counts []int, total int, nu []int, rems []frac) (bool, []frac) {
-	n := len(u)
-	rems = rems[:0]
-	assigned := 0
-	for i := 0; i < n; i++ {
-		ideal := u[i] * float64(total)
-		f := int(math.Floor(ideal + 1e-12))
-		if f > counts[i] {
-			f = counts[i]
-		}
-		nu[i] = f
-		assigned += f
-		if f < counts[i] {
-			rems = append(rems, frac{i, ideal - float64(f)})
-		}
-	}
-	if assigned > total {
-		// Over-assignment can only come from the floor of an exact ideal
-		// exceeding the remaining budget; shave the smallest ideals.
-		type ent struct {
-			idx   int
-			ideal float64
-		}
-		var es []ent
-		for i := 0; i < n; i++ {
-			if nu[i] > 0 {
-				es = append(es, ent{i, u[i] * float64(total)})
-			}
-		}
-		// Insertion sort ascending by ideal (slices here are small; a
-		// hand-rolled sort avoids sort.Slice's reflection machinery on the
-		// rounding hot path).
-		for i := 1; i < len(es); i++ {
-			e := es[i]
-			j := i - 1
-			for j >= 0 && es[j].ideal > e.ideal {
-				es[j+1] = es[j]
-				j--
-			}
-			es[j+1] = e
-		}
-		for _, e := range es {
-			for assigned > total && nu[e.idx] > 0 {
-				nu[e.idx]--
-				assigned--
-			}
-		}
-	}
-	// Distribute the remainder by largest fractional part (stable on ties
-	// by index for determinism); insertion sort, descending by remainder
-	// then ascending by index.
-	for i := 1; i < len(rems); i++ {
-		r := rems[i]
-		j := i - 1
-		for j >= 0 && (rems[j].rem < r.rem || (rems[j].rem == r.rem && rems[j].idx > r.idx)) {
-			rems[j+1] = rems[j]
-			j--
-		}
-		rems[j+1] = r
-	}
-	for _, r := range rems {
-		if assigned == total {
-			break
-		}
-		room := counts[r.idx] - nu[r.idx]
-		take := total - assigned
-		if take > room {
-			take = room
-		}
-		// Largest remainder normally adds one unit; allow more when the
-		// cap structure leaves no other entries with room.
-		if take > 1 {
-			take = 1
-		}
-		nu[r.idx] += take
-		assigned += take
-	}
-	// Second pass if still short (caps exhausted the 1-unit round).
-	for pass := 0; assigned < total && pass < total; pass++ {
-		progress := false
-		for _, r := range rems {
-			if assigned == total {
-				break
-			}
-			if nu[r.idx] < counts[r.idx] {
-				nu[r.idx]++
-				assigned++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	if assigned != total {
-		return false, rems
-	}
-	return true, rems
-}
-
 func roundingDistance(nu []int, u linalg.Vector, total int) float64 {
 	var d float64
 	for i := range nu {
@@ -555,28 +442,12 @@ func Expand(nu []int, members [][]int) []int {
 		}
 		size += k
 	}
-	return appendExpand(make([]int, 0, size), nu, members)
-}
-
-// appendExpand is Expand into a caller-provided buffer (reused across the
-// candidate loop of Problem.Solve).
-func appendExpand(dst []int, nu []int, members [][]int) []int {
+	out := make([]int, 0, size)
 	for i, k := range nu {
 		for t := 0; t < k && t < len(members[i]); t++ {
-			dst = append(dst, members[i][t])
+			out = append(out, members[i][t])
 		}
 	}
-	sort.Ints(dst)
-	return dst
-}
-
-// appendSelectionKey appends a compact byte encoding of a sorted selection;
-// used as a map key to deduplicate candidate evaluations. Each index is a
-// uvarint: self-delimiting and lossless, so distinct selections never share
-// a key however large their indices.
-func appendSelectionKey(dst []byte, sel []int) []byte {
-	for _, s := range sel {
-		dst = binary.AppendUvarint(dst, uint64(s))
-	}
-	return dst
+	sort.Ints(out)
+	return out
 }

@@ -357,34 +357,34 @@ func TestSolveHandlesDuplicateReviews(t *testing.T) {
 	}
 }
 
-// TestSelectionKeyDistinguishesHighIndices: selections that differ only
-// above bit 24 of an index get distinct keys, so candidate dedup never
+// TestSelectionKeyDistinguishesHighIndices: candidates that differ only
+// above bit 24 of a column index are distinct, so candidate dedup never
 // skips a distinct selection.
 func TestSelectionKeyDistinguishesHighIndices(t *testing.T) {
-	pairs := [][2][]int{
-		{{1}, {1<<24 | 1}},
-		{{0, 2}, {1 << 24, 2}},
-		{{3, 5}, {3, 1<<40 | 5}},
+	pairs := [][2][]mult{
+		{{{1, 1}}, {{1<<24 | 1, 1}}},
+		{{{0, 1}, {2, 1}}, {{2, 1}, {1 << 24, 1}}},
+		{{{3, 1}, {5, 1}}, {{3, 1}, {1<<40 | 5, 1}}},
+		// Concatenated entries stay unambiguous: [1, 2] is not [258].
+		{{{1, 1}, {2, 1}}, {{258, 2}}},
+	}
+	size := func(nu []mult) (n int) {
+		for _, e := range nu {
+			n += e.k
+		}
+		return n
 	}
 	for _, p := range pairs {
-		a := appendSelectionKey(nil, p[0])
-		b := appendSelectionKey(nil, p[1])
-		if string(a) == string(b) {
-			t.Errorf("selections %v and %v share key %x", p[0], p[1], a)
+		var s candidateSet
+		s.reset()
+		if !s.add(p[0], size(p[0])) {
+			t.Fatalf("empty set reported %v as seen", p[0])
 		}
-		var sc solverScratch
-		if sc.seenBefore(a) {
-			t.Fatalf("empty scratch reported %v as seen", p[0])
+		if !s.add(p[1], size(p[1])) {
+			t.Errorf("candidate %v skipped as a duplicate of %v", p[1], p[0])
 		}
-		if sc.seenBefore(b) {
-			t.Errorf("selection %v skipped as a duplicate of %v", p[1], p[0])
+		if s.add(p[0], size(p[0])) {
+			t.Errorf("candidate %v not recorded", p[0])
 		}
-		if !sc.seenBefore(a) {
-			t.Errorf("selection %v not recorded", p[0])
-		}
-	}
-	// Concatenated indices stay unambiguous: [1, 2] is not [258].
-	if string(appendSelectionKey(nil, []int{1, 2})) == string(appendSelectionKey(nil, []int{258})) {
-		t.Error("multi-index selection aliases a single index")
 	}
 }

@@ -3,6 +3,7 @@ package regress
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,7 +186,7 @@ func TestProblemSolveThroughGramFallback(t *testing.T) {
 		for _, x := range NOMPPath(unique, y, budget) {
 			for _, nu := range RoundCandidates(x, counts, m) {
 				sel := Expand(nu, members)
-				key := string(appendSelectionKey(nil, sel))
+				key := fmt.Sprint(sel)
 				if seen[key] {
 					continue
 				}
