@@ -9,9 +9,9 @@
 // configurable replication factor, steers idempotent reads (select,
 // extract, targets) toward the healthiest replica using each worker's
 // /readyz state, retries transport errors and 5xx answers under a shared
-// token-bucket budget with jittered backoff, hedges slow reads after a
-// p95-derived delay, and rewrites timeout_ms so upstream deadlines shrink
-// with elapsed routing time. Review mutations fan out to every replica of
+// token-bucket budget with jittered backoff, one attempt at a time, and
+// rewrites timeout_ms so upstream deadlines shrink with elapsed routing
+// time. Review mutations fan out to every replica of
 // the shard and their receipts are reconciled; replicas that miss or
 // disagree on a write are drained from that category's reads.
 //
@@ -51,8 +51,6 @@ func main() {
 		replication    = flag.Int("replication", 0, "replicas per category (0 = all backends)")
 		vnodes         = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default 128)")
 		maxRetries     = flag.Int("max-retries", 2, "extra read attempts after the first")
-		hedgeDelay     = flag.Duration("hedge-delay", 10*time.Millisecond, "hedge arm delay until a backend has a p95")
-		hedgeDisabled  = flag.Bool("hedge-disabled", false, "disable hedged reads")
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "per-request deadline when the client sends no timeout_ms")
 		healthInterval = flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll period")
 		consecFails    = flag.Int("breaker-consecutive", 5, "consecutive failures that open a backend's breaker")
@@ -83,8 +81,6 @@ func main() {
 		Replication:    *replication,
 		VirtualNodes:   *vnodes,
 		MaxRetries:     *maxRetries,
-		HedgeDelay:     *hedgeDelay,
-		HedgeDisabled:  *hedgeDisabled,
 		DefaultTimeout: *defaultTimeout,
 		HealthInterval: *healthInterval,
 		Breaker: cluster.BreakerConfig{

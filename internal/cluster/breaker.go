@@ -164,8 +164,8 @@ func (b *Breaker) Allow() bool {
 
 // Release returns a slot claimed by Allow without recording an outcome.
 // The router calls it when an attempt is abandoned with no verdict on the
-// backend — cancelled because another replica already answered or the
-// client's deadline expired. Without it an abandoned half-open probe would
+// backend — the client went away, its deadline expired, or an injected
+// conn-drop tore the exchange down. Without it an abandoned half-open probe would
 // hold its slot forever: Allow would refuse every future probe and the
 // backend could never rejoin rotation.
 func (b *Breaker) Release() {

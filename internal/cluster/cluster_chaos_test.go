@@ -278,8 +278,9 @@ func TestClusterSurvivesReplicaKillMidLoad(t *testing.T) {
 // the chaos story: probabilistic router.forward errors must be absorbed by
 // retries with at least 99% of requests still succeeding. The router gets a
 // deep retry budget and a patient breaker so faults burn retries, not
-// candidates; with MaxRetries 3 a request fails only when five independent
-// 15%-probability draws all fire (~8 in a million). Gated on FAULTINJECT so
+// candidates; with MaxRetries 3 a request fails only when four independent
+// 15%-probability draws all fire (~5 in ten thousand). The edge cache is
+// off so every request is forwarded and draws. Gated on FAULTINJECT so
 // plain `go test ./...` stays fault-free.
 func TestRouterMasksInjectedForwardFaults(t *testing.T) {
 	if !faultinject.EnvEnabled() {
@@ -292,6 +293,7 @@ func TestRouterMasksInjectedForwardFaults(t *testing.T) {
 		o.MaxRetries = 3
 		o.RetryBudget = RetryBudgetConfig{Tokens: 100, Ratio: 1}
 		o.Breaker = BreakerConfig{ConsecutiveFailures: 1000}
+		o.EdgeCacheDisabled = true
 	})
 
 	faultinject.Seed(faultinject.CurrentSeed())

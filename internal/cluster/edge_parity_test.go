@@ -110,7 +110,7 @@ func TestRouterEdgeWarmHitByteParityAgainstRealWorkers(t *testing.T) {
 // TestRouterColdReadsCoalesceAtWorker: the edge does not coalesce, so
 // identical concurrent cold reads through the router are plain forwards,
 // and the worker's select flight group runs the pipeline once for all of
-// them. Hedging is off so no secondary attempt can add an execution.
+// them.
 func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-corpus cluster test")
@@ -124,7 +124,6 @@ func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	rt, err := NewRouter(RouterOptions{
 		Backends:       []string{w1.URL, w2.URL},
 		HealthInterval: 50 * time.Millisecond,
-		HedgeDisabled:  true,
 		Logger:         testLogger(t),
 	})
 	if err != nil {

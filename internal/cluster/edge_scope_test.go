@@ -94,9 +94,7 @@ func TestRouterEdgeHeaderlessAnswersAreNotMemoized(t *testing.T) {
 // and memoized.
 func TestRouterEdgeStraddlingFlight(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t)}
-	_, ts, _ := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDisabled = true
-	})
+	_, ts, _ := newTestRouter(t, workers, nil)
 	w := workers[0]
 	w.members.Store(map[string][]string{"cam-1": {"cam-1", "cam-2"}})
 	client := &http.Client{Timeout: 10 * time.Second}

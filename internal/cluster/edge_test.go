@@ -431,9 +431,7 @@ func TestRouterEdgeUncacheableBodiesBypass(t *testing.T) {
 // the receipt, while untouched categories keep serving from the edge.
 func TestRouterEdgeReceiptInvalidatesMutatedCategoryOnly(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDisabled = true // deterministic backend hit counts
-	})
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 	for _, w := range byAddr {
 		w.receipt.Store(`{"kind":"append","category":"Cameras","item":"cam-1","epoch":"1.00000000deadbeef","generation":2,"affected_items":["cam-1"]}`)
 	}
@@ -520,9 +518,7 @@ func TestRouterEdgeErrorFlightsAreNotMemoized(t *testing.T) {
 // so serves around membership changes are proxied, never replayed.
 func TestRouterEdgeDivergenceAndRejoinFlushConservatively(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDisabled = true
-	})
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 	placement := rt.Ring().Placement("Cameras")
 	good, stray := byAddr[placement[0]], byAddr[placement[1]]
 	totalSelects := func() int {

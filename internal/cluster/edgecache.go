@@ -7,7 +7,7 @@
 // the MutationReceipt of each write it fans out. That makes the routing
 // tier a legal cache site: a warm read is answered at the edge in
 // microseconds, byte-identical to the proxied response it memoized, without
-// spending an upstream exchange, a retry token, or a hedge.
+// spending an upstream exchange or a retry token.
 //
 // Keying mirrors the worker's own servecache discipline (instanceEpoch):
 // the canonical select-request key (selectreq.Key, the one both tiers use)

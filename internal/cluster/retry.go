@@ -2,12 +2,12 @@
 //
 // Naive per-request retry policies turn a brownout into a meltdown: when a
 // shard slows down, every client doubles its offered load exactly when the
-// backend can least afford it. The router instead draws every retry and
-// every hedge from a shared token-bucket budget that refills as a fraction
-// of successful work — a healthy cluster retries freely, a failing one
-// degrades to roughly (1 + ratio)× its organic traffic. Retries apply only
-// to idempotent selects; mutations are never retried (a replayed append
-// would be a duplicate review).
+// backend can least afford it. The router instead draws every retry from a
+// shared token-bucket budget that refills as a fraction of successful work
+// — a healthy cluster retries freely, a failing one degrades to roughly
+// (1 + ratio)× its organic traffic. Retries apply only to idempotent
+// selects; mutations are never retried (a replayed append would be a
+// duplicate review).
 package cluster
 
 import (
@@ -36,8 +36,7 @@ func (c RetryBudgetConfig) withDefaults() RetryBudgetConfig {
 	return c
 }
 
-// RetryBudget is a token bucket shared by every retry and hedge the router
-// issues. Safe for concurrent use.
+// RetryBudget is a token bucket shared by every retry the router issues. Safe for concurrent use.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
@@ -50,7 +49,7 @@ func NewRetryBudget(cfg RetryBudgetConfig) *RetryBudget {
 	return &RetryBudget{tokens: cfg.Tokens, cfg: cfg}
 }
 
-// Withdraw takes one token for a retry or hedge; false means the budget is
+// Withdraw takes one token for a retry; false means the budget is
 // exhausted and the caller must fail rather than amplify load.
 func (b *RetryBudget) Withdraw() bool {
 	b.mu.Lock()
@@ -63,7 +62,7 @@ func (b *RetryBudget) Withdraw() bool {
 }
 
 // Refund returns a withdrawn token that was never spent — the caller took
-// it for a retry or hedge but no attempt could actually be issued (every
+// it for a retry but no attempt could actually be issued (every
 // candidate breaker refused, or the deadline preempted the backoff).
 // Without it the shared budget drains precisely in the all-breakers-open
 // scenario where no retry load was generated at all.

@@ -21,9 +21,10 @@
 //     streams a manifest plus CSLG log bytes; joining replicas replay them
 //     through the store's torn-tail recovery and verify fingerprint parity.
 //   - Router (router.go): the HTTP tier tying it together — health-steered
-//     replica choice, deadline propagation via timeout_ms minus elapsed,
-//     hedged reads after a p95-derived delay, write fan-out to every replica
-//     of a shard with per-replica epoch/generation reconciliation.
+//     replica choice, one read attempt at a time with budgeted retries,
+//     deadline propagation via timeout_ms minus elapsed, write fan-out to
+//     every replica of a shard with per-replica epoch/generation
+//     reconciliation.
 //
 // Fault injection points router.forward and router.snapshot (error, latency,
 // and conndrop modes) make the whole tier chaos-testable in-process: see

@@ -2,21 +2,21 @@
 //
 // Router is a stdlib-HTTP reverse proxy specialised for the comparative-set
 // service: it places categories on worker replicas via the consistent-hash
-// ring, steers reads toward the healthiest replica, retries and hedges
-// idempotent work under a shared budget, fans mutations out to every
-// replica of a shard, and reconciles the replicas' epoch/generation
-// receipts so a replica that missed or mangled a write is drained from
-// reads instead of silently serving stale selections.
+// ring, steers reads toward the healthiest replica, retries idempotent
+// work under a shared budget, fans mutations out to every replica of a
+// shard, and reconciles the replicas' epoch/generation receipts so a
+// replica that missed or mangled a write is drained from reads instead of
+// silently serving stale selections.
 //
 // Read path (select / extract / targets): candidates are the category's
 // replica set ordered by health rank then ring preference, minus replicas
-// marked divergent for that category and minus open breakers. The first
-// attempt is free; every retry (after jittered backoff, on transport error
-// or 5xx only) and every hedge (armed at the in-flight backend's p95
-// latency) withdraws from the retry budget. A 4xx is a deterministic answer
-// — forwarded verbatim, never retried. timeout_ms in the forwarded body is
-// rewritten to the remaining deadline budget so a retry never grants an
-// upstream more time than the client has left.
+// marked divergent for that category and minus open breakers. Attempts run
+// one at a time in candidate order. The first is free; every retry (after
+// jittered backoff, on transport error or 5xx only) withdraws from the
+// retry budget. A 4xx is a deterministic answer — forwarded verbatim, never
+// retried. timeout_ms in the forwarded body is rewritten to the remaining
+// deadline budget so a retry never grants an upstream more time than the
+// client has left.
 //
 // Write path (review mutations): serialized per category so every replica
 // applies mutations in the same order, then fanned out to the full replica
@@ -59,11 +59,6 @@ type RouterOptions struct {
 	VirtualNodes int
 	// MaxRetries bounds extra read attempts after the first (default 2).
 	MaxRetries int
-	// HedgeDelay is the hedge arm delay used until a backend has enough
-	// latency samples for a p95 (default 10ms).
-	HedgeDelay time.Duration
-	// HedgeDisabled turns hedged reads off entirely.
-	HedgeDisabled bool
 	// DefaultTimeout is the per-request deadline when the client sends no
 	// timeout_ms (default 30s).
 	DefaultTimeout time.Duration
@@ -97,8 +92,8 @@ type RouterOptions struct {
 	Registry *obs.Registry
 	// Logger for lifecycle and divergence events (default log.Default()).
 	Logger *log.Logger
-	// Seed drives backoff/hedge jitter; 0 uses the faultinject seed so
-	// chaos runs are reproducible.
+	// Seed drives backoff jitter; 0 uses the faultinject seed so chaos runs
+	// are reproducible.
 	Seed int64
 }
 
@@ -110,9 +105,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 		o.MaxRetries = 0
 	} else if o.MaxRetries == 0 {
 		o.MaxRetries = 2
-	}
-	if o.HedgeDelay <= 0 {
-		o.HedgeDelay = 10 * time.Millisecond
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 30 * time.Second
@@ -149,13 +141,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	return o
 }
 
-// hedge delay clamps: below 2ms a hedge races the original pointlessly,
-// above 200ms it no longer protects the tail.
-const (
-	minHedgeDelay = 2 * time.Millisecond
-	maxHedgeDelay = 200 * time.Millisecond
-)
-
 // timeoutMSRe rewrites the timeout_ms field in-place so the rest of the
 // body's bytes — and therefore the worker's response bytes — are untouched.
 var timeoutMSRe = regexp.MustCompile(`"timeout_ms"\s*:\s*[0-9]+`)
@@ -165,7 +150,7 @@ var timeoutMSRe = regexp.MustCompile(`"timeout_ms"\s*:\s*[0-9]+`)
 type Router struct {
 	opts     RouterOptions
 	ring     *Ring
-	backends map[string]*backend
+	breakers map[string]*Breaker
 	health   *HealthWatcher
 	budget   *RetryBudget
 	backoff  BackoffConfig
@@ -195,7 +180,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		opts:      opts,
 		ring:      ring,
-		backends:  make(map[string]*backend, len(opts.Backends)),
+		breakers:  make(map[string]*Breaker, len(opts.Backends)),
 		budget:    NewRetryBudget(opts.RetryBudget),
 		backoff:   opts.Backoff.withDefaults(),
 		reg:       opts.Registry,
@@ -214,15 +199,15 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.edge = newEdgeCache(opts.EdgeCacheBytes, rt.reg)
 	}
 	for _, addr := range opts.Backends {
-		b := newBackend(addr, opts.Breaker)
+		b := NewBreaker(opts.Breaker)
 		addr := addr
-		b.breaker.OnTransition(func(from, to BreakerState) {
+		b.OnTransition(func(from, to BreakerState) {
 			rt.reg.Counter("comparesets_router_breaker_transitions_total",
 				"Circuit-breaker state transitions per backend.",
 				obs.Labels{"backend": addr, "to": to.String()}).Inc()
 			rt.logger.Printf("router: breaker %s: %s -> %s", addr, from, to)
 		})
-		rt.backends[addr] = b
+		rt.breakers[addr] = b
 	}
 	rt.health = NewHealthWatcher(opts.Backends, nil, opts.HealthInterval, func(addr, from, to string) {
 		rt.logger.Printf("router: health %s: %s -> %s", addr, from, to)
@@ -365,25 +350,6 @@ func (rt *Router) jitterDelay(attempt int) time.Duration {
 	return rt.backoff.delay(attempt, rt.rng)
 }
 
-// hedgeDelay derives the hedge arm delay from the in-flight backend's p95
-// select latency, clamped to [2ms, 200ms]; the configured default applies
-// until enough samples exist.
-func (rt *Router) hedgeDelay(addr string) time.Duration {
-	d := rt.opts.HedgeDelay
-	if b := rt.backends[addr]; b != nil {
-		if p, ok := b.lat.p95(); ok {
-			d = p
-		}
-	}
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	if d > maxHedgeDelay {
-		d = maxHedgeDelay
-	}
-	return d
-}
-
 // --- forwarded response plumbing -------------------------------------------
 
 // fwdResp is one upstream answer, buffered so it can be replayed to the
@@ -400,9 +366,9 @@ type fwdResp struct {
 
 // bodyBufPool recycles the scratch buffers that drain request and upstream
 // bodies. io.ReadAll grows and abandons a fresh buffer per attempt; under
-// retry/hedge fan-out that garbage dominates the router's allocation
-// profile, so bodies are drained through a pooled buffer and copied out at
-// exact size instead.
+// load that garbage dominates the router's allocation profile, so bodies
+// are drained through a pooled buffer and copied out at exact size
+// instead.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readAllPooled drains r through a pooled scratch buffer and returns an
@@ -568,7 +534,7 @@ func (rt *Router) serveEdge(w http.ResponseWriter, r *http.Request, sel *edgeSel
 }
 
 // handleTargets routes the idempotent targets listing by its category query
-// parameter through the same retry/hedge machinery (with no body).
+// parameter through the same retry machinery (with no body).
 func (rt *Router) handleTargets(w http.ResponseWriter, r *http.Request) {
 	rt.countRoute("targets")
 	rt.forwardRead(w, r, r.URL.Query().Get("category"), nil, 0, nil)
@@ -606,15 +572,16 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category s
 }
 
 // proxyRead is the resilient idempotent-read engine: health-ordered
-// candidates, breaker gating, budgeted retries with jittered backoff,
-// p95-armed hedging, and deadline propagation. Every deterministic outcome
-// — an upstream answer or a router-originated 502/503/504 envelope — comes
-// back as a replayable *fwdResp. An error means nothing is replayable: the
+// candidates, breaker gating, budgeted retries with jittered backoff, and
+// deadline propagation. Attempts run one at a time, so a read never has
+// more than one upstream exchange in flight, and each attempt's breaker
+// slot is settled where the attempt ends. Every deterministic outcome — an
+// upstream answer or a router-originated 502/503/504 envelope — comes back
+// as a replayable *fwdResp. An error means nothing is replayable: the
 // client went away, or an injected fault wants the connection torn down.
 // ctx is r's context bounded by the read's deadline; when ctx fires, r's
 // own context tells client abandonment from deadline exhaustion.
 func (rt *Router) proxyRead(ctx context.Context, r *http.Request, category string, body []byte, timeoutMS int) (*fwdResp, error) {
-	parent := r.Context()
 	deadline, _ := ctx.Deadline()
 	method, pathAndQuery, contentType := r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type")
 	cands := rt.readCandidates(category)
@@ -635,170 +602,94 @@ func (rt *Router) proxyRead(ctx context.Context, r *http.Request, category strin
 		return timeoutMSRe.ReplaceAll(body, []byte(fmt.Sprintf(`"timeout_ms":%d`, rem)))
 	}
 
-	type attemptRes struct {
-		addr  string
-		start time.Time
-		resp  *fwdResp
-		err   error
-	}
-	maxLaunches := rt.opts.MaxRetries + 2 // primary + retries + one hedge
-	results := make(chan attemptRes, maxLaunches)
-	next, inflight, launched := 0, 0, 0
-
-	launch := func() (string, bool) {
+	// pick claims the next candidate whose breaker admits a request,
+	// walking the list round-robin from where the previous attempt left off.
+	next := 0
+	pick := func() (string, bool) {
 		for tries := 0; tries < len(cands); tries++ {
 			addr := cands[next%len(cands)]
 			next++
-			if !rt.backends[addr].breaker.Allow() {
-				continue
+			if rt.breakers[addr].Allow() {
+				return addr, true
 			}
-			inflight++
-			launched++
-			ab := attemptBody()
-			go func(addr string, ab []byte) {
-				attemptStart := time.Now()
-				resp, err := rt.doAttempt(ctx, addr, method, pathAndQuery, ab, contentType)
-				results <- attemptRes{addr, attemptStart, resp, err}
-			}(addr, ab)
-			return addr, true
 		}
 		return "", false
 	}
 
-	// settle feeds an abandoned attempt's outcome back to the breaker and
-	// health view. An error produced by our own cancellation carries no
-	// verdict on the backend, so the Allow-claimed slot (a half-open probe,
-	// possibly) is released without recording; a real late outcome still
-	// counts.
-	settle := func(res attemptRes) {
-		b := rt.backends[res.addr]
-		switch {
-		case res.err != nil:
-			if errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded) {
-				b.breaker.Release()
-				rt.countForward(res.addr, "abandoned")
-				return
-			}
-			b.breaker.Record(false)
-			rt.countForward(res.addr, "error")
-			if !errors.Is(res.err, faultinject.ErrInjected) {
-				rt.health.MarkUnreachable(res.addr)
-			}
-		case res.resp.status >= 500:
-			b.breaker.Record(false)
-			rt.countForward(res.addr, "error")
-		default:
-			b.breaker.Record(true)
-			b.lat.observe(time.Since(res.start))
-			rt.countForward(res.addr, "ok")
+	// expired answers a read whose ctx fired: nothing to replay when the
+	// client left, a 504 when the deadline ran out.
+	expired := func() (*fwdResp, error) {
+		if err := r.Context().Err(); err != nil {
+			return nil, err
 		}
-	}
-
-	// Whatever way this engine exits — answered, deadline, caller gone,
-	// injected conn-drop — in-flight attempts must not be dropped on the
-	// floor: each holds a breaker slot that only settle releases. The
-	// caller's deferred cancel (registered before the call, so it runs
-	// after this) aborts their transports, keeping the drain short-lived.
-	defer func() {
-		remaining := inflight
-		if remaining == 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < remaining; i++ {
-				settle(<-results)
-			}
-		}()
-	}()
-
-	first, ok := launch()
-	if !ok {
-		return errResp(http.StatusServiceUnavailable, "overloaded", "all replicas circuit-broken for category "+category), nil
-	}
-
-	var hedgeC <-chan time.Time
-	if !rt.opts.HedgeDisabled && len(cands) > 1 {
-		ht := time.NewTimer(rt.hedgeDelay(first))
-		defer ht.Stop()
-		hedgeC = ht.C
+		return errResp(http.StatusGatewayTimeout, "deadline_exceeded", "deadline exhausted routing to "+category), nil
 	}
 
 	var lastFail *fwdResp
 	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			if parent.Err() != nil {
-				return nil, parent.Err()
+	for attempt := 0; attempt <= rt.opts.MaxRetries; attempt++ {
+		if attempt > 0 {
+			if !rt.budget.Withdraw() {
+				break
 			}
-			return errResp(http.StatusGatewayTimeout, "deadline_exceeded", "deadline exhausted routing to "+category), nil
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < maxLaunches && rt.budget.Withdraw() {
-				if _, ok := launch(); ok {
-					rt.reg.Counter("comparesets_router_hedges_total",
-						"Hedged read attempts issued after the p95 delay.", nil).Inc()
-				} else {
-					// Every candidate breaker refused: no hedge load was
-					// actually generated, so the token goes back.
-					rt.budget.Refund()
-				}
-			}
-		case res := <-results:
-			inflight--
-			if res.err != nil && errors.Is(res.err, faultinject.ErrConnDrop) {
-				return nil, res.err
-			}
-			b := rt.backends[res.addr]
-			switch {
-			case res.err != nil:
-				b.breaker.Record(false)
-				rt.countForward(res.addr, "error")
-				if !errors.Is(res.err, context.Canceled) &&
-					!errors.Is(res.err, context.DeadlineExceeded) &&
-					!errors.Is(res.err, faultinject.ErrInjected) {
-					rt.health.MarkUnreachable(res.addr)
-				}
-				lastErr = res.err
-			case res.resp.status >= 500:
-				b.breaker.Record(false)
-				rt.countForward(res.addr, "error")
-				lastFail = res.resp
-			default:
-				// 2xx–4xx: a deterministic answer. Forward verbatim. The
-				// latency sample is per-attempt, not per-handler: a success
-				// after backoff or hedging must not inflate the winning
-				// backend's p95 and widen future hedge delays.
-				b.breaker.Record(true)
-				rt.budget.Deposit()
-				b.lat.observe(time.Since(res.start))
-				rt.countForward(res.addr, "ok")
-				return res.resp, nil
-			}
-			if inflight > 0 {
-				continue // a hedge may still succeed
-			}
-			if launched < maxLaunches && rt.budget.Withdraw() {
-				if !sleepCtx(ctx, rt.jitterDelay(launched)) {
-					rt.budget.Refund()
-					if parent.Err() != nil {
-						return nil, parent.Err()
-					}
-					return errResp(http.StatusGatewayTimeout, "deadline_exceeded", "deadline exhausted routing to "+category), nil
-				}
-				if _, ok := launch(); ok {
-					rt.reg.Counter("comparesets_router_retries_total",
-						"Budgeted read retries after transport errors or 5xx.", nil).Inc()
-					continue
-				}
+			if !sleepCtx(ctx, rt.jitterDelay(attempt)) {
 				rt.budget.Refund()
+				return expired()
 			}
-			if lastFail != nil {
-				return lastFail, nil
+		}
+		addr, ok := pick()
+		if !ok {
+			if attempt == 0 {
+				return errResp(http.StatusServiceUnavailable, "overloaded", "all replicas circuit-broken for category "+category), nil
 			}
-			return errResp(http.StatusBadGateway, "internal", "all replicas failed: "+lastErr.Error()), nil
+			// Every candidate breaker refused: no retry load was generated,
+			// so the token goes back.
+			rt.budget.Refund()
+			break
+		}
+		if attempt > 0 {
+			rt.reg.Counter("comparesets_router_retries_total",
+				"Budgeted read retries after transport errors or 5xx.", nil).Inc()
+		}
+		resp, err := rt.doAttempt(ctx, addr, method, pathAndQuery, attemptBody(), contentType)
+		b := rt.breakers[addr]
+		switch {
+		case err != nil && (ctx.Err() != nil || errors.Is(err, faultinject.ErrConnDrop)):
+			// The read ran out of time or client, or an injected fault tears
+			// the connection down: no verdict on the backend, so the
+			// Allow-claimed slot (a half-open probe, possibly) is released
+			// without recording.
+			b.Release()
+			rt.countForward(addr, "abandoned")
+			if errors.Is(err, faultinject.ErrConnDrop) {
+				return nil, err
+			}
+			return expired()
+		case err != nil:
+			b.Record(false)
+			rt.countForward(addr, "error")
+			if !errors.Is(err, context.Canceled) &&
+				!errors.Is(err, context.DeadlineExceeded) &&
+				!errors.Is(err, faultinject.ErrInjected) {
+				rt.health.MarkUnreachable(addr)
+			}
+			lastErr = err
+		case resp.status >= 500:
+			b.Record(false)
+			rt.countForward(addr, "error")
+			lastFail = resp
+		default:
+			// 2xx–4xx: a deterministic answer. Forward verbatim.
+			b.Record(true)
+			rt.budget.Deposit()
+			rt.countForward(addr, "ok")
+			return resp, nil
 		}
 	}
+	if lastFail != nil {
+		return lastFail, nil
+	}
+	return errResp(http.StatusBadGateway, "internal", "all replicas failed: "+lastErr.Error()), nil
 }
 
 // --- write path -------------------------------------------------------------
@@ -978,7 +869,7 @@ func (rt *Router) liveBackends() []string {
 	states := rt.health.States()
 	var out []string
 	for _, addr := range rt.ring.Backends() {
-		if states[addr] != HealthUnreachable && rt.backends[addr].breaker.State() != BreakerOpen {
+		if states[addr] != HealthUnreachable && rt.breakers[addr].State() != BreakerOpen {
 			out = append(out, addr)
 		}
 	}
@@ -1119,7 +1010,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"status":   "ok",
-		"backends": len(rt.backends),
+		"backends": len(rt.breakers),
 	})
 }
 
@@ -1137,7 +1028,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	liveCount := 0
 	allOK := true
 	for _, addr := range rt.ring.Backends() {
-		bs := rt.backends[addr].breaker.State()
+		bs := rt.breakers[addr].State()
 		views[addr] = backendView{Health: states[addr], Breaker: bs.String()}
 		live := states[addr] != HealthUnreachable && bs != BreakerOpen
 		if live {
@@ -1153,7 +1044,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		routable := false
 		for _, addr := range rt.ring.Placement(cat) {
 			if states[addr] != HealthUnreachable &&
-				rt.backends[addr].breaker.State() != BreakerOpen &&
+				rt.breakers[addr].State() != BreakerOpen &&
 				!rt.isDivergent(addr, cat) {
 				routable = true
 				break

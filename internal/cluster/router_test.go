@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"comparesets/internal/faultinject"
 	"comparesets/internal/model"
 	"comparesets/internal/selectreq"
 )
@@ -31,7 +32,7 @@ type mockWorker struct {
 	// fail makes every select answer 500; failMutate every mutation.
 	fail       atomic.Bool
 	failMutate atomic.Bool
-	// delay stalls selects (for hedge tests).
+	// delay stalls selects (for slow-replica and deadline tests).
 	delay atomic.Int64 // nanoseconds
 	// receipt is the mutation response body; tests vary it to simulate
 	// divergent replicas.
@@ -229,7 +230,7 @@ func TestRouterRetriesPastFailingPrimary(t *testing.T) {
 	// The failing primary trips its breaker after 3 consecutive failures,
 	// after which requests stop reaching it.
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.backends[primary].breaker.State() != BreakerOpen {
+	for rt.breakers[primary].State() != BreakerOpen {
 		if time.Now().After(deadline) {
 			t.Fatal("primary breaker never opened")
 		}
@@ -269,7 +270,6 @@ func TestRouterForwards4xxVerbatimWithoutRetry(t *testing.T) {
 func TestRouterRewritesDeadlineOnRetry(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
 	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDisabled = true
 		// A visible backoff so the retry's remaining budget is measurably
 		// smaller than the original.
 		o.Backoff = BackoffConfig{Base: 60 * time.Millisecond, Cap: 60 * time.Millisecond}
@@ -302,25 +302,41 @@ func TestRouterRewritesDeadlineOnRetry(t *testing.T) {
 	}
 }
 
-func TestRouterHedgesSlowPrimary(t *testing.T) {
-	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDelay = 15 * time.Millisecond
-	})
-	primary := rt.Ring().Placement("Cameras")[0]
-	byAddr[primary].delay.Store(int64(400 * time.Millisecond))
+// forwardOutcomes sums comparesets_router_forward_total over backends for
+// one outcome.
+func forwardOutcomes(rt *Router, outcome string) uint64 {
+	var total uint64
+	for key, v := range rt.Registry().Snapshot() {
+		if strings.HasPrefix(key, "comparesets_router_forward_total{") &&
+			strings.HasSuffix(key, `outcome="`+outcome+`"}`) {
+			total += v.(uint64)
+		}
+	}
+	return total
+}
 
-	start := time.Now()
-	resp, _ := postSelect(t, ts.URL, `{"category":"Cameras","target":"cam-1"}`)
-	elapsed := time.Since(start)
+// TestRouterSlowPrimaryIsNotDuplicated: a slow but healthy primary is
+// waited for, not raced — the read is answered by the primary and no second
+// copy of the select reaches the other replica.
+func TestRouterSlowPrimaryIsNotDuplicated(t *testing.T) {
+	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
+	placement := rt.Ring().Placement("Cameras")
+	primary, secondary := byAddr[placement[0]], byAddr[placement[1]]
+	primary.delay.Store(int64(400 * time.Millisecond))
+
+	resp, body := postSelect(t, ts.URL, `{"category":"Cameras","target":"cam-1"}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+		t.Fatalf("status = %d body %s", resp.StatusCode, body)
 	}
-	if elapsed >= 300*time.Millisecond {
-		t.Errorf("hedge did not mask the slow primary: took %v", elapsed)
+	if !strings.Contains(body, fmt.Sprintf(`"served_by":%q`, primary.ts.URL)) {
+		t.Errorf("read not answered by the primary: %s", body)
 	}
-	if got := counterValue(rt, "comparesets_router_hedges_total"); got == 0 {
-		t.Error("no hedges recorded")
+	if n, _ := secondary.stats(); n != 0 {
+		t.Errorf("secondary saw %d selects, want 0", n)
+	}
+	if got := forwardOutcomes(rt, "ok"); got != 1 {
+		t.Errorf("ok forwards = %d, want 1", got)
 	}
 }
 
@@ -423,56 +439,89 @@ func TestRouterEpochSeqPrefixDifferenceIsNotDivergence(t *testing.T) {
 	}
 }
 
-// TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker reproduces the
-// half-open wedge: a probe launched against a slow half-open primary loses
-// the hedge race and is abandoned when the secondary answers. The abandoned
-// attempt must release its Allow-claimed probe slot (via the drain path),
-// or Allow refuses forever and the primary never rejoins rotation.
-func TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker(t *testing.T) {
-	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.HedgeDelay = 5 * time.Millisecond
-		// Edge cache off: every select must probe the half-open primary.
-		o.EdgeCacheDisabled = true
-	})
-	primary := rt.Ring().Placement("Cameras")[0]
-	pw := byAddr[primary]
-
-	// Trip the primary's breaker (3 consecutive 5xx), then let the 100ms
-	// cooldown elapse so it sits half-open.
+// tripHalfOpen fails the category primary's selects until its breaker
+// opens, heals it, and waits out the cooldown so the breaker is half-open.
+func tripHalfOpen(t *testing.T, rt *Router, ts *httptest.Server, pw *mockWorker, primary string) {
+	t.Helper()
 	pw.fail.Store(true)
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.backends[primary].breaker.State() != BreakerOpen {
+	for rt.breakers[primary].State() != BreakerOpen {
 		if time.Now().After(deadline) {
 			t.Fatal("primary breaker never opened")
 		}
 		postSelect(t, ts.URL, `{"category":"Cameras","target":"cam-1"}`)
 	}
 	pw.fail.Store(false)
-	pw.delay.Store(int64(300 * time.Millisecond)) // every probe loses the hedge race
-	time.Sleep(150 * time.Millisecond)
+	time.Sleep(150 * time.Millisecond) // the test router's cooldown is 100ms
+	if st := rt.breakers[primary].State(); st != BreakerHalfOpen {
+		t.Fatalf("primary breaker %s after cooldown, want half-open", st)
+	}
+}
 
-	// Each request probes the half-open primary, hedges to the healthy
-	// secondary, answers from it, and abandons the probe mid-flight.
-	for i := 0; i < 3; i++ {
-		resp, body := postSelect(t, ts.URL, `{"category":"Cameras","target":"cam-1"}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d body %s", i, resp.StatusCode, body)
-		}
+// requireAllow fails unless the breaker admits a request again, i.e. no
+// abandoned attempt kept its half-open probe slot.
+func requireAllow(t *testing.T, b *Breaker) {
+	t.Helper()
+	if !b.Allow() {
+		t.Fatal("half-open breaker wedged: abandoned probe never released its slot")
 	}
-	// With a leaked slot, Allow refuses forever; the drain settles abandoned
-	// probes asynchronously, so poll briefly.
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		if rt.backends[primary].breaker.Allow() {
-			rt.backends[primary].breaker.Release()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("half-open breaker wedged: abandoned probe never released its slot")
-		}
-		time.Sleep(5 * time.Millisecond)
+	b.Release()
+}
+
+// TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker: a probe sent to a
+// slow half-open primary is abandoned when the read's deadline expires. The
+// abandoned attempt must release its Allow-claimed probe slot, or Allow
+// refuses forever and the primary never rejoins rotation.
+func TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker(t *testing.T) {
+	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
+	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
+		// Edge cache off: every select must reach the proxied path.
+		o.EdgeCacheDisabled = true
+	})
+	primary := rt.Ring().Placement("Cameras")[0]
+	pw := byAddr[primary]
+	tripHalfOpen(t, rt, ts, pw, primary)
+	pw.delay.Store(int64(300 * time.Millisecond)) // the probe outlives the deadline
+
+	resp, body := postSelect(t, ts.URL, `{"category":"Cameras","target":"cam-1","timeout_ms":50}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d body %s, want 504", resp.StatusCode, body)
 	}
+	if got := forwardOutcomes(rt, "abandoned"); got != 1 {
+		t.Errorf("abandoned forwards = %d, want 1", got)
+	}
+	requireAllow(t, rt.breakers[primary])
+}
+
+// TestRouterConnDropReleasesHalfOpenProbe: an injected conn-drop on the
+// forward of a half-open probe tears the client's response down and gives
+// no verdict on the backend, so the probe slot must be released.
+func TestRouterConnDropReleasesHalfOpenProbe(t *testing.T) {
+	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
+	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
+		o.EdgeCacheDisabled = true
+	})
+	primary := rt.Ring().Placement("Cameras")[0]
+	tripHalfOpen(t, rt, ts, byAddr[primary], primary)
+
+	fired := faultinject.Fires(faultinject.PointRouterForward)
+	faultinject.Arm(faultinject.PointRouterForward, faultinject.Fault{Mode: faultinject.ModeConnDrop, Remaining: 1})
+	defer faultinject.Disarm(faultinject.PointRouterForward)
+	// abortConn flushes the status line before it hijacks, so the drop
+	// shows up as a torn body rather than a transport error.
+	resp, err := http.Post(ts.URL+"/api/v1/select", "application/json",
+		strings.NewReader(`{"category":"Cameras","target":"cam-1"}`))
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("conn-drop answered the read intact")
+	}
+	if fires := faultinject.Fires(faultinject.PointRouterForward) - fired; fires != 1 {
+		t.Fatalf("conndrop fires = %d, want 1", fires)
+	}
+	requireAllow(t, rt.breakers[primary])
 }
 
 func TestRouterDivergentReplicaRejoinsOnMatchingReceipt(t *testing.T) {

@@ -65,7 +65,7 @@ const (
 	// PointRouterForward fires in the routing tier before a request is
 	// forwarded to a worker replica: error mode simulates a failed backend
 	// call (exercising retries and circuit breakers), latency mode a slow
-	// backend (exercising hedged reads), and conndrop mode an abrupt
+	// backend (exercising read deadlines), and conndrop mode an abrupt
 	// mid-response connection loss.
 	PointRouterForward = "router.forward"
 	// PointRouterSnapshot fires on the snapshot-shipping path (both the

@@ -209,7 +209,7 @@ func TestProblemSolveThroughGramFallback(t *testing.T) {
 }
 
 // Pooled solver scratch is sized on checkout from the acquiring problem's
-// dimensions. A solve cancelled mid-way (as a hedged request's loser is)
+// dimensions. A solve cancelled mid-way (as one whose client disconnects is)
 // leaves a large problem's state in the scratch it returns to the pool;
 // smaller problems that draw that scratch next must answer exactly as
 // fresh, uncancelled solves do.
