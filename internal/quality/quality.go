@@ -3,7 +3,9 @@
 // the served pipeline with its feature store, shared regression templates
 // and pooled solver scratch — over the three synthetic corpora, and
 // records every answer: the selected review IDs per item, the Eq. 1/Eq. 5
-// objective, and the shortlist. QUALITY.json at the repository root holds
+// objective, and the shortlist. Every request shape is replayed twice:
+// once with the default CompaReSetS+ (Eq. 5) and once with CompaReSetS
+// (Eq. 1), so both kinds of cached regression template are pinned. QUALITY.json at the repository root holds
 // the committed answers; the package test regenerates them and diffs
 // (selections and shortlists exactly, floats within RelTol), so an
 // optimization that moves a single selection fails the build.
@@ -56,7 +58,12 @@ type Request struct {
 	Mu       float64 `json:"mu"`
 	K        int     `json:"k,omitempty"`
 	Method   string  `json:"method,omitempty"`
+	// Algorithm is empty for the server default, CompaReSetS+.
+	Algorithm string `json:"algorithm,omitempty"`
 }
+
+// baseAlgorithm is the selector of the workload's second pass.
+const baseAlgorithm = "CompaReSetS"
 
 // Item is one item's selected reviews, in served order.
 type Item struct {
@@ -87,7 +94,8 @@ func Corpora() (map[string]*model.Corpus, error) {
 }
 
 // Requests lists the workload in replay order: λ outermost, then m, then
-// target, so the exact shortlists fall on varied (m, target) pairs.
+// target, so the exact shortlists fall on varied (m, target) pairs. The
+// CompaReSetS+ pass comes first; the CompaReSetS pass repeats its shapes.
 func Requests(corpora map[string]*model.Corpus) []Request {
 	cats := make([]string, 0, len(corpora))
 	for cat := range corpora {
@@ -113,6 +121,10 @@ func Requests(corpora map[string]*model.Corpus) []Request {
 				reqs = append(reqs, r)
 			}
 		}
+	}
+	for _, r := range reqs {
+		r.Algorithm = baseAlgorithm
+		reqs = append(reqs, r)
 	}
 	return reqs
 }
@@ -201,7 +213,7 @@ func Diff(want, got []Answer) []string {
 	}
 	for i := 0; i < len(want) && i < len(got); i++ {
 		w, g := want[i], got[i]
-		name := fmt.Sprintf("answer %d (%s/%s m=%d λ=%g k=%d)", i, w.Request.Category, w.Request.Target, w.Request.M, w.Request.Lambda, w.Request.K)
+		name := label(i, w.Request)
 		if w.Request != g.Request {
 			out = append(out, fmt.Sprintf("%s: request %+v, want %+v", name, g.Request, w.Request))
 			continue
@@ -232,13 +244,14 @@ func Diff(want, got []Answer) []string {
 // Violations lists every answer that breaks a response invariant: an item
 // with more than m reviews, a review ID that is not one of its item's
 // reviews or is repeated, or a reported objective that differs by more
-// than RelTol relative from core.ObjectivePlus recomputed from the
-// returned sets. corpora are the corpora the answers were served from.
+// than RelTol relative from the request's objective recomputed from the
+// returned sets (core.ObjectiveCompareSets for CompaReSetS answers,
+// core.ObjectivePlus otherwise). corpora are the corpora the answers were served from.
 func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
 	var out []string
 	for i, a := range answers {
 		r := a.Request
-		name := fmt.Sprintf("answer %d (%s/%s m=%d λ=%g k=%d)", i, r.Category, r.Target, r.M, r.Lambda, r.K)
+		name := label(i, r)
 		c := corpora[r.Category]
 		if c == nil {
 			out = append(out, fmt.Sprintf("%s: unknown category", name))
@@ -279,11 +292,24 @@ func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
 			continue
 		}
 		cfg := core.Config{M: r.M, Lambda: r.Lambda, Mu: r.Mu}
-		if obj := core.ObjectivePlus(inst, core.NewTargets(inst, cfg), cfg, sets); !within(a.Objective, obj) {
+		objective := core.ObjectivePlus
+		if r.Algorithm == baseAlgorithm {
+			objective = core.ObjectiveCompareSets
+		}
+		if obj := objective(inst, core.NewTargets(inst, cfg), cfg, sets); !within(a.Objective, obj) {
 			out = append(out, fmt.Sprintf("%s: objective %v, recomputed %v", name, a.Objective, obj))
 		}
 	}
 	return out
+}
+
+// label names answer i of request r in a diff or violation line.
+func label(i int, r Request) string {
+	alg := r.Algorithm
+	if alg == "" {
+		alg = "CompaReSetS+"
+	}
+	return fmt.Sprintf("answer %d (%s %s/%s m=%d λ=%g k=%d)", i, alg, r.Category, r.Target, r.M, r.Lambda, r.K)
 }
 
 // within reports |a − b| ≤ RelTol·max(|a|, |b|).

@@ -153,4 +153,17 @@ func TestViolationsCatchBrokenAnswers(t *testing.T) {
 			t.Errorf("%s not reported", name)
 		}
 	}
+	// A CompaReSetS answer is checked against Eq. 1; read as an Eq. 5
+	// answer, its objective misses the μ term.
+	base = answers[len(answers)/2]
+	if base.Request.Algorithm != baseAlgorithm {
+		t.Fatalf("answer %d is not a %s answer", len(answers)/2, baseAlgorithm)
+	}
+	if v := Violations(corpora, []Answer{base}); len(v) != 0 {
+		t.Fatalf("committed %s answer reported: %v", baseAlgorithm, v)
+	}
+	base.Request.Algorithm = ""
+	if v := Violations(corpora, []Answer{base}); len(v) == 0 {
+		t.Error("CompaReSetS answer checked as CompaReSetS+ not reported")
+	}
 }
