@@ -26,17 +26,20 @@ var errGramFallback = errors.New("regress: gram solver fallback")
 // those sweeps. No dense copy of the deduplicated design is kept: the
 // rare numerical fallback rebuilds it from the sparse forms.
 //
+// Cached problems live for the life of a corpus, so the layout is compact:
+// the grouping and the sparse forms are flat int32 offset arrays over flat
+// slabs, and the symmetric Gram matrix keeps only its lower triangle. A
+// problem is five allocations, whatever its size.
+//
 // A Problem additionally owns reusable solver scratch, so it is NOT safe
 // for concurrent use; give each goroutine its own Problem (the per-item
 // fan-out in internal/core assigns every item's Problem to one worker).
 type Problem struct {
-	rows, cols int // shape of the deduplicated design
-	// Counts, Members are the Dedup outputs for the design matrix.
-	Counts  []int
-	Members [][]int
-	sparse  *sparseColumns
-	gram    *linalg.Matrix // Gram matrix of the unique columns
-	scratch *solverScratch
+	rows, cols int           // shape of the deduplicated design
+	groups     groups        // the Dedup grouping of the design's columns
+	sparse     sparseColumns // the unique columns' non-zeros
+	gram       []float64     // the unique columns' Gram matrix, packed (see gramAt)
+	scratch    *solverScratch
 }
 
 // scratchPool recycles solver scratch across problems and shares: every
@@ -63,6 +66,7 @@ type solverScratch struct {
 	// Rounding), the sparse form of a custom Rounding's candidate, the
 	// candidates scored this solve, and the expanded selection.
 	u      linalg.Vector
+	counts []int // the groups' multiplicities, the rounding caps
 	rnd    rounder
 	nuBuf  []mult
 	seen   candidateSet
@@ -135,25 +139,50 @@ func (p *Problem) releaseScratch() {
 // matrix. Each group's values are read from its first column of a, so
 // building a Problem materializes no deduplicated copy of a.
 func NewProblem(a *linalg.Matrix) *Problem {
-	counts, members := groupColumns(a)
-	n := len(members)
+	g := groupColumns(a)
+	n := g.len()
 	p := &Problem{
-		rows:    a.Rows,
-		cols:    n,
-		Counts:  counts,
-		Members: members,
-		sparse:  newSparseColumns(n, func(g int) linalg.Vector { return a.Col(members[g][0]) }),
-		gram:    linalg.NewMatrix(n, n),
+		rows:   a.Rows,
+		cols:   n,
+		groups: g,
+		sparse: newSparseColumns(n, func(k int) linalg.Vector { return a.Col(g.first(k)) }),
+		gram:   make([]float64, n*(n+1)/2),
 	}
 	for j := 0; j < n; j++ {
-		idx, val := p.sparse.idx[j], p.sparse.val[j]
-		for k := 0; k <= j; k++ {
-			s := linalg.GatherDotKernel(idx, val, a.Col(members[k][0]))
-			p.gram.Set(j, k, s)
-			p.gram.Set(k, j, s)
+		idx, val := p.sparse.col(j)
+		row := p.gram[j*(j+1)/2:][:j+1]
+		for k := range row {
+			row[k] = linalg.GatherDotKernel(idx, val, a.Col(g.first(k)))
 		}
 	}
 	return p
+}
+
+// gramAt returns the Gram entry G[j][k]. The symmetric matrix is stored as
+// its lower triangle, row after row: row j holds G[j][0..j] and starts at
+// j(j+1)/2, so (j, k) and (k, j) read the same float.
+func (p *Problem) gramAt(j, k int) float64 {
+	if j < k {
+		j, k = k, j
+	}
+	return p.gram[j*(j+1)/2+k]
+}
+
+// axpyGramCol adds alpha·G[:,k] to y, element by element in index order,
+// exactly as linalg.AxpyKernel over a dense Gram column would: G[0..k][k]
+// is packed row k, one contiguous run, and G[j][k] for j > k sits j
+// entries after G[j−1][k].
+func (p *Problem) axpyGramCol(alpha float64, k int, y []float64) {
+	if alpha == 0 {
+		return
+	}
+	at := k * (k + 1) / 2
+	linalg.AxpyKernel(alpha, p.gram[at:at+k+1], y[:k+1])
+	at += k
+	for j := k + 1; j < len(y); j++ {
+		at += j
+		y[j] += alpha * p.gram[at]
+	}
 }
 
 // Share returns a Problem backed by the same preprocessed state — the dedup
@@ -163,14 +192,9 @@ func NewProblem(a *linalg.Matrix) *Problem {
 // Share is how concurrent or cached users reuse one preprocessing pass:
 // hand every holder its own share and the solves cannot interfere.
 func (p *Problem) Share() *Problem {
-	return &Problem{
-		rows:    p.rows,
-		cols:    p.cols,
-		Counts:  p.Counts,
-		Members: p.Members,
-		sparse:  p.sparse,
-		gram:    p.gram,
-	}
+	q := *p
+	q.scratch = nil
+	return &q
 }
 
 // Solve runs the Integer-Regression pipeline on the preprocessed problem for
@@ -223,18 +247,15 @@ func (p *Problem) SolveContext(ctx context.Context, y linalg.Vector, m int, roun
 func (p *Problem) scoreCandidates(ctx context.Context, path []linalg.Vector, m int, round Rounding, eval func(selected []int) float64) ([]int, float64, error) {
 	sc := p.scratchState(1)
 	sc.seen.reset()
-	capacity := 0
-	for _, c := range p.Counts {
-		capacity += c
-	}
-	limit := min(m, capacity)
+	sc.counts = p.groups.appendCounts(sc.counts[:0])
+	limit := min(m, len(p.groups.mem))
 	var best []int
 	bestObj := math.Inf(1)
 	score := func(nu []mult, size int) {
 		if !sc.seen.add(nu, size) {
 			return
 		}
-		sel := appendExpandSparse(sc.selBuf[:0], nu, p.Members)
+		sel := appendExpandSparse(sc.selBuf[:0], nu, p.groups)
 		sc.selBuf = sel
 		if obj := eval(sel); obj < bestObj {
 			bestObj = obj
@@ -246,7 +267,7 @@ func (p *Problem) scoreCandidates(ctx context.Context, path []linalg.Vector, m i
 			return nil, math.Inf(1), err
 		}
 		if round != nil {
-			for _, dense := range round(x, p.Counts, m) {
+			for _, dense := range round(x, sc.counts, m) {
 				nu := sc.nuBuf[:0]
 				for i, k := range dense {
 					if k != 0 {
@@ -254,20 +275,20 @@ func (p *Problem) scoreCandidates(ctx context.Context, path []linalg.Vector, m i
 					}
 				}
 				sc.nuBuf = nu
-				score(canonicalize(nu, p.Members))
+				score(canonicalize(nu, p.groups))
 			}
 			continue
 		}
 		if (it > 0 && sameBits(x, path[it-1])) || !sc.normalize(x) {
 			continue
 		}
-		sc.rnd.load(sc.u, p.Counts)
+		sc.rnd.load(sc.u, sc.counts)
 		for total := 1; total <= limit; total++ {
 			nu, ok := sc.rnd.apportion(total)
 			switch {
 			case !ok:
 			case sc.rnd.dense:
-				score(canonicalize(nu, p.Members))
+				score(canonicalize(nu, p.groups))
 			default:
 				score(nu, total) // already canonical
 			}
@@ -351,10 +372,11 @@ func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) (
 // kept in every template.
 func (p *Problem) denseUnique() *linalg.Matrix {
 	u := linalg.NewMatrix(p.rows, p.cols)
-	for j, idx := range p.sparse.idx {
+	for j := 0; j < p.cols; j++ {
 		col := u.Col(j)
+		idx, val := p.sparse.col(j)
 		for t, i := range idx {
-			col[i] = p.sparse.val[j][t]
+			col[i] = val[t]
 		}
 	}
 	return u
@@ -393,13 +415,13 @@ func (p *Problem) nompGram(ctx context.Context, y linalg.Vector, maxAtoms int) (
 		// Greedy atom: maximum positive correlation with the residual,
 		// corrⱼ = cⱼ − Σ_{k passive} G_jk·x_k (no dense residual needed).
 		// Column-at-a-time: corr starts as c and each passive atom's Gram
-		// column is subtracted with one unit-stride axpy, replacing the
-		// per-j gather over the passive set. a + (−x)·g ≡ a − x·g in IEEE
-		// arithmetic and the passive order is unchanged, so the result is
-		// bit-identical to the row-wise loop.
+		// column is subtracted with one axpy, replacing the per-j gather
+		// over the passive set. a + (−x)·g ≡ a − x·g in IEEE arithmetic and
+		// the passive order is unchanged, so the result is bit-identical
+		// to the row-wise loop.
 		copy(corr, sc.c)
 		for _, k := range sc.passive {
-			linalg.AxpyKernel(-sc.x[k], p.gram.Col(k), corr)
+			p.axpyGramCol(-sc.x[k], k, corr)
 		}
 		best, bestC := -1, tol
 		for j := 0; j < n; j++ {
@@ -478,9 +500,9 @@ func (s *supportSolver) enter(j int) bool {
 	}
 	row := sc.ss[:k]
 	for i, jj := range sc.passive {
-		row[i] = s.p.gram.At(j, jj)
+		row[i] = s.p.gramAt(j, jj)
 	}
-	if err := sc.chol.Extend(row, s.p.gram.At(j, j)); err != nil {
+	if err := sc.chol.Extend(row, s.p.gramAt(j, j)); err != nil {
 		return false
 	}
 	sc.passive = append(sc.passive, j)
@@ -582,7 +604,7 @@ func (s *supportSolver) refit(support []int) bool {
 			}
 			w := sc.c[j]
 			for _, k := range sc.passive {
-				w -= s.p.gram.At(j, k) * sc.x[k]
+				w -= s.p.gramAt(j, k) * sc.x[k]
 			}
 			if w > bestW {
 				best, bestW = j, w

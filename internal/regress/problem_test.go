@@ -137,8 +137,8 @@ func TestProblemDuplicateColumnsDedup(t *testing.T) {
 	if u := p.denseUnique(); u.Cols != 2 {
 		t.Fatalf("unique cols = %d, want 2", u.Cols)
 	}
-	if p.Counts[0] != 3 || p.Counts[1] != 1 {
-		t.Fatalf("counts = %v", p.Counts)
+	if got := p.groups.appendCounts(nil); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Fatalf("counts = %v", got)
 	}
 	y := linalg.Vector{2, 1, 2, 0}
 	path := p.NOMPPath(y, 2)

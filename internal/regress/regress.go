@@ -26,8 +26,7 @@ import (
 // calls so the grouping pass allocates nothing on the selection hot path:
 // the hash index (with collision chains), the per-column group assignment,
 // and the per-group bookkeeping all come back from the pool. Only the
-// returned counts and members are fresh allocations, because callers
-// retain them.
+// returned grouping is a fresh allocation, because callers retain it.
 type dedupScratch struct {
 	index    map[uint64]int32 // column hash → head of the group chain
 	chain    []int32          // per group: next group with the same hash
@@ -73,19 +72,57 @@ func sameColumn(a, b linalg.Vector) bool {
 // is DeduplicateColumns of Algorithm 1, line 5. Groups are ordered by first
 // occurrence, exactly as the original columns are scanned.
 func Dedup(a *linalg.Matrix) (unique *linalg.Matrix, counts []int, members [][]int) {
-	counts, members = groupColumns(a)
-	unique = linalg.NewMatrix(a.Rows, len(members))
-	for g, mem := range members {
-		copy(unique.Col(g), a.Col(mem[0]))
+	g := groupColumns(a)
+	n := g.len()
+	unique = linalg.NewMatrix(a.Rows, n)
+	counts = make([]int, n)
+	members = make([][]int, n)
+	backing := make([]int, len(g.mem))
+	for i, j := range g.mem {
+		backing[i] = int(j)
+	}
+	for k := 0; k < n; k++ {
+		lo, hi := g.off[k], g.off[k+1]
+		counts[k] = int(hi - lo)
+		members[k] = backing[lo:hi:hi]
+		copy(unique.Col(k), a.Col(members[k][0]))
 	}
 	return unique, counts, members
 }
 
-// groupColumns is the grouping pass of Dedup: the multiplicity and the
-// ascending member list of every group of identical columns, groups in
-// order of first occurrence. members[g][0] is the group's first column, so
-// callers read a group's values straight from a without a unique copy.
-func groupColumns(a *linalg.Matrix) (counts []int, members [][]int) {
+// groups is the compact form of a Dedup grouping: group g's members, the
+// ascending original column indices, are mem[off[g]:off[g+1]], so its
+// multiplicity is off[g+1] − off[g]. Both arrays share one allocation.
+type groups struct {
+	off []int32 // len(groups) + 1 offsets into mem
+	mem []int32 // every column, grouped
+}
+
+// len returns the number of groups.
+func (g groups) len() int { return len(g.off) - 1 }
+
+// count returns group k's multiplicity.
+func (g groups) count(k int) int { return int(g.off[k+1] - g.off[k]) }
+
+// members returns group k's columns, ascending.
+func (g groups) members(k int) []int32 { return g.mem[g.off[k]:g.off[k+1]] }
+
+// first returns group k's first column, which holds the group's values.
+func (g groups) first(k int) int { return int(g.mem[g.off[k]]) }
+
+// appendCounts appends every group's multiplicity to dst.
+func (g groups) appendCounts(dst []int) []int {
+	for k := 0; k < g.len(); k++ {
+		dst = append(dst, g.count(k))
+	}
+	return dst
+}
+
+// groupColumns is the grouping pass of Dedup: the ascending member list of
+// every group of identical columns, groups in order of first occurrence.
+// A group's first member is its first column, so callers read a group's
+// values straight from a without a unique copy.
+func groupColumns(a *linalg.Matrix) groups {
 	sc := dedupPool.Get().(*dedupScratch)
 	defer func() {
 		clear(sc.index)
@@ -127,23 +164,21 @@ func groupColumns(a *linalg.Matrix) (counts []int, members [][]int) {
 		sc.count[g]++
 		sc.colGroup = append(sc.colGroup, g)
 	}
-	// Output pass: one flat backing for all member lists (members within a
-	// group come out ascending because columns are scanned in order).
+	// Output pass: offsets are the running sums of the counts; members
+	// within a group come out ascending because columns are scanned in
+	// order. sc.count is reused as each group's fill cursor.
 	ng := len(sc.firstCol)
-	counts = make([]int, ng)
-	members = make([][]int, ng)
-	backing := make([]int, 0, a.Cols)
-	offset := 0
-	for g := 0; g < ng; g++ {
-		n := int(sc.count[g])
-		counts[g] = n
-		members[g] = backing[offset:offset:(offset + n)]
-		offset += n
+	slab := make([]int32, ng+1+a.Cols)
+	out := groups{off: slab[: ng+1 : ng+1], mem: slab[ng+1:]}
+	for g, n := range sc.count {
+		out.off[g+1] = out.off[g] + n
+		sc.count[g] = out.off[g]
 	}
 	for j, g := range sc.colGroup {
-		members[g] = append(members[g], j)
+		out.mem[sc.count[g]] = int32(j)
+		sc.count[g]++
 	}
-	return counts, members
+	return out
 }
 
 // sparseColumns extracts each column's non-zero entries once; the NOMP
@@ -151,13 +186,20 @@ func groupColumns(a *linalg.Matrix) (counts []int, members [][]int) {
 // opinion/aspect indicators scaled by λ/μ — typically >95% zero — so the
 // sparse walk removes the dominant cost of the greedy atom search.
 type sparseColumns struct {
-	idx [][]int32   // row indices of non-zeros, per column
-	val [][]float64 // matching values, per column
+	off []int32   // column j's entries are idx/val[off[j]:off[j+1]]
+	idx []int32   // row indices of non-zeros, column after column
+	val []float64 // matching values
+}
+
+// col returns column j's row indices and values.
+func (s *sparseColumns) col(j int) ([]int32, []float64) {
+	lo, hi := s.off[j], s.off[j+1]
+	return s.idx[lo:hi], s.val[lo:hi]
 }
 
 // newSparseColumns extracts the non-zeros of n columns, reading column j
 // from col(j).
-func newSparseColumns(n int, col func(j int) linalg.Vector) *sparseColumns {
+func newSparseColumns(n int, col func(j int) linalg.Vector) sparseColumns {
 	nnz := 0
 	for j := 0; j < n; j++ {
 		for _, v := range col(j) {
@@ -166,32 +208,27 @@ func newSparseColumns(n int, col func(j int) linalg.Vector) *sparseColumns {
 			}
 		}
 	}
-	// All columns share two flat backing arrays: one pair of allocations
-	// for the whole matrix instead of an append-growth chain per column.
-	idxFlat := make([]int32, 0, nnz)
-	valFlat := make([]float64, 0, nnz)
-	s := &sparseColumns{
-		idx: make([][]int32, n),
-		val: make([][]float64, n),
-	}
+	// The offsets and row indices share one int32 slab; the values take
+	// one float64 slab.
+	ints := make([]int32, n+1+nnz)
+	s := sparseColumns{off: ints[: n+1 : n+1], idx: ints[n+1 : n+1], val: make([]float64, 0, nnz)}
 	for j := 0; j < n; j++ {
-		start := len(idxFlat)
 		for i, v := range col(j) {
 			if v != 0 {
-				idxFlat = append(idxFlat, int32(i))
-				valFlat = append(valFlat, v)
+				s.idx = append(s.idx, int32(i))
+				s.val = append(s.val, v)
 			}
 		}
-		s.idx[j] = idxFlat[start:len(idxFlat):len(idxFlat)]
-		s.val[j] = valFlat[start:len(valFlat):len(valFlat)]
+		s.off[j+1] = int32(len(s.idx))
 	}
 	return s
 }
 
 // correlations computes aᵀ·resid using the sparse column structure.
 func (s *sparseColumns) correlations(resid linalg.Vector, out linalg.Vector) {
-	for j := range s.idx {
-		out[j] = linalg.GatherDotKernel(s.idx[j], s.val[j], resid)
+	for j := 0; j+1 < len(s.off); j++ {
+		idx, val := s.col(j)
+		out[j] = linalg.GatherDotKernel(idx, val, resid)
 	}
 }
 

@@ -268,7 +268,8 @@ func TestSparseCorrelationsMatchDense(t *testing.T) {
 		}
 		want := a.MulVecT(resid)
 		got := linalg.NewVector(cols)
-		newSparseColumns(a.Cols, a.Col).correlations(resid, got)
+		sparse := newSparseColumns(a.Cols, a.Col)
+		sparse.correlations(resid, got)
 		if !got.ApproxEqual(want, 1e-10) {
 			t.Fatalf("trial %d: sparse %v != dense %v", trial, got, want)
 		}

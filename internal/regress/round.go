@@ -269,7 +269,7 @@ func growInts(v []int, n int) []int {
 }
 
 // candidateSet records the candidates scored in one solve as canonical
-// sparse ν — entries clamped to [0, len(members)], zeros dropped — grouped
+// sparse ν — entries clamped to [0, group size], zeros dropped — grouped
 // by |Expand(ν)|. Expand is injective on canonical ν and keeps its size,
 // so a candidate is new exactly when its selection is, and a candidate is
 // compared only against earlier ones of the same size, before it is ever
@@ -311,13 +311,11 @@ func (s *candidateSet) add(nu []mult, size int) bool {
 // canonicalize clamps each entry of nu to what Expand selects from its
 // group and drops empty entries, in place; it returns the result and the
 // selection size.
-func canonicalize(nu []mult, members [][]int) ([]mult, int) {
+func canonicalize(nu []mult, g groups) ([]mult, int) {
 	out := nu[:0]
 	size := 0
 	for _, e := range nu {
-		if e.k > len(members[e.idx]) {
-			e.k = len(members[e.idx])
-		}
+		e.k = min(e.k, g.count(e.idx))
 		if e.k > 0 {
 			out = append(out, e)
 			size += e.k
@@ -328,9 +326,11 @@ func canonicalize(nu []mult, members [][]int) ([]mult, int) {
 
 // appendExpandSparse is Expand for a canonical sparse ν: the selected
 // members, inserted in ascending order as they are appended.
-func appendExpandSparse(dst []int, nu []mult, members [][]int) []int {
+func appendExpandSparse(dst []int, nu []mult, g groups) []int {
 	for _, e := range nu {
-		for _, j := range members[e.idx][:e.k] {
+		lo := int(g.off[e.idx])
+		for _, m := range g.mem[lo : lo+e.k] {
+			j := int(m)
 			dst = append(dst, j)
 			i := len(dst) - 1
 			for ; i > 0 && dst[i-1] > j; i-- {

@@ -234,21 +234,22 @@ func recordingEval(eval func([]int) float64, calls *[][]int) func([]int) float64
 // referenceSolve is Problem.Solve's candidate loop as it was before sparse
 // rounding: every iterate of the same NOMP path rounded densely for
 // T = 1..m, expanded, and deduplicated on the expanded selection.
-func referenceSolve(p *Problem, y linalg.Vector, m int, eval func([]int) float64) ([]int, float64) {
+func referenceSolve(a *linalg.Matrix, y linalg.Vector, m int, eval func([]int) float64) ([]int, float64) {
+	_, counts, members := Dedup(a)
 	var best []int
 	bestObj := math.Inf(1)
 	seen := map[string]bool{}
-	for _, x := range p.NOMPPath(y, m) {
+	for _, x := range NewProblem(a).NOMPPath(y, m) {
 		u := x.Normalized()
 		if u.Norm1() == 0 {
 			continue
 		}
 		for total := 1; total <= m; total++ {
 			nu := make([]int, len(u))
-			if ok, _ := apportionInto(u, p.Counts, total, nu, nil); !ok {
+			if ok, _ := apportionInto(u, counts, total, nu, nil); !ok {
 				continue
 			}
-			sel := Expand(nu, p.Members)
+			sel := Expand(nu, members)
 			if key := fmt.Sprint(sel); seen[key] {
 				continue
 			} else {
@@ -291,7 +292,7 @@ func TestSolveEvalSequenceMatchesDenseReference(t *testing.T) {
 		m := 1 + trial%10
 		eval := evals[trial%len(evals)]
 		var want, got [][]int
-		wantSel, wantObj := referenceSolve(NewProblem(a), y, m, recordingEval(eval, &want))
+		wantSel, wantObj := referenceSolve(a, y, m, recordingEval(eval, &want))
 		gotSel, gotObj := NewProblem(a).Solve(y, m, nil, recordingEval(eval, &got))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d (m=%d): eval sequence\n%v\nreference\n%v", trial, m, got, want)

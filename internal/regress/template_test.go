@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"comparesets/internal/linalg"
 )
@@ -66,33 +68,212 @@ func samePath(a, b []linalg.Vector) bool {
 	return true
 }
 
-// A template keeps only the sparse forms of the unique columns; the dense
-// matrix the fallback rebuilds from them must be Dedup's unique matrix, and
-// the grouping must be Dedup's grouping.
+// plusDesign builds a CompaReSetS+-shaped design over dim opinion rows and
+// z aspects: every column is one of patterns review patterns, repeated,
+// with 1 on its opinion rows, λ on its aspects' rows of the λ block, and w
+// on the same aspects' rows of the μ block, so every entry is one of
+// {0, 1, λ, w}.
+func plusDesign(rng *rand.Rand, dim, z, cols, patterns int, lambda, w float64) *linalg.Matrix {
+	pool := make([]linalg.Vector, patterns)
+	for p := range pool {
+		v := linalg.NewVector(dim + 2*z)
+		for k := rng.Intn(3); k > 0; k-- {
+			v[rng.Intn(dim)] = 1
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			a := rng.Intn(z)
+			v[dim+a], v[dim+z+a] = lambda, w
+		}
+		pool[p] = v
+	}
+	colsv := make([]linalg.Vector, cols)
+	for j := range colsv {
+		colsv[j] = pool[rng.Intn(len(pool))]
+	}
+	return linalg.MatrixFromColumns(colsv)
+}
+
+// denseGram is the Gram matrix of unique's columns as a dense n×n matrix,
+// entry (j, k) for k ≤ j computed as GatherDotKernel(sparse column j,
+// dense column k) and mirrored to (k, j).
+func denseGram(unique *linalg.Matrix) *linalg.Matrix {
+	n := unique.Cols
+	g := linalg.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		var idx []int32
+		var val []float64
+		for i, v := range unique.Col(j) {
+			if v != 0 {
+				idx = append(idx, int32(i))
+				val = append(val, v)
+			}
+		}
+		for k := 0; k <= j; k++ {
+			s := linalg.GatherDotKernel(idx, val, unique.Col(k))
+			g.Set(j, k, s)
+			g.Set(k, j, s)
+		}
+	}
+	return g
+}
+
+// tieFreeSteps returns how many leading iterates of the dense reference
+// path ref were reached without a tie: at each step, the two largest
+// positive residual correlations outside the support must differ by more
+// than 1e-9 relative. At a tie the Gram-space and dense solvers may
+// legitimately pick different atoms, since their correlations differ by
+// rounding, so paths are compared only up to the first one.
+func tieFreeSteps(u *linalg.Matrix, y linalg.Vector, ref []linalg.Vector) int {
+	x := linalg.NewVector(u.Cols)
+	for s := range ref {
+		corr := u.MulVecT(y.Sub(u.MulVec(x)))
+		top1, top2 := math.Inf(-1), math.Inf(-1)
+		for j, c := range corr {
+			switch {
+			case x[j] != 0:
+			case c > top1:
+				top1, top2 = c, top1
+			case c > top2:
+				top2 = c
+			}
+		}
+		if top2 > 1e-10 && top1-top2 <= 1e-9*math.Max(1, math.Abs(top1)) {
+			return s
+		}
+		x = ref[s]
+	}
+	return len(ref)
+}
+
+// A template keeps the grouping as offsets over one member array, the
+// sparse forms of the unique columns as offsets over flat slabs, and the
+// Gram matrix as its packed lower triangle. Each must reproduce, bit for
+// bit, what the dense layout held: Dedup's unique matrix, counts and
+// members; the dense Gram in both argument orders; and the correlation
+// update as an axpy over a dense Gram column. The Gram-space NOMP path
+// must still agree with the dense reference on the rebuilt matrix, up to
+// the first correlation tie.
 func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 200; trial++ {
-		a := designWithDuplicates(rng, 1+rng.Intn(40), 1+rng.Intn(30))
+	check := func(trial int, a *linalg.Matrix) {
+		t.Helper()
 		unique, counts, members := Dedup(a)
 		p := NewProblem(a)
 		if got := p.denseUnique(); !sameMatrix(got, unique) {
 			t.Fatalf("trial %d: rebuilt %dx%d matrix differs from Dedup's %dx%d unique matrix",
 				trial, got.Rows, got.Cols, unique.Rows, unique.Cols)
 		}
-		if len(p.Counts) != len(counts) || len(p.Members) != len(members) {
-			t.Fatalf("trial %d: %d/%d groups, Dedup has %d/%d", trial, len(p.Counts), len(p.Members), len(counts), len(members))
+		if p.groups.len() != len(counts) || len(p.groups.mem) != a.Cols {
+			t.Fatalf("trial %d: %d groups over %d members, Dedup has %d over %d",
+				trial, p.groups.len(), len(p.groups.mem), len(counts), a.Cols)
 		}
 		for g := range counts {
-			if p.Counts[g] != counts[g] || len(p.Members[g]) != len(members[g]) {
+			got := p.groups.members(g)
+			if p.groups.count(g) != counts[g] || len(got) != len(members[g]) {
 				t.Fatalf("trial %d group %d: count %d members %v, Dedup has %d %v",
-					trial, g, p.Counts[g], p.Members[g], counts[g], members[g])
+					trial, g, p.groups.count(g), got, counts[g], members[g])
 			}
 			for k, j := range members[g] {
-				if p.Members[g][k] != j {
-					t.Fatalf("trial %d group %d: members %v, Dedup has %v", trial, g, p.Members[g], members[g])
+				if int(got[k]) != j {
+					t.Fatalf("trial %d group %d: members %v, Dedup has %v", trial, g, got, members[g])
 				}
 			}
 		}
+		dense := denseGram(unique)
+		n := unique.Cols
+		if len(p.gram) != n*(n+1)/2 {
+			t.Fatalf("trial %d: %d packed Gram entries for %d columns", trial, len(p.gram), n)
+		}
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				want := math.Float64bits(dense.At(j, k))
+				if math.Float64bits(p.gramAt(j, k)) != want || math.Float64bits(p.gramAt(k, j)) != want {
+					t.Fatalf("trial %d: G[%d][%d] = %v / %v, dense %v", trial, j, k, p.gramAt(j, k), p.gramAt(k, j), dense.At(j, k))
+				}
+			}
+		}
+		want, got := linalg.NewVector(n), linalg.NewVector(n)
+		for i := range want {
+			want[i] = rng.NormFloat64()
+			got[i] = want[i]
+		}
+		for _, k := range rng.Perm(n)[:rng.Intn(n+1)] {
+			alpha := -rng.Float64() * 3
+			linalg.AxpyKernel(alpha, dense.Col(k), want)
+			p.axpyGramCol(alpha, k, got)
+		}
+		if !samePath([]linalg.Vector{got}, []linalg.Vector{want}) {
+			t.Fatalf("trial %d: packed correlation update %v, dense %v", trial, got, want)
+		}
+		y := linalg.NewVector(unique.Rows)
+		for i := range y {
+			y[i] = rng.Float64()
+		}
+		m := 1 + rng.Intn(8)
+		ref, err := nompPathDense(context.Background(), p.denseUnique(), y, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := p.NOMPPath(y, m)
+		if len(path) != len(ref) {
+			t.Fatalf("trial %d: path of %d iterates, dense reference %d", trial, len(path), len(ref))
+		}
+		for s := range ref[:tieFreeSteps(unique, y, ref)] {
+			if !ref[s].ApproxEqual(path[s], 1e-7) {
+				t.Fatalf("trial %d step %d:\ndense %v\ngram  %v", trial, s, ref[s], path[s])
+			}
+		}
+	}
+	trial := 0
+	for ; trial < 200; trial++ {
+		check(trial, designWithDuplicates(rng, 1+rng.Intn(40), 1+rng.Intn(30)))
+	}
+	for _, lambda := range []float64{0, 0.5, 1} {
+		for _, n := range []int{2, 3, 5, 10} {
+			w := math.Sqrt(float64(n - 1))
+			for rep := 0; rep < 20; rep++ {
+				cols := 1 + rng.Intn(40)
+				check(trial, plusDesign(rng, 2+rng.Intn(6), 1+rng.Intn(8), cols, 1+rng.Intn(cols), lambda, w))
+				trial++
+			}
+		}
+	}
+}
+
+// A template allocates its compact layout and nothing more: the Problem
+// value, one int32 slab for the grouping, one for the sparse offsets and
+// row indices, one float64 slab for the non-zeros, and the packed Gram.
+// TotalAlloc counts every byte handed out whenever the GC runs, so the
+// delta around NewProblem measures the template; a warm call first fills
+// the pooled dedup scratch, and the smallest of a few deltas discards a
+// pool emptied by a collection in between.
+func TestNewProblemAllocatesCompactLayout(t *testing.T) {
+	const reviews, dim, z = 40, 16, 24
+	a := plusDesign(rand.New(rand.NewSource(66)), dim, z, reviews, 20, 0.5, 2)
+	p := NewProblem(a)
+	n, nnz := p.cols, len(p.sparse.idx)
+	if n < 15 {
+		t.Fatalf("design has %d unique columns, want about 20", n)
+	}
+	layout := uint64(unsafe.Sizeof(Problem{})) +
+		4*uint64(n+1+reviews) + // grouping offsets and members
+		4*uint64(n+1+nnz) + 8*uint64(nnz) + // sparse offsets, rows, values
+		8*uint64(n*(n+1)/2) // packed Gram
+	// Size classes round each of the five allocations up by at most 1/8,
+	// and by at most 16 bytes below 128 bytes.
+	limit := layout + layout/8 + 5*16
+	var before, after runtime.MemStats
+	got := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		NewProblem(a)
+		runtime.ReadMemStats(&before)
+		NewProblem(a)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d unique columns, %d non-zeros: NewProblem allocates %d bytes, layout %d, limit %d", n, nnz, got, layout, limit)
+	if got > limit {
+		t.Fatalf("NewProblem allocates %d bytes, more than the %d-byte compact layout plus size-class slack (%d)", got, layout, limit)
 	}
 }
 
