@@ -31,11 +31,16 @@ type problemKey struct {
 	float32 bool
 }
 
-// maxCachedProblems bounds a ProblemCache. Normal serving needs two entries
-// per corpus item per hyperparameter shape; the bound only matters when
-// requests sweep many distinct (λ, μ, n) combinations, and resetting the
-// whole map on overflow keeps the cache a pure accelerator with no
-// eviction bookkeeping on the hit path.
+// maxCachedProblems bounds a ProblemCache (one per corpus). An item holds a
+// CompaReSetS template per (λ, scheme) and a CompaReSetS+ template per
+// (λ, scheme, √(n−1)·μ), and the μ-block scale folds in the size n of every
+// instance the item appears in, so the count grows with λ values times
+// instance sizes, not just with items. The perfbench cold_select shapes
+// build 1,648 / 1,834 / 1,616 templates (Cellphone / Toy / Clothing) for
+// their two λ values; a run that reaches all four of its λ layers nears
+// this bound, and overflow resets the whole map, so every template is then
+// rebuilt. The reset keeps the cache a pure accelerator with no eviction
+// bookkeeping on the hit path.
 const maxCachedProblems = 4096
 
 // ProblemCache shares preprocessed per-item regression problems

@@ -104,9 +104,6 @@ func (g groups) len() int { return len(g.off) - 1 }
 // count returns group k's multiplicity.
 func (g groups) count(k int) int { return int(g.off[k+1] - g.off[k]) }
 
-// members returns group k's columns, ascending.
-func (g groups) members(k int) []int32 { return g.mem[g.off[k]:g.off[k+1]] }
-
 // first returns group k's first column, which holds the group's values.
 func (g groups) first(k int) int { return int(g.mem[g.off[k]]) }
 

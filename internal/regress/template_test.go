@@ -168,7 +168,7 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 				trial, p.groups.len(), len(p.groups.mem), len(counts), a.Cols)
 		}
 		for g := range counts {
-			got := p.groups.members(g)
+			got := p.groups.mem[p.groups.off[g]:p.groups.off[g+1]]
 			if p.groups.count(g) != counts[g] || len(got) != len(members[g]) {
 				t.Fatalf("trial %d group %d: count %d members %v, Dedup has %d %v",
 					trial, g, p.groups.count(g), got, counts[g], members[g])
