@@ -37,10 +37,10 @@ type problemKey struct {
 // instance the item appears in, so the count grows with λ values times
 // instance sizes, not just with items. The perfbench cold_select shapes
 // build 1,648 / 1,834 / 1,616 templates (Cellphone / Toy / Clothing) for
-// their two λ values; a run that reaches all four of its λ layers nears
-// this bound, and overflow resets the whole map, so every template is then
-// rebuilt. The reset keeps the cache a pure accelerator with no eviction
-// bookkeeping on the hit path.
+// their two λ values; a run that reaches all four of its λ layers builds
+// 3,668 in Toy, near this bound. Overflow resets the whole map, so every
+// template is then rebuilt; the reset keeps the cache a pure accelerator
+// with no eviction bookkeeping on the hit path.
 const maxCachedProblems = 4096
 
 // ProblemCache shares preprocessed per-item regression problems

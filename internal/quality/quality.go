@@ -5,10 +5,11 @@
 // records every answer: the selected review IDs per item, the Eq. 1/Eq. 5
 // objective, and the shortlist. Every request shape is replayed twice:
 // once with the default CompaReSetS+ (Eq. 5) and once with CompaReSetS
-// (Eq. 1), so both kinds of cached regression template are pinned. QUALITY.json at the repository root holds
-// the committed answers; the package test regenerates them and diffs
-// (selections and shortlists exactly, floats within RelTol), so an
-// optimization that moves a single selection fails the build.
+// (Eq. 1), so both kinds of cached regression template are pinned.
+// QUALITY.json at the repository root holds the committed answers; the
+// package test regenerates them and diffs (selections and shortlists
+// exactly, floats within RelTol), so an optimization that moves a single
+// selection fails the build.
 // Regenerate the file with `make quality` only when a change is meant to
 // move the answers.
 package quality
@@ -246,7 +247,8 @@ func Diff(want, got []Answer) []string {
 // reviews or is repeated, or a reported objective that differs by more
 // than RelTol relative from the request's objective recomputed from the
 // returned sets (core.ObjectiveCompareSets for CompaReSetS answers,
-// core.ObjectivePlus otherwise). corpora are the corpora the answers were served from.
+// core.ObjectivePlus otherwise). corpora are the corpora the answers were
+// served from.
 func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
 	var out []string
 	for i, a := range answers {

@@ -93,6 +93,23 @@ func plusDesign(rng *rand.Rand, dim, z, cols, patterns int, lambda, w float64) *
 	return linalg.MatrixFromColumns(colsv)
 }
 
+// naiveGrouping groups the identical columns of a by pairwise bit
+// comparison: groups in order of first occurrence, members ascending.
+func naiveGrouping(a *linalg.Matrix) [][]int {
+	var groups [][]int
+	for j := 0; j < a.Cols; j++ {
+		g := 0
+		for g < len(groups) && !sameColumn(a.Col(groups[g][0]), a.Col(j)) {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], j)
+	}
+	return groups
+}
+
 // denseGram is the Gram matrix of unique's columns as a dense n×n matrix,
 // entry (j, k) for k ≤ j computed as GatherDotKernel(sparse column j,
 // dense column k) and mirrored to (k, j).
@@ -158,6 +175,9 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 	check := func(trial int, a *linalg.Matrix) {
 		t.Helper()
 		unique, counts, members := Dedup(a)
+		if want := naiveGrouping(a); fmt.Sprint(members) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: Dedup groups %v, want %v", trial, members, want)
+		}
 		p := NewProblem(a)
 		if got := p.denseUnique(); !sameMatrix(got, unique) {
 			t.Fatalf("trial %d: rebuilt %dx%d matrix differs from Dedup's %dx%d unique matrix",
@@ -192,13 +212,20 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 				}
 			}
 		}
+		// Some entries start at −0 and some steps have α = 0, which the
+		// dense axpy skips: adding 0·G[j][k] would turn −0 into +0.
 		want, got := linalg.NewVector(n), linalg.NewVector(n)
 		for i := range want {
-			want[i] = rng.NormFloat64()
+			if want[i] = rng.NormFloat64(); rng.Intn(4) == 0 {
+				want[i] = math.Copysign(0, -1)
+			}
 			got[i] = want[i]
 		}
 		for _, k := range rng.Perm(n)[:rng.Intn(n+1)] {
 			alpha := -rng.Float64() * 3
+			if rng.Intn(4) == 0 {
+				alpha = 0
+			}
 			linalg.AxpyKernel(alpha, dense.Col(k), want)
 			p.axpyGramCol(alpha, k, got)
 		}
