@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-json bce-check chaos chaos-cluster fuzz loadgen loadgen-router quality experiments examples clean
+.PHONY: all build vet test race cover bench bench-json bce-check chaos chaos-cluster fuzz quality experiments examples clean
 
 all: build vet test
 
@@ -58,24 +58,6 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
 	go test -run '^$$' -fuzz FuzzSparseApportion -fuzztime 30s ./internal/regress/
 
-# Open-loop load harness: zipfian target popularity, tunable read/write mix,
-# in-process server over the synthetic corpora. Records client-side
-# p50/p90/p99 plus the /metrics counter deltas (cache hit rate, shed,
-# encoder bytes) into BENCH_load.json; commit the diff alongside
-# serving-edge changes. `-baseline BENCH_load.json` turns it into the perf
-# gate CI runs.
-loadgen:
-	go run ./cmd/loadgen -rates 50,100,200 -duration 3s -write-ratio 0.05 -out BENCH_load.json
-
-# Router edge-cache comparison: 3 in-process replicas behind the routing
-# tier, a warm/cold probe of the edge fast path (cold proxied solve vs warm
-# byte replay, with the edge hit ratio), then each rate staged through the
-# router and directly against the replicas. Records BENCH_router.json;
-# `-baseline BENCH_router.json` gates routed p99s by (mode, rate) and the
-# warm-hit p99 — the regression gate CI runs on the edge fast path.
-loadgen-router:
-	go run ./cmd/loadgen -cluster 3 -rates 50,100 -duration 3s -write-ratio 0.05 -m 8 -out BENCH_router.json
-
 # Record the hot-path benchmarks into versioned JSON; commit the diff
 # alongside performance changes. BENCH_core.json covers the selection
 # pipeline (core, regress, linalg, store, service); BENCH_service.json
@@ -85,13 +67,10 @@ loadgen-router:
 # BENCH_batch.json isolates the batched executor (group sizes 1/4/16 and the
 # 8-concurrent-distinct workload, batched vs unbatched); BENCH_mutate.json
 # compares the incremental write path against the old whole-epoch flush
-# (append-1-review vs AddCorpus+precompute at n∈{64,256}).
-# BENCH_load.json (via the loadgen target) adds the end-to-end serving-edge
-# curves: client-observed p50/p99 and accelerator counters under zipfian
-# open-loop load at three arrival rates; BENCH_router.json (via
-# loadgen-router) adds the routed-vs-direct comparison and the edge cache's
-# warm/cold split.
-bench-json: loadgen loadgen-router
+# (append-1-review vs AddCorpus+precompute at n∈{64,256}). The end-to-end
+# serving numbers come from perfbench, gated against a parent commit by
+# `go run ./cmd/benchpair <parent-ref>`.
+bench-json:
 	go run ./cmd/bench -out BENCH_core.json
 	go run ./cmd/bench -out BENCH_service.json ./internal/service/
 	go run ./cmd/bench -out BENCH_simgraph.json -benchtime 10x ./internal/simgraph/

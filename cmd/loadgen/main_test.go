@@ -2,9 +2,14 @@ package main
 
 import (
 	"log"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"comparesets/internal/datagen"
+	"comparesets/internal/model"
+	"comparesets/internal/service"
 )
 
 func TestPercentile(t *testing.T) {
@@ -25,115 +30,24 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestParseMetricsAndDelta(t *testing.T) {
-	before, err := parseMetrics(strings.NewReader(`
-# HELP comparesets_cache_hits_total Cache lookups answered from the cache.
-# TYPE comparesets_cache_hits_total counter
-comparesets_cache_hits_total{cache="servecache"} 10
-comparesets_cache_hits_total{cache="stalecache"} 3
-comparesets_encode_bytes_total 100
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := parseMetrics(strings.NewReader(`
-comparesets_cache_hits_total{cache="servecache"} 25
-comparesets_cache_hits_total{cache="stalecache"} 4
-comparesets_encode_bytes_total 900
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := after.delta(before, `comparesets_cache_hits_total{cache="servecache"}`); d != 15 {
-		t.Errorf("labeled delta = %d, want 15", d)
-	}
-	// A bare family name sums across label sets.
-	if d := after.delta(before, "comparesets_cache_hits_total"); d != 16 {
-		t.Errorf("family delta = %d, want 16", d)
-	}
-	if d := after.delta(before, "comparesets_encode_bytes_total"); d != 800 {
-		t.Errorf("bare delta = %d, want 800", d)
-	}
-	if d := after.delta(before, "comparesets_absent_total"); d != 0 {
-		t.Errorf("absent series delta = %d, want 0", d)
-	}
-}
-
-func TestGate(t *testing.T) {
-	dir := t.TempDir()
-	writeBaseline := func(p99 float64) string {
-		path := dir + "/baseline.json"
-		report := Report{Runs: []RateRun{{Rate: 100, P99MS: p99}}}
-		if err := writeReportFile(path, report); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	cur := Report{Runs: []RateRun{{Rate: 100, P99MS: 10}}}
-	if err := gate(writeBaseline(9), cur, 0.25, 2, 250); err != nil {
-		t.Errorf("10ms vs 9ms is within 25%%: %v", err)
-	}
-	if err := gate(writeBaseline(5), cur, 0.25, 2, 250); err == nil {
-		t.Error("10ms vs 5ms should fail the 25% gate")
-	}
-	// Both under the floor: skipped even at a huge relative regression.
-	tiny := Report{Runs: []RateRun{{Rate: 100, P99MS: 1.5}}}
-	if err := gate(writeBaseline(0.1), tiny, 0.25, 2, 250); err != nil {
-		t.Errorf("sub-floor latencies should not gate: %v", err)
-	}
-	// Rates absent from the baseline are ignored.
-	other := Report{Runs: []RateRun{{Rate: 400, P99MS: 50}}}
-	if err := gate(writeBaseline(5), other, 0.25, 2, 250); err != nil {
-		t.Errorf("unmatched rate should not gate: %v", err)
-	}
-	// Stages are keyed by (mode, rate): a "direct" stage never gates against
-	// a "router" baseline at the same rate.
-	modal := Report{Runs: []RateRun{{Mode: "direct", Rate: 100, P99MS: 50}}}
-	if err := gate(writeBaseline(5), modal, 0.25, 2, 250); err != nil {
-		t.Errorf("mismatched mode should not gate: %v", err)
-	}
-}
-
-func TestGateWarmCold(t *testing.T) {
-	dir := t.TempDir()
-	writeWarmBaseline := func(warmP99US float64) string {
-		path := dir + "/baseline.json"
-		report := Report{WarmCold: &WarmCold{WarmP99US: warmP99US}}
-		if err := writeReportFile(path, report); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	cur := Report{WarmCold: &WarmCold{WarmP99US: 1000}}
-	if err := gate(writeWarmBaseline(900), cur, 0.25, 2, 250); err != nil {
-		t.Errorf("1000µs vs 900µs warm p99 is within 25%%: %v", err)
-	}
-	if err := gate(writeWarmBaseline(500), cur, 0.25, 2, 250); err == nil {
-		t.Error("1000µs vs 500µs warm p99 should fail the 25% gate")
-	}
-	// Both under the microsecond floor: timer noise, skipped.
-	fast := Report{WarmCold: &WarmCold{WarmP99US: 200}}
-	if err := gate(writeWarmBaseline(50), fast, 0.25, 2, 250); err != nil {
-		t.Errorf("sub-floor warm latencies should not gate: %v", err)
-	}
-	// A baseline without a probe does not gate the warm path.
-	if err := gate(writeWarmBaseline(0), cur, 0.25, 2, 250); err != nil {
-		t.Errorf("absent warm baseline should not gate: %v", err)
-	}
-}
-
 // TestLoadgenSmoke runs the generator end to end against an in-process
-// server: discovery, a short mixed read/write stage, and the metrics diff.
+// worker: discovery, then a short mixed read/write stage.
 func TestLoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a full in-process server")
 	}
-	logger := log.New(testWriter{t}, "loadgen: ", 0)
-	ts, err := selfServe(1, 0, logger)
-	if err != nil {
-		t.Fatal(err)
+	corpora := map[string]*model.Corpus{}
+	for _, cfg := range datagen.DefaultConfigs(1) {
+		c, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpora[c.Category] = c
 	}
+	logger := log.New(testWriter{t}, "worker: ", 0)
+	ts := httptest.NewServer(service.New(corpora, logger).Handler())
 	defer ts.Close()
+
 	targets, err := discoverTargets(ts.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +55,7 @@ func TestLoadgenSmoke(t *testing.T) {
 	if len(targets) == 0 {
 		t.Fatal("no targets discovered")
 	}
-	run, err := runStage([]string{ts.URL}, targets, 40, 500*time.Millisecond, 0.2, 1.2, 1, 3, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runStage(ts.URL, targets, 40, 500*time.Millisecond, 0.2)
 	if run.Sent == 0 || run.OK == 0 {
 		t.Fatalf("stage did no work: %+v", run)
 	}
@@ -153,9 +64,6 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 	if run.P99MS <= 0 || run.P50MS > run.P99MS {
 		t.Fatalf("implausible percentiles: %+v", run)
-	}
-	if run.EncodeByte == 0 {
-		t.Fatalf("hand encoder produced no bytes: %+v", run)
 	}
 }
 

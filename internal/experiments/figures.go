@@ -10,6 +10,7 @@ import (
 	"comparesets/internal/core"
 	"comparesets/internal/linalg"
 	"comparesets/internal/model"
+	"comparesets/internal/obs"
 	"comparesets/internal/rouge"
 	"comparesets/internal/stats"
 )
@@ -182,6 +183,10 @@ type RuntimePoint struct {
 	M         int
 	NumItems  int
 	Mean      time.Duration
+	// Solves is the number of Integer-Regression solves (NOMP paths) the
+	// algorithm ran over the point's instances: the work count behind the
+	// runtime, which does not depend on machine load.
+	Solves uint64
 }
 
 // Figure7Result is the runtime-vs-number-of-items analysis on
@@ -194,6 +199,8 @@ type Figure7Result struct {
 // Figure7 measures average selection runtime on instances widened to n
 // comparative items, for each algorithm and m. Instances are widened by
 // borrowing additional corpus items, mirroring longer also-bought lists.
+// Solves are counted from the process-wide NOMP stage histogram, so they
+// are exact only while no other selection runs in the process.
 func Figure7(w *Workload, ds int, ns, ms []int, perPoint int) (Figure7Result, error) {
 	res := Figure7Result{Dataset: w.Corpora[ds].Category}
 	algs := []core.Selector{core.CRS{}, core.CompaReSetS{}, core.CompaReSetSPlus{}, core.Greedy{}}
@@ -204,6 +211,8 @@ func Figure7(w *Workload, ds int, ns, ms []int, perPoint int) (Figure7Result, er
 				cfg := Config(m)
 				var total time.Duration
 				var count int
+				nomp := obs.StageHistogram(obs.StageNOMP)
+				solves := nomp.Count()
 				for _, inst := range insts {
 					start := time.Now()
 					if _, err := alg.Select(inst, cfg); err != nil {
@@ -217,7 +226,7 @@ func Figure7(w *Workload, ds int, ns, ms []int, perPoint int) (Figure7Result, er
 				}
 				res.Points = append(res.Points, RuntimePoint{
 					Algorithm: alg.Name(), M: m, NumItems: n,
-					Mean: total / time.Duration(count),
+					Mean: total / time.Duration(count), Solves: nomp.Count() - solves,
 				})
 			}
 		}
@@ -258,9 +267,9 @@ func widenedInstances(w *Workload, ds, n, count int) []*model.Instance {
 // Render renders mean runtimes grouped by algorithm and m.
 func (r Figure7Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s: mean runtime per instance (seconds)\n", r.Dataset)
-	fmt.Fprintf(w, "%-20s %3s %4s %12s\n", "Algorithm", "m", "n", "runtime")
+	fmt.Fprintf(w, "%-20s %3s %4s %12s %8s\n", "Algorithm", "m", "n", "runtime", "solves")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%-20s %3d %4d %12.6f\n", p.Algorithm, p.M, p.NumItems, p.Mean.Seconds())
+		fmt.Fprintf(w, "%-20s %3d %4d %12.6f %8d\n", p.Algorithm, p.M, p.NumItems, p.Mean.Seconds(), p.Solves)
 	}
 }
 

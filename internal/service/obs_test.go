@@ -60,6 +60,27 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestEncodeBytesCounterRisesOnColdSelect checks the encoder-bytes counter
+// accounts for a cold select's response: the payload is encoded once, at
+// fill time, so the counter must rise by at least the body served.
+func TestEncodeBytesCounterRisesOnColdSelect(t *testing.T) {
+	s, ts := testServer(t)
+	s.mu.RLock()
+	targets := dataset.TargetIDs(s.corpora["Cellphone"])
+	s.mu.RUnlock()
+
+	const series = "comparesets_encode_bytes_total"
+	before := metricValue(t, ts, series)
+	req := SelectRequest{Category: "Cellphone", Target: targets[0], M: 4, Lambda: 0.7, Mu: 0.3}
+	resp, body := post(t, ts.URL+"/api/v1/select", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("select: status %d body %s", resp.StatusCode, body)
+	}
+	if got := metricValue(t, ts, series) - before; got < float64(len(body)) {
+		t.Errorf("%s rose by %v on a cold select, want >= %d (the response body)", series, got, len(body))
+	}
+}
+
 // heavyInstanceRequest builds an inline instance big enough that its
 // selection cannot finish within 1 ms: every review carries a distinct
 // mention pattern so no columns collapse in the regression.

@@ -730,8 +730,9 @@ func degradeBody(body []byte) []byte {
 // selection, response assembly, optional summaries/explanations/metrics,
 // and the optional shortlist solve. fs supplies corpus-resident features
 // (nil for inline instances); solver is non-nil exactly when req.K > 0;
-// problems is the batch group's shared problem cache (nil outside batched
-// execution).
+// problems is the corpus's shared ProblemCache on every path — cached,
+// batched and direct — and nil for inline instances, whose request-scoped
+// items must not be pinned in a cache.
 func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, fs *featstore.Store, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
 	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Float32: s.float32, Problems: problems}
 	if fs != nil {

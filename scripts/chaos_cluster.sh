@@ -84,7 +84,7 @@ echo "chaos-cluster: router + 3 workers ready on ports $BASE_PORT-$((BASE_PORT +
 
 "$workdir/loadgen" -addr "http://127.0.0.1:$BASE_PORT" \
     -rates "$RATES" -duration "$DURATION" -write-ratio "$WRITE_RATIO" \
-    -min-availability "$MIN_AVAIL" -out "$workdir/chaos_load.json" \
+    -min-availability "$MIN_AVAIL" \
     >"$workdir/loadgen.log" 2>&1 &
 load_pid=$!
 pids="$pids $load_pid"
