@@ -20,7 +20,7 @@
 // response without any upstream exchange, a miss is a plain forward, and
 // mutation receipts (or any divergence/rejoin event) invalidate the
 // affected category's entries.
-// -edge-cache-bytes sizes it; -edge-cache-disabled turns the fast path off.
+// -edge-cache-bytes sizes it.
 //
 // Operational routes: GET /healthz, GET /readyz (cluster view: per-backend
 // health + breaker state, retry budget, unroutable categories), GET
@@ -59,7 +59,6 @@ func main() {
 		retryTokens    = flag.Float64("retry-tokens", 10, "retry budget bucket capacity")
 		retryRatio     = flag.Float64("retry-ratio", 0.1, "retry budget deposited per successful request")
 		edgeBytes      = flag.Int64("edge-cache-bytes", cluster.DefaultEdgeCacheBytes, "edge response cache budget in bytes")
-		edgeDisabled   = flag.Bool("edge-cache-disabled", false, "disable the edge response cache")
 		idleConns      = flag.Int("upstream-idle-conns", 0, "pooled idle connections kept per backend (0 = default 32)")
 		drain          = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	)
@@ -90,7 +89,6 @@ func main() {
 		},
 		RetryBudget:       cluster.RetryBudgetConfig{Tokens: *retryTokens, Ratio: *retryRatio},
 		EdgeCacheBytes:    *edgeBytes,
-		EdgeCacheDisabled: *edgeDisabled,
 		UpstreamIdleConns: *idleConns,
 		Logger:            logger,
 	})

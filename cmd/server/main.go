@@ -16,11 +16,11 @@
 //
 // Select responses for named corpora are cached in a sharded LRU
 // (-cache-bytes budget, default 64 MiB) and identical concurrent requests
-// are coalesced into one pipeline execution; -cache-disabled turns both
-// layers off. -batch-window additionally groups concurrent merely-similar
-// cold requests (same corpus and selection shape, different targets) into
-// one shared execution, sealed early at -batch-max members; -float32
-// serves from compact float32 feature slabs.
+// are coalesced into one pipeline execution. -batch-window additionally
+// groups concurrent merely-similar cold requests (same corpus and
+// selection shape, different targets) into one shared execution, sealed
+// early at -batch-max members; -float32 serves from compact float32
+// feature slabs.
 //
 // -max-inflight bounds concurrently executing select requests; excess
 // requests queue briefly and are shed with 503 + Retry-After once the
@@ -70,7 +70,6 @@ func main() {
 		synthetic     = flag.Bool("synthetic", false, "synthesize the three default corpora at startup")
 		seed          = flag.Int64("seed", 1, "synthesis seed")
 		cacheBytes    = flag.Int64("cache-bytes", service.DefaultCacheBytes, "selection result cache budget in bytes")
-		cacheDisabled = flag.Bool("cache-disabled", false, "disable the selection result cache and request coalescing")
 		maxInflight   = flag.Int("max-inflight", 0, "bound on concurrently executing select requests (0 = unlimited)")
 		maxQueue      = flag.Int("max-queue", 0, "admission queue bound (0 = 4×max-inflight, negative = no queue)")
 		storePath     = flag.String("store", "", "append-only review store log to open (health feeds /readyz)")
@@ -104,13 +103,12 @@ func main() {
 	}
 
 	opts := service.Options{
-		CacheBytes:    *cacheBytes,
-		CacheDisabled: *cacheDisabled,
-		MaxInflight:   *maxInflight,
-		MaxQueue:      *maxQueue,
-		BatchWindow:   *batchWindow,
-		BatchMax:      *batchMax,
-		Float32:       *float32Mode,
+		CacheBytes:  *cacheBytes,
+		MaxInflight: *maxInflight,
+		MaxQueue:    *maxQueue,
+		BatchWindow: *batchWindow,
+		BatchMax:    *batchMax,
+		Float32:     *float32Mode,
 	}
 	var st *store.Store
 	if *storePath != "" {

@@ -150,8 +150,12 @@ func TestClusterSurvivesReplicaKillMidLoad(t *testing.T) {
 	kill := func() {
 		killOnce.Do(func() {
 			t.Log("chaos: killing worker 0")
-			workerTS[0].CloseClientConnections()
+			// A killed process serves nothing more: no connection, not even
+			// one accepted while the listener closes, may outlive its
+			// current request and keep answering health probes.
+			workerTS[0].Config.SetKeepAlivesEnabled(false)
 			workerTS[0].Listener.Close()
+			workerTS[0].CloseClientConnections()
 		})
 	}
 
@@ -279,9 +283,9 @@ func TestClusterSurvivesReplicaKillMidLoad(t *testing.T) {
 // retries with at least 99% of requests still succeeding. The router gets a
 // deep retry budget and a patient breaker so faults burn retries, not
 // candidates; with MaxRetries 3 a request fails only when four independent
-// 15%-probability draws all fire (~5 in ten thousand). The edge cache is
-// off so every request is forwarded and draws. Gated on FAULTINJECT so
-// plain `go test ./...` stays fault-free.
+// 15%-probability draws all fire (~5 in ten thousand). The workers name no
+// instance, so the edge memoizes nothing and every request is forwarded and
+// draws. Gated on FAULTINJECT so plain `go test ./...` stays fault-free.
 func TestRouterMasksInjectedForwardFaults(t *testing.T) {
 	if !faultinject.EnvEnabled() {
 		t.Skip("set FAULTINJECT=1 to run chaos tests")
@@ -289,11 +293,11 @@ func TestRouterMasksInjectedForwardFaults(t *testing.T) {
 	defer faultinject.Reset()
 
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t), newMockWorker(t)}
+	proxyEveryRead(workers)
 	rt, ts, _ := newTestRouter(t, workers, func(o *RouterOptions) {
 		o.MaxRetries = 3
 		o.RetryBudget = RetryBudgetConfig{Tokens: 100, Ratio: 1}
 		o.Breaker = BreakerConfig{ConsecutiveFailures: 1000}
-		o.EdgeCacheDisabled = true
 	})
 
 	faultinject.Seed(faultinject.CurrentSeed())

@@ -12,12 +12,16 @@ import (
 
 // benchRouter builds a quiet router over one mock-grade backend for
 // handler-level benchmarks (no test logging, no health-transition noise).
-func benchRouter(b *testing.B, edgeDisabled bool) (*Router, http.Handler, *httptest.Server) {
+// A backend that names no instance is never memoized, so every read is
+// proxied.
+func benchRouter(b *testing.B, namesInstance bool) (*Router, http.Handler, *httptest.Server) {
 	b.Helper()
 	mux := http.NewServeMux()
 	payload := []byte(`{"selection":{"comparative":["c-1","c-2"],"unique":["u-1"]},"objective":3.217,"elapsed_ms":12}`)
 	mux.HandleFunc("POST /api/v1/select", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set(selectreq.InstanceHeader, "cam-1,cam-2")
+		if namesInstance {
+			rw.Header().Set(selectreq.InstanceHeader, "cam-1,cam-2")
+		}
 		rw.Header().Set("Content-Type", "application/json")
 		rw.Write(payload)
 	})
@@ -27,9 +31,8 @@ func benchRouter(b *testing.B, edgeDisabled bool) (*Router, http.Handler, *httpt
 	backend := httptest.NewServer(mux)
 	b.Cleanup(backend.Close)
 	rt, err := NewRouter(RouterOptions{
-		Backends:          []string{backend.URL},
-		HealthInterval:    time.Hour, // no poller noise during timing
-		EdgeCacheDisabled: edgeDisabled,
+		Backends:       []string{backend.URL},
+		HealthInterval: time.Hour, // no poller noise during timing
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +53,7 @@ func benchSelectOnce(b *testing.B, h http.Handler) int {
 // BenchmarkRouterEdgeWarmHit measures the edge fast path: a warm read
 // answered entirely at the router, no upstream exchange.
 func BenchmarkRouterEdgeWarmHit(b *testing.B) {
-	_, h, _ := benchRouter(b, false)
+	_, h, _ := benchRouter(b, true)
 	if code := benchSelectOnce(b, h); code != http.StatusOK {
 		b.Fatalf("warm-up status %d", code)
 	}
@@ -63,11 +66,12 @@ func BenchmarkRouterEdgeWarmHit(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterColdProxied measures the same request with the edge
-// disabled: every read pays the full proxied upstream round trip. The gap
-// to BenchmarkRouterEdgeWarmHit is the fast path's win.
+// BenchmarkRouterColdProxied measures the same request against a backend
+// whose answers the edge never memoizes: every read pays the full proxied
+// upstream round trip. The gap to BenchmarkRouterEdgeWarmHit is the fast
+// path's win.
 func BenchmarkRouterColdProxied(b *testing.B) {
-	_, h, _ := benchRouter(b, true)
+	_, h, _ := benchRouter(b, false)
 	if code := benchSelectOnce(b, h); code != http.StatusOK {
 		b.Fatalf("warm-up status %d", code)
 	}

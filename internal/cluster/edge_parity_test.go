@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"comparesets/internal/faultinject"
 	"comparesets/internal/obs"
+	"comparesets/internal/service"
 )
 
 // TestRouterEdgeWarmHitByteParityAgainstRealWorkers proves the edge cache's
@@ -115,14 +117,29 @@ func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-corpus cluster test")
 	}
-	const seed = 42
-	svc, w1 := newWorker(t, seed)
-	defer w1.Close()
-	_, w2 := newWorker(t, seed)
-	defer w2.Close()
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	const concurrency = 8
+	// One replica behind the router pins where the reads land: a read can
+	// never reach a replica whose flight group and cache the others missed.
+	svc := service.NewWithOptions(defaultCorpora(42)(), testLogger(t), service.Options{})
+	// The pipeline's one execution is held until every read has been
+	// admitted at the worker: on that event, not on a fixed latency. A read
+	// admitted while the flight runs joins it; one that reaches the cache
+	// after the flight's fill is a hit.
+	admitted := make(chan struct{})
+	var arrivals atomic.Int32
+	h := svc.Handler()
+	w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/select" && arrivals.Add(1) == concurrency {
+			close(admitted)
+		}
+		h.ServeHTTP(rw, r)
+	}))
+	defer w.Close()
 
 	rt, err := NewRouter(RouterOptions{
-		Backends:       []string{w1.URL, w2.URL},
+		Backends:       []string{w.URL},
 		HealthInterval: 50 * time.Millisecond,
 		Logger:         testLogger(t),
 	})
@@ -142,18 +159,15 @@ func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	}
 	body := selectBody(cat, targets[0])
 
-	// Both workers record into the process-wide registry, so the counter
-	// sums executions over the replicas.
 	executions := obs.NewCacheMetrics(svc.Registry(), "selectflight").Executions
 	before := executions.Value()
-	// Hold the one pipeline execution long enough for every read to reach
-	// the worker while it runs.
-	defer faultinject.Reset()
+	fired := faultinject.Fires(faultinject.PointServiceSelect)
+	// Latency only bounds the hold, so a read that never arrives fails the
+	// test instead of hanging it.
 	faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{
-		Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond, Remaining: 1,
+		Mode: faultinject.ModeLatency, Latency: 5 * time.Second, Release: admitted, Remaining: 1,
 	})
 
-	const concurrency = 8
 	bodies := make([][]byte, concurrency)
 	var wg sync.WaitGroup
 	for i := 0; i < concurrency; i++ {
@@ -169,6 +183,14 @@ func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	}
 	wg.Wait()
 
+	select {
+	case <-admitted:
+	default:
+		t.Fatalf("only %d of %d reads reached the worker", arrivals.Load(), concurrency)
+	}
+	if got := faultinject.Fires(faultinject.PointServiceSelect) - fired; got != 1 {
+		t.Errorf("held executions = %d, want 1", got)
+	}
 	for i := 1; i < concurrency; i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("concurrent cold reads saw different bytes:\n%s\n%s", bodies[0], bodies[i])

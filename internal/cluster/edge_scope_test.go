@@ -432,7 +432,7 @@ func TestRouterEdgeInstanceHeaderRoundTrip(t *testing.T) {
 
 // TestRouterEdgeNeverMemoizesNonCanonicalAnswers: answers a real worker
 // serves without the instance header — a stale-while-error serve and an
-// exact shortlist shed for lack of deadline headroom — pass through the edge
+// exact shortlist shed under admission pressure — pass through the edge
 // verbatim but are never memoized, so each repeat read is proxied again and
 // the edge never reports a hit.
 func TestRouterEdgeNeverMemoizesNonCanonicalAnswers(t *testing.T) {
@@ -445,9 +445,14 @@ func TestRouterEdgeNeverMemoizesNonCanonicalAnswers(t *testing.T) {
 
 	// readTwice routes body twice through a router over svc alone. Both
 	// answers must carry marker, each must reach the worker (as counted by
-	// the worker-side series), and the edge must never hit.
-	readTwice := func(t *testing.T, svc *service.Server, body, marker, series string, labels obs.Labels) {
+	// the worker-side series), and the edge must never hit. contend, when
+	// set, runs each read, given the worker's URL.
+	readTwice := func(t *testing.T, svc *service.Server, body, marker, series string, labels obs.Labels,
+		contend func(t *testing.T, workerURL string, read func() (int, []byte, error)) (int, []byte, error)) {
 		t.Helper()
+		if contend == nil {
+			contend = func(_ *testing.T, _ string, read func() (int, []byte, error)) (int, []byte, error) { return read() }
+		}
 		w := httptest.NewServer(svc.Handler())
 		defer w.Close()
 		rt, err := NewRouter(RouterOptions{Backends: []string{w.URL}, Logger: testLogger(t)})
@@ -459,7 +464,9 @@ func TestRouterEdgeNeverMemoizesNonCanonicalAnswers(t *testing.T) {
 		served := func() uint64 { return svc.Registry().Counter(series, "", labels).Value() }
 		before := served()
 		for i := 0; i < 2; i++ {
-			status, out, err := post(client, routerTS.URL+"/api/v1/select", body)
+			status, out, err := contend(t, w.URL, func() (int, []byte, error) {
+				return post(client, routerTS.URL+"/api/v1/select", body)
+			})
 			if err != nil || status != http.StatusOK {
 				t.Fatalf("read %d: status %d err %v body %s", i, status, err, out)
 			}
@@ -498,18 +505,60 @@ func TestRouterEdgeNeverMemoizesNonCanonicalAnswers(t *testing.T) {
 		faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{Mode: faultinject.ModeError})
 		defer faultinject.Reset()
 		readTwice(t, svc, body, `"degraded":true`,
-			"comparesets_degraded_responses_total", obs.Labels{"reason": "stale_cache"})
+			"comparesets_degraded_responses_total", obs.Labels{"reason": "stale_cache"}, nil)
 	})
 
 	t.Run("shed exact", func(t *testing.T) {
-		// Less deadline headroom than an exact solve needs: the worker
-		// answers greedy, flagged optimal:false. The deadline binds on the
-		// worker's uncoalesced path, which the header rule covers too.
-		svc := service.NewWithOptions(corpora(), testLogger(t), service.Options{CacheDisabled: true})
+		// The worker's one admission slot is contended: each read is held
+		// in the pipeline until another select waits in the admission
+		// queue, so its exact shortlist sees overload and the worker
+		// answers greedy, flagged optimal:false.
+		svc := service.NewWithOptions(corpora(), testLogger(t), service.Options{MaxInflight: 1})
 		cat, tgt := firstTarget(svc)
-		body := fmt.Sprintf(`{"category":%q,"target":%q,"m":3,"lambda":1,"mu":1,"k":3,"method":"exact","timeout_ms":45}`, cat, tgt)
+		body := fmt.Sprintf(`{"category":%q,"target":%q,"m":3,"lambda":1,"mu":1,"k":3,"method":"exact"}`, cat, tgt)
+		queued := svc.Registry().Gauge("comparesets_admission_queue_depth", "", nil)
+		waitFor := func(t *testing.T, what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for %s", what)
+				}
+			}
+		}
+		contend := func(t *testing.T, workerURL string, read func() (int, []byte, error)) (int, []byte, error) {
+			release := make(chan struct{})
+			fired := faultinject.Fires(faultinject.PointServiceSelect)
+			faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{
+				Mode: faultinject.ModeLatency, Latency: 5 * time.Second, Release: release, Remaining: 1,
+			})
+			var status int
+			var out []byte
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				status, out, err = read()
+			}()
+			waitFor(t, "the read to hold the admission slot", func() bool {
+				return faultinject.Fires(faultinject.PointServiceSelect) > fired
+			})
+			// A select sent to the worker directly, so the edge cannot
+			// answer it: it waits in the queue until the read is done. Its
+			// own answer is not under test.
+			base := queued.Value()
+			waiter := make(chan struct{})
+			go func() {
+				defer close(waiter)
+				post(client, workerURL+"/api/v1/select", selectBody(cat, tgt))
+			}()
+			waitFor(t, "a select to queue", func() bool { return queued.Value() > base })
+			close(release)
+			<-done
+			<-waiter
+			return status, out, err
+		}
 		readTwice(t, svc, body, `"optimal":false`,
-			"comparesets_shortlist_fallback_total", obs.Labels{"reason": "deadline"})
+			"comparesets_shortlist_fallback_total", obs.Labels{"reason": "overload"}, contend)
 	})
 }
 

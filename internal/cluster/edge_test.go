@@ -169,10 +169,14 @@ func (p edgeProbe) sel(category, target string) *edgeSelect {
 	return &edgeSelect{key: "canon|" + category + "|" + target, category: category, target: target}
 }
 
-// key returns the read's cache key, or "" while its membership is unknown.
+// key returns the read's cache identity, its key and state token, or ""
+// while its membership is unknown.
 func (p edgeProbe) key(s *edgeSelect) string {
-	key, _ := p.e.lookup(s)
-	return key
+	token, _ := p.e.lookup(s)
+	if token == "" {
+		return ""
+	}
+	return s.key + "@" + token
 }
 
 // fill snapshots a read and completes it with the given instance header.
@@ -221,6 +225,14 @@ func TestEdgeCategoryStateTokens(t *testing.T) {
 	a1 := p.key(a)
 	if a1 == a0 {
 		t.Error("receipt for a member did not move its instance's token")
+	}
+	if p.hit(a) {
+		t.Error("an answer filled under the old token was served under the new one")
+	}
+	// The refill under the new token replaces the old entry.
+	p.fill(a, "cam-1,cam-2")
+	if !p.hit(a) || p.e.cache.Len() != 2 {
+		t.Errorf("after the refill: hit %v, %d entries, want a hit and 2", p.hit(a), p.e.cache.Len())
 	}
 	if p.key(b) != b0 || !p.hit(b) {
 		t.Error("receipt for a non-member moved the token")

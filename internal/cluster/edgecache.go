@@ -10,24 +10,24 @@
 // spending an upstream exchange or a retry token.
 //
 // Keying mirrors the worker's own servecache discipline (instanceEpoch):
-// the canonical select-request key (selectreq.Key, the one both tiers use)
-// is suffixed with a per-instance state token, an FNV hash of the
-// reconciled epoch fingerprint, a conservative-flush counter, and the
-// mutation generation of each instance member that has one. The worker
-// sends the Comparesets-Instance header only on canonical answers, so the
-// header is the edge's one cacheability rule: an answer without it
-// (degraded, shed, or from an older worker) is served but never memoized.
-// The edge learns an instance's members from that header and memoizes them
-// per (target, max_comparative); a
-// mutation cannot change membership, because it can only touch reviews of
-// items that already exist. A receipt for item X therefore changes the key
-// of exactly the entries whose instance contains X: invalidation is a key
-// change, stale entries become unreachable instantly and age out of the
-// LRU, and selections for every other target stay warm. Anything that
-// muddies the router's view of a category (an unparseable receipt, a
-// multi-item mutation, a failed fan-out that may have partially applied, a
-// replica draining from or rejoining reads, a new corpus fingerprint)
-// bumps the flush counter and drops the membership memo: conservative,
+// entries are keyed by the canonical select-request key (selectreq.Key,
+// the one both tiers use) and tagged with a per-instance state token, an
+// FNV hash of the reconciled epoch fingerprint, a conservative-flush
+// counter, and the mutation generation of each instance member that has
+// one. The worker sends the Comparesets-Instance header only on canonical
+// answers, so the header is the edge's one cacheability rule: an answer
+// without it (degraded, shed, or from an older worker) is served but never
+// memoized. The edge learns an instance's members from that header and
+// memoizes them per (target, max_comparative); a mutation cannot change
+// membership, because it can only touch reviews of items that already
+// exist. A receipt for item X therefore changes the tag of exactly the
+// entries whose instance contains X: invalidation is a tag change, stale
+// entries stop answering instantly and are replaced by the next fill, and
+// selections for every other target stay warm. Anything that muddies the
+// router's view of a category (an unparseable receipt, a multi-item
+// mutation, a failed fan-out that may have partially applied, a replica
+// draining from or rejoining reads, a new corpus fingerprint) bumps the
+// flush counter and drops the membership memo: conservative,
 // category-wide, and cheap.
 //
 // A miss is a plain forward; the edge does not coalesce. Identical
@@ -220,31 +220,32 @@ func newEdgeCache(budget int64, reg *obs.Registry) *edgeCache {
 	return e
 }
 
-// lookup snapshots the edge state for one read: its cache key, "" while
-// the instance membership is unknown, and the category's write sequence,
-// which decides whether the read's answer may later be filled.
-func (e *edgeCache) lookup(sel *edgeSelect) (key string, seq uint64) {
+// lookup snapshots the edge state for one read: its instance's state
+// token, "" while the instance membership is unknown, and the category's
+// write sequence, which decides whether the read's answer may later be
+// filled.
+func (e *edgeCache) lookup(sel *edgeSelect) (token string, seq uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st := e.cats[sel.category]; st != nil {
 		seq = st.seq
 		if in := st.instances[edgeInstanceKey{sel.target, sel.maxComparative}]; in != nil {
-			key = sel.key + "|st=" + st.token(in)
+			token = st.token(in)
 		}
 	}
-	return key, seq
+	return token, seq
 }
 
 // get answers a read from the cache when its instance membership is known
-// and an entry exists under the current token; an unknown membership
+// and the key's entry carries the current token; an unknown membership
 // counts as a miss. seq is the read's snapshot for fill.
 func (e *edgeCache) get(sel *edgeSelect) (payload []byte, seq uint64, ok bool) {
-	key, seq := e.lookup(sel)
-	if key == "" {
+	token, seq := e.lookup(sel)
+	if token == "" {
 		e.misses.Inc()
 		return nil, seq, false
 	}
-	payload, ok = e.cache.Get(key)
+	payload, ok = e.cache.Get(sel.key, token)
 	return payload, seq, ok
 }
 
@@ -280,9 +281,9 @@ func (e *edgeCache) fill(sel *edgeSelect, seq uint64, instance string, payload [
 			return
 		}
 	}
-	key := sel.key + "|st=" + st.token(in)
+	token := st.token(in)
 	e.mu.Unlock()
-	e.cache.Put(key, payload)
+	e.cache.Put(sel.key, token, payload)
 }
 
 // state returns the category's state slot, creating it if needed. Caller
@@ -350,8 +351,8 @@ func (e *edgeCache) applyReceipt(category string, receipt []byte) {
 }
 
 // flush conservatively invalidates the category's whole edge lineage: the
-// flush counter is folded into every token, so every existing key of the
-// category becomes unreachable at once.
+// flush counter is folded into every token, so no existing entry of the
+// category answers a lookup again.
 func (e *edgeCache) flush(category string) {
 	e.mu.Lock()
 	st := e.state(category)

@@ -84,9 +84,6 @@ type RouterOptions struct {
 	// EdgeCacheBytes is the edge response-cache budget (default
 	// DefaultEdgeCacheBytes).
 	EdgeCacheBytes int64
-	// EdgeCacheDisabled turns the edge response cache off; every read
-	// takes the plain proxied path.
-	EdgeCacheDisabled bool
 	// Registry receives router metrics (default obs.NewRegistry(), so
 	// in-process tests don't collide with worker registries).
 	Registry *obs.Registry
@@ -156,7 +153,7 @@ type Router struct {
 	backoff  BackoffConfig
 	reg      *obs.Registry
 	logger   *log.Logger
-	edge     *edgeCache // nil when EdgeCacheDisabled
+	edge     *edgeCache
 
 	// Per-request counters, resolved once per route and (backend, outcome).
 	routes   *obs.CounterSet[string]
@@ -186,6 +183,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		reg:       opts.Registry,
 		logger:    opts.Logger,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
+		edge:      newEdgeCache(opts.EdgeCacheBytes, opts.Registry),
 		catLocks:  map[string]*sync.Mutex{},
 		divergent: map[string]bool{},
 	}
@@ -195,9 +193,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt.forwards = obs.NewCounterSet(rt.reg, "comparesets_router_forward_total",
 		"Forward attempts per backend by outcome.",
 		func(k forwardKey) obs.Labels { return obs.Labels{"backend": k.addr, "outcome": k.outcome} })
-	if !opts.EdgeCacheDisabled {
-		rt.edge = newEdgeCache(opts.EdgeCacheBytes, rt.reg)
-	}
 	for _, addr := range opts.Backends {
 		b := NewBreaker(opts.Breaker)
 		addr := addr
@@ -303,9 +298,7 @@ func (rt *Router) markDivergent(addr, category, why string) {
 		// A replica just proved the category's replica set is not in one
 		// state; whatever the edge memoized for it is no longer provably
 		// current.
-		if rt.edge != nil {
-			rt.edge.flush(category)
-		}
+		rt.edge.flush(category)
 	}
 }
 
@@ -327,9 +320,7 @@ func (rt *Router) clearDivergent(addr, category string) {
 		rt.logger.Printf("router: replica %s reconverged for %q; readmitted to reads", addr, category)
 		// The readmitted replica changes who answers reads; flush so the
 		// first post-rejoin serves are proxied rather than replayed.
-		if rt.edge != nil {
-			rt.edge.flush(category)
-		}
+		rt.edge.flush(category)
 	}
 }
 
@@ -490,7 +481,7 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
 		return
 	}
-	if rt.edge != nil && r.URL.Path == "/api/v1/select" {
+	if r.URL.Path == "/api/v1/select" {
 		if sel, ok := edgeSelectKey(body); ok {
 			rt.serveEdge(w, r, &sel, body)
 			return
@@ -800,9 +791,7 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 		}
 		// Some replica may have partially applied the write before failing;
 		// the edge cannot tell, so the whole category is flushed.
-		if rt.edge != nil {
-			rt.edge.flush(category)
-		}
+		rt.edge.flush(category)
 		writeErr(w, http.StatusBadGateway, "internal", "mutation failed on all replicas of "+category)
 		return
 	}
@@ -849,9 +838,7 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 	// Advance the edge cache's view of the category before the client sees
 	// the mutation's receipt — still inside the category lock, so a read
 	// admitted after this response can never replay pre-mutation bytes.
-	if rt.edge != nil {
-		rt.edge.applyReceipt(category, ref.resp.body)
-	}
+	rt.edge.applyReceipt(category, ref.resp.body)
 	rt.countMutation(outcome)
 	rt.writeFwd(w, ref.resp)
 }

@@ -108,6 +108,14 @@ func newMockWorker(t *testing.T) *mockWorker {
 	return w
 }
 
+// proxyEveryRead makes the workers answer without the instance header, so
+// the edge memoizes nothing and every read takes the proxied path.
+func proxyEveryRead(workers []*mockWorker) {
+	for _, w := range workers {
+		w.noInstance.Store(true)
+	}
+}
+
 func (w *mockWorker) stats() (selects, mutates int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -204,11 +212,11 @@ func (w logWriter) Write(p []byte) (int, error) {
 
 func TestRouterRetriesPastFailingPrimary(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	// Edge cache off: this test needs every select to reach the proxied
-	// path so the failing primary keeps accumulating breaker strikes.
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.EdgeCacheDisabled = true
-	})
+	// No memoized answers: this test needs every select to reach the
+	// proxied path so the failing primary keeps accumulating breaker
+	// strikes.
+	proxyEveryRead(workers)
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 
 	// Make the category's primary the failing replica so the first attempt
 	// always needs a retry.
@@ -342,11 +350,10 @@ func TestRouterSlowPrimaryIsNotDuplicated(t *testing.T) {
 
 func TestRouterMutationFanoutMarksDivergentAndDrains(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t), newMockWorker(t)}
-	// Edge cache off so all ten post-divergence selects are proxied and the
-	// drain assertion sees real routing decisions, not warm hits.
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.EdgeCacheDisabled = true
-	})
+	// No memoized answers, so all ten post-divergence selects are proxied
+	// and the drain assertion sees real routing decisions, not warm hits.
+	proxyEveryRead(workers)
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 	placement := rt.Ring().Placement("Cameras")
 	bad := byAddr[placement[1]]
 	bad.failMutate.Store(true)
@@ -474,10 +481,9 @@ func requireAllow(t *testing.T, b *Breaker) {
 // refuses forever and the primary never rejoins rotation.
 func TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		// Edge cache off: every select must reach the proxied path.
-		o.EdgeCacheDisabled = true
-	})
+	// No memoized answers: every select must reach the proxied path.
+	proxyEveryRead(workers)
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 	primary := rt.Ring().Placement("Cameras")[0]
 	pw := byAddr[primary]
 	tripHalfOpen(t, rt, ts, pw, primary)
@@ -498,9 +504,8 @@ func TestRouterAbandonedProbeDoesNotWedgeHalfOpenBreaker(t *testing.T) {
 // no verdict on the backend, so the probe slot must be released.
 func TestRouterConnDropReleasesHalfOpenProbe(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.EdgeCacheDisabled = true
-	})
+	proxyEveryRead(workers)
+	rt, ts, byAddr := newTestRouter(t, workers, nil)
 	primary := rt.Ring().Placement("Cameras")[0]
 	tripHalfOpen(t, rt, ts, byAddr[primary], primary)
 

@@ -7,7 +7,8 @@
 // A Fault armed at a point fires in one of four modes:
 //
 //   - ModeError:    Check returns an error wrapping ErrInjected
-//   - ModeLatency:  Check sleeps for Fault.Latency, then returns nil
+//   - ModeLatency:  Check sleeps for Fault.Latency (or until Fault.Release
+//     is closed), then returns nil
 //   - ModePanic:    Check panics with Fault.PanicValue
 //   - ModeConnDrop: Check returns ErrConnDrop; transport boundaries close
 //     the connection mid-response instead of answering
@@ -124,6 +125,10 @@ type Fault struct {
 	Err error
 	// Latency is how long ModeLatency sleeps.
 	Latency time.Duration
+	// Release, when set, ends a ModeLatency sleep as soon as it is closed,
+	// so a test can hold a code path open until an event, with Latency as
+	// the bound.
+	Release <-chan struct{}
 	// PanicValue is what ModePanic panics with; nil panics with a
 	// descriptive string naming the point.
 	PanicValue any
@@ -255,29 +260,31 @@ func CheckCtx(ctx ctxDoner, point string) error {
 	if !armed.Load() {
 		return nil
 	}
-	mode, err, latency, panicValue, fire := draw(point)
+	f, err, fire := draw(point)
 	if !fire {
 		return nil
 	}
-	switch mode {
+	switch f.Mode {
 	case ModeError:
 		if err == nil {
 			err = ErrInjected
 		}
 		return fmt.Errorf("%s: %w", point, err)
 	case ModeLatency:
-		if ctx == nil {
-			time.Sleep(latency)
-			return nil
+		var done <-chan struct{}
+		if ctx != nil {
+			done = ctx.Done()
 		}
-		t := time.NewTimer(latency)
+		t := time.NewTimer(f.Latency)
 		defer t.Stop()
 		select {
 		case <-t.C:
-		case <-ctx.Done():
+		case <-done:
+		case <-f.Release:
 		}
 		return nil
 	case ModePanic:
+		panicValue := f.PanicValue
 		if panicValue == nil {
 			panicValue = "faultinject: injected panic at " + point
 		}
@@ -290,15 +297,15 @@ func CheckCtx(ctx ctxDoner, point string) error {
 
 // draw decides under the lock whether the point's fault fires and returns
 // what to do, so the firing itself (sleep/panic) happens lock-free.
-func draw(point string) (mode Mode, err error, latency time.Duration, panicValue any, fire bool) {
+func draw(point string) (fault Fault, err error, fire bool) {
 	mu.Lock()
 	defer mu.Unlock()
 	f, ok := faults[point]
 	if !ok {
-		return 0, nil, 0, nil, false
+		return Fault{}, nil, false
 	}
 	if f.Prob > 0 && f.Prob < 1 && f.rng.Float64() >= f.Prob {
-		return 0, nil, 0, nil, false
+		return Fault{}, nil, false
 	}
 	f.fires++
 	counts[point]++
@@ -317,7 +324,7 @@ func draw(point string) (mode Mode, err error, latency time.Duration, panicValue
 			err = fmt.Errorf("%w: %v", ErrInjected, f.Err)
 		}
 	}
-	return f.Mode, err, f.Latency, f.PanicValue, true
+	return f.Fault, err, true
 }
 
 // ArmSpec arms every fault in a comma-separated spec list of the form

@@ -104,6 +104,28 @@ func TestLatencyWakesOnContextDone(t *testing.T) {
 	}
 }
 
+func TestLatencyEndsOnRelease(t *testing.T) {
+	Reset()
+	t.Cleanup(Reset)
+	release := make(chan struct{})
+	Arm("p", Fault{Mode: ModeLatency, Latency: 5 * time.Second, Release: release})
+	done := make(chan time.Duration)
+	start := time.Now()
+	go func() {
+		Check("p")
+		done <- time.Since(start)
+	}()
+	select {
+	case <-done:
+		t.Fatal("latency ended before the release")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if d := <-done; d > time.Second {
+		t.Errorf("latency ignored the release (slept %v)", d)
+	}
+}
+
 func TestProbabilisticFiringIsSeedDeterministic(t *testing.T) {
 	Reset()
 	t.Cleanup(func() { Reset(); Seed(1) })

@@ -11,6 +11,14 @@
 // so shard selection is a mask, and the byte budget is split evenly across
 // shards so eviction never takes a global lock.
 //
+// Each key holds one entry, stamped with a tag: the caller's version of
+// the state the payload was computed from (the worker's instance epoch, the
+// router edge's state token). Get answers only when the stored tag equals
+// the current one, so a state change is a tag change and never a scan. The
+// superseded entry stays reachable through Stale until a refill replaces
+// it, which is what stale-while-error serving reads; it holds budget only
+// until then.
+//
 // Values are stored and returned as []byte. Callers hand in payloads they
 // will never mutate (the service layer stores fully marshaled JSON
 // responses) and must treat returned slices the same way; that convention
@@ -26,7 +34,7 @@ import (
 
 // entryOverhead approximates the per-entry bookkeeping bytes (map slot,
 // entry struct, pointers) charged against the budget in addition to the
-// key and payload bytes.
+// key, tag and payload bytes.
 const entryOverhead = 128
 
 // Cache is a sharded byte-budgeted LRU. The zero value is not usable; use
@@ -48,12 +56,12 @@ type cacheShard struct {
 
 // entry is an intrusive LRU node.
 type entry struct {
-	key        string
+	key, tag   string
 	val        []byte
 	prev, next *entry
 }
 
-func (e *entry) size() int64 { return int64(len(e.key) + len(e.val) + entryOverhead) }
+func (e *entry) size() int64 { return int64(len(e.key) + len(e.tag) + len(e.val) + entryOverhead) }
 
 // New returns a cache with the given total byte budget spread over
 // shardCount shards (rounded up to a power of two; ≤ 0 picks 16). Metrics
@@ -87,12 +95,14 @@ func (c *Cache) shardFor(key string) *cacheShard {
 	return &c.shards[hashKey(key)&c.mask]
 }
 
-// Get returns the payload cached under key, marking it most recently used.
-// The returned slice is shared — callers must not mutate it.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the payload cached under key if it was stored with tag,
+// marking it most recently used. An entry stored under another tag is a
+// miss. The returned slice is shared — callers must not mutate it.
+func (c *Cache) Get(key, tag string) ([]byte, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
+	ok = ok && e.tag == tag
 	if ok {
 		sh.moveToFront(e)
 	}
@@ -110,48 +120,54 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return e.val, true
 }
 
-// Put stores val under key (replacing any existing entry) and evicts
-// least-recently-used entries until the shard fits its budget. val must
-// not be mutated by the caller afterwards. Payloads larger than a whole
-// shard budget are not cached.
-func (c *Cache) Put(key string, val []byte) {
+// Stale returns the payload cached under key whatever its tag: the last
+// good answer for a request shape, possibly computed from an older state.
+// It is the stale-while-error read, so it moves no hit or miss counter and
+// leaves the LRU order alone.
+func (c *Cache) Stale(key string) ([]byte, bool) {
 	sh := c.shardFor(key)
-	e := &entry{key: key, val: val}
+	sh.mu.Lock()
+	e, ok := sh.entries[key]
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return e.val, true
+}
+
+// Put stores val under key with tag, replacing the key's entry whatever
+// its tag, and evicts least-recently-used entries until the shard fits its
+// budget. val must not be mutated by the caller afterwards. Payloads larger
+// than a whole shard budget are not cached.
+func (c *Cache) Put(key, tag string, val []byte) {
+	sh := c.shardFor(key)
+	e := &entry{key: key, tag: tag, val: val}
 	if e.size() > sh.budget {
 		return
 	}
-	var evicted int
+	dBytes, dEntries, evicted := e.size(), 1, 0
 	sh.mu.Lock()
 	if old, ok := sh.entries[key]; ok {
-		sh.unlink(old)
-		delete(sh.entries, key)
-		sh.bytes -= old.size()
+		sh.remove(old)
+		dBytes -= old.size()
+		dEntries--
 	}
 	sh.entries[key] = e
 	sh.pushFront(e)
 	sh.bytes += e.size()
 	for sh.bytes > sh.budget && sh.tail != nil && sh.tail != e {
 		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.bytes -= victim.size()
+		sh.remove(victim)
+		dBytes -= victim.size()
+		dEntries--
 		evicted++
 	}
 	sh.mu.Unlock()
 	if c.m != nil {
 		c.m.Evictions.Add(evicted)
-		c.syncGauges()
+		c.m.Bytes.Add(float64(dBytes))
+		c.m.Entries.Add(float64(dEntries))
 	}
-}
-
-// syncGauges publishes the current footprint to the metrics gauges.
-func (c *Cache) syncGauges() {
-	if c.m == nil {
-		return
-	}
-	bytes, entries := c.stats()
-	c.m.Bytes.Set(float64(bytes))
-	c.m.Entries.Set(float64(entries))
 }
 
 func (c *Cache) stats() (bytes int64, entries int) {
@@ -171,17 +187,21 @@ func (c *Cache) Bytes() int64 { b, _ := c.stats(); return b }
 // Len returns the current number of resident entries.
 func (c *Cache) Len() int { _, n := c.stats(); return n }
 
-// Purge drops every entry.
+// Purge drops every entry, one shard at a time.
 func (c *Cache) Purge() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
+		bytes, entries := sh.bytes, len(sh.entries)
 		sh.entries = map[string]*entry{}
 		sh.head, sh.tail = nil, nil
 		sh.bytes = 0
 		sh.mu.Unlock()
+		if c.m != nil {
+			c.m.Bytes.Add(-float64(bytes))
+			c.m.Entries.Add(-float64(entries))
+		}
 	}
-	c.syncGauges()
 }
 
 // pushFront inserts a detached entry at the head. Caller holds sh.mu.
@@ -195,6 +215,13 @@ func (sh *cacheShard) pushFront(e *entry) {
 	if sh.tail == nil {
 		sh.tail = e
 	}
+}
+
+// remove drops an in-list entry from the shard. Caller holds sh.mu.
+func (sh *cacheShard) remove(e *entry) {
+	sh.unlink(e)
+	delete(sh.entries, e.key)
+	sh.bytes -= e.size()
 }
 
 // unlink removes the entry from the list. Caller holds sh.mu.

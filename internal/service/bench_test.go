@@ -32,16 +32,27 @@ func postBench(b *testing.B, h http.Handler, body []byte) {
 	}
 }
 
-// BenchmarkSelectCold measures the full pipeline per request: cache and
-// coalescing disabled, every call recomputes (the pre-accelerator
-// serving cost).
+// BenchmarkSelectCold measures the full pipeline per request: every call
+// is a response-cache miss, cycling through the corpus's targets and
+// purging the cache once per cycle, so each one runs the pipeline behind
+// the miss and the flight.
 func BenchmarkSelectCold(b *testing.B) {
-	_, h, req := benchServer(b, Options{CacheDisabled: true})
-	body, _ := json.Marshal(req)
+	s, h, req := benchServer(b, Options{})
+	s.mu.RLock()
+	targets := dataset.TargetIDs(s.corpora["Cellphone"])
+	s.mu.RUnlock()
+	bodies := make([][]byte, len(targets))
+	for i, tgt := range targets {
+		req.Target = tgt
+		bodies[i], _ = json.Marshal(req)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		postBench(b, h, body)
+		if i%len(bodies) == 0 {
+			s.cache.Purge()
+		}
+		postBench(b, h, bodies[i%len(bodies)])
 	}
 }
 

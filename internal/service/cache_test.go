@@ -84,12 +84,21 @@ func TestWarmHitReturnsIdenticalBytes(t *testing.T) {
 	}
 }
 
-// The cached path must produce the same payload as a cache-disabled server
-// (modulo elapsed_ms, which measures real work).
+// The cached path (corpus features, shared problems, flight, cache fill)
+// must produce the same payload as the same items sent inline, which run
+// the pipeline directly with nothing memoized (modulo elapsed_ms, which
+// measures real work).
 func TestCachedAndUncachedPayloadsAgree(t *testing.T) {
-	cached := New(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil)
-	plain := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil, Options{CacheDisabled: true})
+	c := cellphoneCorpus(t, 3)
+	cached := New(map[string]*model.Corpus{"Cellphone": c}, nil)
 	req := hotRequest(t, cached)
+	inst, err := c.NewInstance(req.Target, req.MaxComparative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := req
+	inline.Category, inline.Target = "", ""
+	inline.Aspects, inline.Items = c.Aspects.Names(), inst.Items
 
 	norm := func(w *httptest.ResponseRecorder) string {
 		var out map[string]any
@@ -100,13 +109,18 @@ func TestCachedAndUncachedPayloadsAgree(t *testing.T) {
 		b, _ := json.Marshal(out)
 		return string(b)
 	}
-	a := postRecorded(t, cached.Handler(), "/api/v1/select", req)
-	b := postRecorded(t, plain.Handler(), "/api/v1/select", req)
-	if a.Code != http.StatusOK || b.Code != http.StatusOK {
-		t.Fatalf("status %d / %d", a.Code, b.Code)
+	h := cached.Handler()
+	a := postRecorded(t, h, "/api/v1/select", req)
+	warm := postRecorded(t, h, "/api/v1/select", req)
+	b := postRecorded(t, h, "/api/v1/select", inline)
+	if a.Code != http.StatusOK || warm.Code != http.StatusOK || b.Code != http.StatusOK {
+		t.Fatalf("status %d / %d / %d", a.Code, warm.Code, b.Code)
 	}
 	if norm(a) != norm(b) {
 		t.Errorf("payloads disagree:\ncached:  %s\nuncached: %s", a.Body.String(), b.Body.String())
+	}
+	if !bytes.Equal(a.Body.Bytes(), warm.Body.Bytes()) {
+		t.Errorf("warm hit differs from the fill:\ncold %s\nwarm %s", a.Body.String(), warm.Body.String())
 	}
 }
 
@@ -149,6 +163,13 @@ func TestAddCorpusBumpsEpochAndInvalidates(t *testing.T) {
 	if misses.Value() != before+1 {
 		t.Errorf("miss counter delta = %d, want 1 (old epoch entry must be unreachable)", misses.Value()-before)
 	}
+	// The refill replaced the old-epoch entry instead of adding a second
+	// one beside it.
+	if resp.Code == http.StatusOK {
+		if n := s.cache.Len(); n != 1 {
+			t.Errorf("cache entries after the refill = %d, want 1", n)
+		}
+	}
 }
 
 // Concurrent identical requests must execute the pipeline exactly once.
@@ -188,20 +209,6 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	// executions.
 	if got := fm.Executions.Value() - execBefore; got != 1 {
 		t.Errorf("pipeline executions = %d, want exactly 1", got)
-	}
-}
-
-func TestCacheDisabledServerStillServes(t *testing.T) {
-	s := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil, Options{CacheDisabled: true})
-	if s.cache != nil || s.flights != nil {
-		t.Fatal("cache layers built despite CacheDisabled")
-	}
-	h := s.Handler()
-	req := hotRequest(t, s)
-	for i := 0; i < 2; i++ {
-		if w := postRecorded(t, h, "/api/v1/select", req); w.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, w.Code)
-		}
 	}
 }
 
@@ -246,11 +253,6 @@ func TestConcurrentCacheChurn(t *testing.T) {
 	<-churnDone
 }
 
-// TestSelectAnswersCarryInstanceHeader: every canonical corpus-referenced
-// select answer — servecache miss, hit, and the cache-disabled path — names
-// its instance's members in instance order. Answers no cache may memoize
-// carry no header: inline instances, stale-while-error serves, and shed
-// exact shortlists, including the copy a coalesced waiter receives.
 // TestSelectKeyCanonicalization: the worker keys its result cache on
 // selectreq.Key after applying the defaults, so requests that differ only
 // in timeout_ms or in spelled-out defaults share an entry, and a request
@@ -307,13 +309,16 @@ func TestSelectKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestSelectAnswersCarryInstanceHeader: every canonical corpus-referenced
+// select answer — servecache miss and hit — names its instance's members
+// in instance order. Answers no cache may memoize carry no header: inline
+// instances, stale-while-error serves, and shed exact shortlists,
+// including the copy a coalesced waiter receives.
 func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	c := cellphoneCorpus(t, 3)
 	cached := NewWithOptions(map[string]*model.Corpus{"Cellphone": c}, nil, Options{MaxInflight: 3})
-	plain := NewWithOptions(map[string]*model.Corpus{"Cellphone": cellphoneCorpus(t, 3)}, nil,
-		Options{CacheDisabled: true, MaxInflight: 3})
 	req := hotRequest(t, cached)
 	req.MaxComparative = 2
 	inst, err := c.NewInstance(req.Target, req.MaxComparative)
@@ -327,20 +332,13 @@ func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 	want := strings.Join(ids, ",")
 	header := func(w *httptest.ResponseRecorder) string { return w.Header().Get(selectreq.InstanceHeader) }
 
-	for _, tc := range []struct {
-		name string
-		h    http.Handler
-	}{
-		{"miss", cached.Handler()},
-		{"hit", cached.Handler()},
-		{"disabled", plain.Handler()},
-	} {
-		w := postRecorded(t, tc.h, "/api/v1/select", req)
+	for _, name := range []string{"miss", "hit"} {
+		w := postRecorded(t, cached.Handler(), "/api/v1/select", req)
 		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", tc.name, w.Code)
+			t.Fatalf("%s: status %d", name, w.Code)
 		}
 		if got := header(w); got != want {
-			t.Errorf("%s: %s = %q, want %q", tc.name, selectreq.InstanceHeader, got, want)
+			t.Errorf("%s: %s = %q, want %q", name, selectreq.InstanceHeader, got, want)
 		}
 	}
 
@@ -398,16 +396,11 @@ func TestSelectAnswersCarryInstanceHeader(t *testing.T) {
 			t.Errorf("shed answer carried %s = %q", selectreq.InstanceHeader, got)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		s    *Server
-	}{{"shed exact", cached}, {"shed exact disabled", plain}} {
-		t.Run(tc.name, func(t *testing.T) {
-			release := pressure(tc.s, 1)
-			defer release()
-			assertShed(t, postRecorded(t, tc.s.Handler(), "/api/v1/select", exact))
-		})
-	}
+	t.Run("shed exact", func(t *testing.T) {
+		release := pressure(cached, 1)
+		defer release()
+		assertShed(t, postRecorded(t, cached.Handler(), "/api/v1/select", exact))
+	})
 
 	t.Run("shed exact coalesced", func(t *testing.T) {
 		// The leader is held in the pipeline long enough for an identical

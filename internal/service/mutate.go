@@ -13,9 +13,9 @@
 //	featstore  per-item column refill reusing every unchanged review column
 //	core       ProblemCache.InvalidateItem drops only the touched item's
 //	           regression problems
-//	servecache per-item generations fold into the select cache key, so only
-//	           cached responses whose instance contains the touched item
-//	           become unreachable
+//	servecache per-item generations fold into the select cache tag, so
+//	           only cached responses whose instance contains the touched
+//	           item stop answering
 //
 // Each mutation returns a MutationReceipt describing exactly what was
 // invalidated, so callers can audit the blast radius of a write.
@@ -48,11 +48,11 @@ type MutationReceipt struct {
 	// only AddCorpus bumps it); Generation is the touched item's mutation
 	// generation within that epoch. Together they identify the item's cache
 	// lineage: cached selections over instances containing the item are
-	// keyed under (epoch, generation) and became unreachable.
+	// tagged with (epoch, generation) and stopped answering.
 	Epoch      string `json:"epoch"`
 	Generation uint64 `json:"generation"`
 	// AffectedItems lists the items whose cached artifacts were invalidated
-	// (the touched item; instances containing it re-key automatically).
+	// (the touched item; instances containing it re-tag automatically).
 	AffectedItems []string          `json:"affected_items"`
 	Invalidation  InvalidationScope `json:"invalidation"`
 	ElapsedMS     float64           `json:"elapsed_ms"`
@@ -227,12 +227,12 @@ func (s *Server) handleRemoveReview(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, receipt)
 }
 
-// instanceEpoch derives the cache-key epoch of one request from the
-// category's base epoch and the mutation generations of exactly the
-// instance's member items. Instances containing no mutated item keep the
-// bare base token — their cached responses survive every mutation of other
-// items — while any member generation change re-keys (and thereby
-// invalidates) the instance's cached selections.
+// instanceEpoch derives the cache tag of one request from the category's
+// base epoch and the mutation generations of exactly the instance's member
+// items. Instances containing no mutated item keep the bare base token —
+// their cached responses survive every mutation of other items — while any
+// member generation change re-tags (and thereby invalidates) the
+// instance's cached selections.
 func instanceEpoch(base string, gens map[string]uint64, inst *model.Instance) string {
 	if len(gens) == 0 {
 		return base

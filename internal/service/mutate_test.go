@@ -275,14 +275,13 @@ func TestWarmHitPreservation(t *testing.T) {
 	}
 	canonical := req
 	selectreq.ApplyDefaults(&canonical) // as the handler does before keying
-	workerKey := func(epoch string) string { return selectreq.Key(&canonical) + "|epoch=" + epoch }
+	key := selectreq.Key(&canonical)
 
 	s.mu.RLock()
 	base := s.epochs["Cellphone"]
 	s.mu.RUnlock()
-	key := workerKey(base)
-	if _, hit := s.cache.Get(key); !hit {
-		t.Fatalf("no cached entry under base epoch key after select")
+	if _, hit := s.cache.Get(key, base); !hit {
+		t.Fatalf("no cached entry under the base epoch after select")
 	}
 
 	// Mutate the outsider: the target's instance has no touched member, so
@@ -299,7 +298,7 @@ func TestWarmHitPreservation(t *testing.T) {
 	if epoch != base {
 		t.Fatalf("instance epoch changed by unrelated mutation: %q -> %q", base, epoch)
 	}
-	if _, hit := s.cache.Get(key); !hit {
+	if _, hit := s.cache.Get(key, epoch); !hit {
 		t.Errorf("cached selection evicted by unrelated mutation")
 	}
 
@@ -323,14 +322,14 @@ func TestWarmHitPreservation(t *testing.T) {
 	if epoch2 == base {
 		t.Fatalf("instance epoch unchanged after mutating a member")
 	}
-	if _, hit := s.cache.Get(workerKey(epoch2)); hit {
-		t.Fatalf("fresh epoch key already cached before re-select")
+	if _, hit := s.cache.Get(key, epoch2); hit {
+		t.Fatalf("entry already tagged with the fresh epoch before re-select")
 	}
 	if resp, body := post(t, ts.URL+"/api/v1/select", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-select: status %d body %s", resp.StatusCode, body)
 	}
-	if _, hit := s.cache.Get(workerKey(epoch2)); !hit {
-		t.Errorf("re-select did not cache under the new epoch key")
+	if _, hit := s.cache.Get(key, epoch2); !hit {
+		t.Errorf("re-select did not cache under the new epoch")
 	}
 }
 

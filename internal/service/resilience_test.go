@@ -15,6 +15,7 @@ import (
 	"comparesets/internal/faultinject"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
+	"comparesets/internal/selectreq"
 	"comparesets/internal/simgraph"
 )
 
@@ -252,6 +253,83 @@ func TestStaleWhileErrorColdKeyFails(t *testing.T) {
 	}
 }
 
+// TestStaleWhileErrorAfterMutation: a mutation of an instance member
+// re-tags the instance's cached answer rather than dropping it, so a
+// pipeline failure after the write still serves the pre-write payload,
+// flagged degraded. The stale lookup is not a cache lookup: the request
+// moves the servecache counters by exactly its one miss.
+func TestStaleWhileErrorAfterMutation(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	c := cellphoneCorpus(t, 3)
+	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	h := s.Handler()
+	req := hotRequest(t, s)
+
+	cold := postRecorded(t, h, "/api/v1/select", req)
+	if cold.Code != http.StatusOK {
+		t.Fatalf("cold: status %d body %s", cold.Code, cold.Body.String())
+	}
+	w := postRecorded(t, h, "/api/v1/corpora/Cellphone/items/"+req.Target+"/reviews",
+		AppendReviewsBody{Reviews: []*model.Review{{ID: "stale-r1", Rating: 1}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("mutation: status %d body %s", w.Code, w.Body.String())
+	}
+	faultinject.Arm(faultinject.PointServiceSelect, faultinject.Fault{Mode: faultinject.ModeError})
+
+	m := obs.NewCacheMetrics(s.reg, "servecache")
+	hits, misses, served := m.Hits.Value(), m.Misses.Value(), s.staleServed.Value()
+	w = postRecorded(t, h, "/api/v1/select", req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("degraded: status %d body %s", w.Code, w.Body.String())
+	}
+	if want := degradeBody(cold.Body.Bytes()); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("degraded body is not the flagged pre-write payload\ngot  %s\nwant %s", w.Body.Bytes(), want)
+	}
+	if got := s.staleServed.Value(); got != served+1 {
+		t.Errorf("degraded_responses_total delta = %d, want 1", got-served)
+	}
+	if dh, dm := m.Hits.Value()-hits, m.Misses.Value()-misses; dh != 0 || dm != 1 {
+		t.Errorf("servecache deltas = %d hits / %d misses, want 0 / 1", dh, dm)
+	}
+}
+
+// TestOlderEpochFillNeverServedFresh: a fill tagged with an instance epoch
+// a write has since superseded (a flight that started before the write and
+// finished after it) is never answered as a hit under the current epoch;
+// the read recomputes and replaces it.
+func TestOlderEpochFillNeverServedFresh(t *testing.T) {
+	c := cellphoneCorpus(t, 3)
+	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	h := s.Handler()
+	req := hotRequest(t, s)
+	canonical := req
+	selectreq.ApplyDefaults(&canonical)
+	key := selectreq.Key(&canonical)
+
+	s.mu.RLock()
+	before := s.epochs["Cellphone"]
+	s.mu.RUnlock()
+	w := postRecorded(t, h, "/api/v1/corpora/Cellphone/items/"+req.Target+"/reviews",
+		AppendReviewsBody{Reviews: []*model.Review{{ID: "late-r1", Rating: 5}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("mutation: status %d body %s", w.Code, w.Body.String())
+	}
+	late := []byte(`{"algorithm":"pre-write","objective":0,"items":null,"elapsed_ms":0}` + "\n")
+	s.cache.Put(key, before, late)
+
+	w = postRecorded(t, h, "/api/v1/select", req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("select: status %d body %s", w.Code, w.Body.String())
+	}
+	if bytes.Equal(w.Body.Bytes(), late) {
+		t.Fatal("a fill under the superseded epoch was served as a fresh hit")
+	}
+	if again := postRecorded(t, h, "/api/v1/select", req); !bytes.Equal(again.Body.Bytes(), w.Body.Bytes()) {
+		t.Errorf("the recomputed answer did not replace the late fill:\n%s\n%s", w.Body.String(), again.Body.String())
+	}
+}
+
 // computeDirect runs computeSelect outside the HTTP layer so tests can
 // control the context and limiter state exactly.
 func computeDirect(t *testing.T, s *Server, ctx context.Context, req *SelectRequest, solver simgraph.Solver) *SelectResponse {
@@ -286,7 +364,7 @@ func computeDirect(t *testing.T, s *Server, ctx context.Context, req *SelectRequ
 func TestShortlistDegradationLadder(t *testing.T) {
 	c := cellphoneCorpus(t, 3)
 	s := NewWithOptions(map[string]*model.Corpus{"Cellphone": c}, nil,
-		Options{MaxInflight: 1, CacheDisabled: true})
+		Options{MaxInflight: 1})
 	req := hotRequest(t, s)
 	req.Method = "exact"
 

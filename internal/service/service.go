@@ -19,18 +19,20 @@
 //	PATCH  /api/v1/corpora/{category}/items/{item}/reviews/{review}   replace a review
 //	DELETE /api/v1/corpora/{category}/items/{item}/reviews/{review}   remove a review
 //
-// The select endpoint is served through a three-layer accelerator sized
-// for hot-key traffic: corpus-resident precomputed review features
-// (internal/featstore), a sharded byte-budgeted LRU over fully marshaled
-// responses keyed by a canonical request key that includes the corpus
-// epoch (internal/servecache), and request coalescing so N concurrent
-// identical requests run the pipeline once. That flight group is the only
-// coalescing layer of the serving path: a router forwards its edge-cache
-// misses as they come, so identical routed misses meet here. The shortlist
-// similarity graph is not memoized; an instance's graph is small enough
-// that simgraph.Build per request costs microseconds. Replacing a corpus
-// with AddCorpus bumps its epoch, invalidating its cached results
-// atomically.
+// Every corpus-referenced select takes one path through a three-layer
+// accelerator sized for hot-key traffic: corpus-resident precomputed review
+// features (internal/featstore), a sharded byte-budgeted LRU over fully
+// marshaled responses keyed by the canonical request key and tagged with
+// the instance's epoch (internal/servecache), and request coalescing so N
+// concurrent identical requests run the pipeline once. That flight group
+// is the only coalescing layer of the serving path: a router forwards its
+// edge-cache misses as they come, so identical routed misses meet here.
+// Inline instances have no corpus identity to key on and run the pipeline
+// directly. The shortlist similarity graph is not memoized; an instance's
+// graph is small enough that simgraph.Build per request costs
+// microseconds. Replacing a corpus with AddCorpus bumps its epoch, so its
+// cached results stop answering atomically; each stays reachable as the
+// stale-while-error copy for its request shape until a refill replaces it.
 //
 // The mutation endpoints are the incremental write path: each applies one
 // typed delta (append/update/remove a review) copy-on-write, refills only
@@ -59,6 +61,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -93,10 +96,6 @@ type Options struct {
 	// CacheBytes is the byte budget of the select result cache; ≤ 0 uses
 	// DefaultCacheBytes.
 	CacheBytes int64
-	// CacheDisabled turns off the result cache and request coalescing.
-	// Corpus-resident feature precompute stays on either way — it only
-	// changes where feature columns come from, never what is computed.
-	CacheDisabled bool
 	// MaxInflight bounds concurrently executing select requests; excess
 	// requests wait in a bounded queue and are shed with 503 + Retry-After
 	// when the queue is full or the expected wait exceeds their deadline.
@@ -115,8 +114,7 @@ type Options struct {
 	// arrive, then the whole group executes once, sharing a feature-slab
 	// pass and per-item regression problems. 0 disables batching — the
 	// default, since the window adds up to BatchWindow of latency to
-	// isolated cold requests. Requires the cache path (no effect when
-	// CacheDisabled).
+	// isolated cold requests.
 	BatchWindow time.Duration
 	// BatchMax seals a batch group early once this many members have
 	// joined, instead of waiting out the window. ≤ 0 means no size cap.
@@ -158,14 +156,14 @@ type Server struct {
 	started  time.Time
 	logger   *log.Logger
 	reg      *obs.Registry
-	// cache and flights are nil when Options.CacheDisabled; staleCache
-	// keeps the last good payload per epochless key for
-	// stale-while-error serving.
-	cache      *servecache.Cache
-	flights    *servecache.FlightGroup
-	staleCache *servecache.Cache
-	// batcher is nil unless Options.BatchWindow > 0 (and the cache path is
-	// on); it groups merely-similar cold requests inside their flights.
+	// cache holds one select payload per request key, tagged with the
+	// instance epoch it was computed under: a Get under the current epoch
+	// is a hit, and on a pipeline failure the entry serves as the
+	// stale-while-error copy whatever its epoch.
+	cache   *servecache.Cache
+	flights *servecache.FlightGroup
+	// batcher is nil unless Options.BatchWindow > 0; it groups
+	// merely-similar cold requests inside their flights.
 	batcher *batchexec.Batcher[*batchReq, *batchRes]
 	float32 bool
 	// limiter is nil unless Options.MaxInflight > 0.
@@ -225,22 +223,15 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 		}
 		s.limiter = newLimiter(opts.MaxInflight, maxQueue, s.reg)
 	}
-	if !opts.CacheDisabled {
-		bytes := opts.CacheBytes
-		if bytes <= 0 {
-			bytes = DefaultCacheBytes
-		}
-		s.cache = servecache.New(bytes, 0, obs.NewCacheMetrics(s.reg, "servecache"))
-		s.flights = servecache.NewFlightGroup(obs.NewCacheMetrics(s.reg, "selectflight"))
-		staleBytes := bytes / 8
-		if staleBytes < 1<<20 {
-			staleBytes = 1 << 20
-		}
-		s.staleCache = servecache.New(staleBytes, 0, obs.NewCacheMetrics(s.reg, "stalecache"))
-		if opts.BatchWindow > 0 {
-			s.batcher = batchexec.New(opts.BatchWindow, opts.BatchMax,
-				batchexec.NewMetrics(s.reg), s.executeBatch)
-		}
+	bytes := opts.CacheBytes
+	if bytes <= 0 {
+		bytes = DefaultCacheBytes
+	}
+	s.cache = servecache.New(bytes, 0, obs.NewCacheMetrics(s.reg, "servecache"))
+	s.flights = servecache.NewFlightGroup(obs.NewCacheMetrics(s.reg, "selectflight"))
+	if opts.BatchWindow > 0 {
+		s.batcher = batchexec.New(opts.BatchWindow, opts.BatchMax,
+			batchexec.NewMetrics(s.reg), s.executeBatch)
 	}
 	s.float32 = opts.Float32
 	for name, c := range corpora {
@@ -277,9 +268,8 @@ func (s *Server) Categories() []string {
 }
 
 // AddCorpus registers (or replaces) a corpus at runtime. The category's
-// cache epoch is bumped, so every cached result and precomputed feature of
-// a replaced corpus becomes unreachable in one atomic step; stale cache
-// entries then age out through the LRU.
+// cache epoch is bumped, so no cached result or precomputed feature of a
+// replaced corpus is served again, in one atomic step.
 func (s *Server) AddCorpus(name string, c *model.Corpus) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -417,10 +407,14 @@ type CategoryInfo struct {
 }
 
 func (s *Server) handleCategories(w http.ResponseWriter, _ *http.Request) {
+	// Corpora are copy-on-write snapshots, so the statistics are computed
+	// outside the lock: a writer waiting for it must not hold every select
+	// behind a scan of all corpora.
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	corpora := maps.Clone(s.corpora)
+	s.mu.RUnlock()
 	var out []CategoryInfo
-	for name, c := range s.corpora {
+	for name, c := range corpora {
 		st := dataset.Compute(c)
 		out = append(out, CategoryInfo{
 			Name: name, Products: st.Products, Reviews: st.Reviews, Targets: st.TargetProducts,
@@ -535,10 +529,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// Corpus-referenced requests ride the full accelerator: result cache,
 	// then request coalescing, then the precompute-backed pipeline. The
 	// instance is resolved up front, inside the same lock snapshot as the
-	// epoch and generation reads: the cache key folds in the mutation
-	// generations of exactly the instance's members, so key and instance
+	// epoch and generation reads: the cache tag folds in the mutation
+	// generations of exactly the instance's members, so tag and instance
 	// must come from one consistent corpus view.
-	if s.cache != nil && req.Category != "" && req.Target != "" {
+	if req.Category != "" && req.Target != "" {
 		s.mu.RLock()
 		c, ok := s.corpora[req.Category]
 		fs := s.feats[req.Category]
@@ -561,16 +555,14 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			s.writeAPIError(w, notFound("%v", instErr))
 			return
 		}
-		// The stale copy is keyed without the epoch so it stays reachable
-		// after AddCorpus bumps it — by design: stale-while-error may serve
-		// previous-epoch data, flagged.
-		staleKey := selectreq.Key(&req)
-		key := staleKey + "|epoch=" + epoch
-		if body, hit := s.cache.Get(key); hit {
+		key := selectreq.Key(&req)
+		if body, hit := s.cache.Get(key, epoch); hit {
 			s.writeAnswer(w, inst, body)
 			return
 		}
-		body, _, err := s.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
+		// The flight key folds the epoch in, so a read admitted after a
+		// write never joins a flight computing the pre-write answer.
+		body, _, err := s.flights.Do(ctx, key+"|epoch="+epoch, func(fctx context.Context) ([]byte, error) {
 			var payload []byte
 			var canon bool
 			// Coalescing has already collapsed identical requests into this
@@ -604,8 +596,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				// Every waiter learns the verdict with the bytes.
 				return nil, &nonCanonical{payload: payload}
 			}
-			s.cache.Put(key, payload)
-			s.staleCache.Put(staleKey, payload)
+			s.cache.Put(key, epoch, payload)
 			return payload, nil
 		})
 		var nc *nonCanonical
@@ -625,8 +616,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 					s.logger.Printf("panic in select flight: %v\n%s", pe.Value, pe.Stack)
 				}
 				// Stale-while-error: a 5xx pipeline failure on a key we have
-				// served before returns the last good payload, flagged.
-				if stale, ok := s.staleCache.Get(staleKey); ok {
+				// served before returns the last good payload, flagged. It
+				// may predate a corpus replace or a mutation: the entry
+				// answers whatever its epoch.
+				if stale, ok := s.cache.Stale(key); ok {
 					s.staleServed.Inc()
 					s.writeRawJSON(w, degradeBody(stale))
 					return
@@ -637,28 +630,18 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Inline instances and cache-disabled servers take the direct path
-	// (still precompute-backed for corpus references). The shared problem
-	// cache applies only to corpus-backed requests: inline items are
-	// request-scoped, so caching their problems would pin dead instances.
-	inst, fs, apiErr := s.resolveInstance(&req)
+	// Inline instances take the direct path: their items are
+	// request-scoped, so there is no corpus identity to key a cache entry
+	// on, and caching their features or problems would pin dead instances.
+	inst, apiErr := inlineInstance(&req)
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
 	}
-	var pc *core.ProblemCache
-	if fs != nil {
-		s.mu.RLock()
-		pc = s.problems[req.Category]
-		s.mu.RUnlock()
-	}
-	resp, apiErr := s.computeSelect(ctx, &req, inst, fs, sel, solver, pc)
+	resp, apiErr := s.computeSelect(ctx, &req, inst, nil, sel, solver, nil)
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
-	}
-	if req.Category != "" && req.Target != "" && canonical(resp) {
-		w.Header().Set(selectreq.InstanceHeader, selectreq.InstanceValue(inst.Items))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -730,9 +713,9 @@ func degradeBody(body []byte) []byte {
 // selection, response assembly, optional summaries/explanations/metrics,
 // and the optional shortlist solve. fs supplies corpus-resident features
 // (nil for inline instances); solver is non-nil exactly when req.K > 0;
-// problems is the corpus's shared ProblemCache on every path — cached,
-// batched and direct — and nil for inline instances, whose request-scoped
-// items must not be pinned in a cache.
+// problems is the corpus's shared ProblemCache on the flight and batch
+// paths, and nil for inline instances, whose request-scoped items must not
+// be pinned in a cache.
 func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, fs *featstore.Store, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
 	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Float32: s.float32, Problems: problems}
 	if fs != nil {
@@ -802,6 +785,11 @@ const exactMinHeadroom = 50 * time.Millisecond
 // ("deadline") it serves greedy instead; an exact solve that exhausts its
 // internal budget reports "budget". A non-empty reason means the result is
 // feasible but not proven optimal. Non-exact methods never degrade.
+//
+// Corpus-referenced selects run inside a select flight, on a context
+// detached from the caller's deadline (servecache.FlightGroup), so ctx has
+// no deadline there: the "deadline" rung applies only to inline requests
+// and to direct computeSelect calls.
 func (s *Server) solveShortlist(ctx context.Context, g *simgraph.Graph, k int, solver simgraph.Solver, method string) (simgraph.Result, string) {
 	if method != "exact" && method != "ilp" {
 		return solver.SolveContext(ctx, g, k), ""
@@ -834,36 +822,20 @@ func solverFor(method string) (simgraph.Solver, error) {
 	}
 }
 
-// resolveInstance builds the problem instance from either a corpus
-// reference or the inline items, returning the category's feature store
-// for corpus references (nil for inline instances).
-func (s *Server) resolveInstance(req *SelectRequest) (*model.Instance, *featstore.Store, *apiError) {
-	switch {
-	case req.Category != "" && req.Target != "":
-		s.mu.RLock()
-		c, ok := s.corpora[req.Category]
-		fs := s.feats[req.Category]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, nil, notFound("unknown category %q", req.Category)
-		}
-		inst, err := c.NewInstance(req.Target, req.MaxComparative)
-		if err != nil {
-			return nil, nil, notFound("%v", err)
-		}
-		return inst, fs, nil
-	case len(req.Items) > 0:
-		if len(req.Aspects) == 0 {
-			return nil, nil, unprocessable(fmt.Errorf("inline instances need a non-empty aspects list"))
-		}
-		inst := &model.Instance{Aspects: model.NewVocabulary(req.Aspects), Items: req.Items}
-		if err := inst.Validate(); err != nil {
-			return nil, nil, unprocessable(err)
-		}
-		return inst, nil, nil
-	default:
-		return nil, nil, badRequest("provide either category+target or inline items")
+// inlineInstance builds the problem instance of a request that carries
+// its items inline rather than a corpus reference.
+func inlineInstance(req *SelectRequest) (*model.Instance, *apiError) {
+	if len(req.Items) == 0 {
+		return nil, badRequest("provide either category+target or inline items")
 	}
+	if len(req.Aspects) == 0 {
+		return nil, unprocessable(fmt.Errorf("inline instances need a non-empty aspects list"))
+	}
+	inst := &model.Instance{Aspects: model.NewVocabulary(req.Aspects), Items: req.Items}
+	if err := inst.Validate(); err != nil {
+		return nil, unprocessable(err)
+	}
+	return inst, nil
 }
 
 // ExtractRequest is the /api/v1/extract request body.
