@@ -47,8 +47,9 @@ chaos-cluster:
 # Fuzz the store's crash-recovery scan, the mutation-log append path, the
 # hand-rolled JSON encoders' byte parity with encoding/json, the
 # router/worker select-key parity, the rounding apportionment invariants,
-# and the sparse rounder against the dense reference apportionment
-# (bounded; raise -fuzztime locally).
+# the sparse rounder against the dense reference apportionment, and
+# block-built regression templates against their dense designs (bounded;
+# raise -fuzztime locally).
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
@@ -57,6 +58,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
 	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
 	go test -run '^$$' -fuzz FuzzSparseApportion -fuzztime 30s ./internal/regress/
+	go test -run '^$$' -fuzz FuzzBlockDesign -fuzztime 30s ./internal/regress/
 
 # Record the hot-path benchmarks into versioned JSON; commit the diff
 # alongside performance changes. BENCH_core.json covers the selection

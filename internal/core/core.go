@@ -43,10 +43,10 @@ type Config struct {
 	// forces a sequential run. Parallel and sequential runs return
 	// identical selections.
 	Workers int
-	// Features optionally supplies precomputed per-review feature columns
-	// (internal/featstore); nil recomputes them per instance. Selections
-	// are identical either way — the source only skips the per-request
-	// column computation.
+	// Features optionally supplies precomputed per-item features — review
+	// columns and targets (internal/featstore); nil recomputes them per
+	// instance. Selections are identical either way — the source only skips
+	// the per-request feature computation.
 	Features FeatureSource
 	// Float32 stores feature columns as float32 slabs (halving feature
 	// memory traffic) while keeping every accumulation, target, and solver
@@ -67,33 +67,30 @@ type Config struct {
 	Problems *ProblemCache
 }
 
-// FeatureSource supplies precomputed per-review feature columns for an
-// item: op[j] must equal sch.Column(it.Reviews[j], z) and asp[j] must equal
-// opinion.AspectColumn(it.Reviews[j], z). Implementations return ok=false
-// when they cannot serve the item (e.g. it belongs to another corpus), in
-// which case the caller computes the columns itself. The returned vectors
-// are shared across requests and must never be mutated.
+// FeatureSource supplies an item's precomputed features under a scheme
+// (see opinion.Features): Op column j must equal sch.Column(it.Reviews[j],
+// z) and Asp column j opinion.AspectColumn(it.Reviews[j], z), non-zeros
+// only; Tau must equal sch.Vector(it.Reviews, z) and Phi
+// opinion.AspectVector(it.Reviews, z). None of it depends on the request,
+// so a corpus-resident source computes it once, and a selection looks each
+// item up once: NewTargets asks the source and hands the columns on to
+// the feature cache through Targets. Implementations return ok=false when
+// they cannot serve the item (e.g. it belongs to another corpus), in which
+// case the caller computes the features itself. The returned features are
+// shared across requests and cached regression templates and must never
+// be mutated.
 type FeatureSource interface {
-	ItemColumns(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector, ok bool)
+	ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool)
 }
 
 // FeatureSource32 is the compact-slab extension of FeatureSource: sources
 // that store float32 feature slabs implement it so Config.Float32 requests
 // can read them without a widening copy per request. The same aliasing
 // contract applies — returned vectors are shared and must never be mutated.
-// Column j must equal the float32 narrowing of the FeatureSource columns.
+// Column j must equal the float32 narrowing of the FeatureSource columns,
+// densely.
 type FeatureSource32 interface {
 	ItemColumns32(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector32, ok bool)
-}
-
-// TargetSource is an optional FeatureSource extension for the per-item
-// optimization targets: tau must equal sch.Vector(it.Reviews, z) and phi
-// must equal opinion.AspectVector(it.Reviews, z). Both depend only on the
-// item and the scheme — never on the request — so a corpus-resident source
-// computes them once and NewTargets assembles an instance's Targets from
-// cached vectors. The read-only aliasing contract of FeatureSource applies.
-type TargetSource interface {
-	ItemTargets(it *model.Item, sch opinion.Scheme, z int) (tau, phi linalg.Vector, ok bool)
 }
 
 func (c Config) workerCount() int {
@@ -169,23 +166,29 @@ type Selector interface {
 type Targets struct {
 	Gamma linalg.Vector   // target aspect vector Γ
 	Tau   []linalg.Vector // per-item target opinion vectors τᵢ
+	// feats[i] is item i's features as Config.Features served them, nil
+	// where it declined or when there is no source; the feature cache reads
+	// the review columns from here instead of looking the item up again.
+	feats []*opinion.Features
 }
 
 // NewTargets computes the targets for the instance under the configured
-// opinion scheme. When cfg.Features implements TargetSource the per-item
-// vectors come from the corpus-resident cache (they depend only on each
-// item, never on the instance); the vectors are then shared and must be
-// treated as read-only, which every consumer in this package honors.
+// opinion scheme. When cfg.Features serves an item, its vectors come from
+// the corpus-resident features (they depend only on the item, never on
+// the instance); the vectors are then shared and must be treated as
+// read-only, which every consumer in this package honors.
 func NewTargets(inst *model.Instance, cfg Config) *Targets {
 	z := inst.Aspects.Len()
 	sch := cfg.scheme()
-	ts, _ := cfg.Features.(TargetSource)
 	t := &Targets{Tau: make([]linalg.Vector, inst.NumItems())}
+	if cfg.Features != nil {
+		t.feats = make([]*opinion.Features, inst.NumItems())
+	}
 	for i, it := range inst.Items {
 		var phi linalg.Vector
-		if ts != nil {
-			if tau, p, ok := ts.ItemTargets(it, sch, z); ok {
-				t.Tau[i], phi = tau, p
+		if cfg.Features != nil {
+			if f, ok := cfg.Features.ItemFeatures(it, sch, z); ok {
+				t.feats[i], t.Tau[i], phi = f, f.Tau, f.Phi
 			}
 		}
 		if t.Tau[i] == nil {

@@ -13,9 +13,11 @@ import (
 // featureCache precomputes every (instance, Config)-invariant artifact of
 // the Integer-Regression hot path so that neither the per-item selection nor
 // the CompaReSetS+ sweeps rebuild review features: each review's opinion and
-// aspect columns, the per-item deduplicated design problems (whose grouping,
-// sparsity, and Gram structure only depend on the reviews, λ, μ, and n —
-// never on the sweep state), and the fixed parts of the regression targets.
+// aspect columns (sparse runs, shared with the feature store when one
+// serves the item), the per-item deduplicated design problems (whose
+// grouping, sparsity, and Gram structure only depend on the reviews, λ, μ,
+// and n — never on the sweep state), and the fixed parts of the regression
+// targets.
 //
 // The CompaReSetS+ design is restructured on the way in: Algorithm 1's
 // matrix V stacks n−1 identical μ-scaled copies of each review's aspect
@@ -27,7 +29,9 @@ import (
 // against the mean of the other items' aspect vectors. The collapsed
 // problem has identical NOMP correlations and NNLS minimizers (constants
 // never enter either), identical dedup grouping, and dim+2z rows regardless
-// of n — so a sweep step no longer scales with the item count.
+// of n — so a sweep step no longer scales with the item count. Neither
+// design is assembled: a regress.Problem reads both as scaled blocks over
+// the item's op and asp columns.
 type featureCache struct {
 	inst *model.Instance
 	cfg  Config
@@ -48,10 +52,10 @@ type featureCache struct {
 
 // itemFeatures is the per-item slice of the cache.
 type itemFeatures struct {
-	// opCols[j] is sch.Column(reviews[j], z); aspCols[j] is the 0/1 aspect
-	// column of reviews[j]. Nil in float32 mode.
-	opCols  []linalg.Vector
-	aspCols []linalg.Vector
+	// op column j holds the non-zeros of sch.Column(reviews[j], z); asp
+	// column j those of the 0/1 aspect column of reviews[j]. In float32
+	// mode they are widened from op32/asp32 when a template is first built.
+	op, asp *linalg.SparseColumns
 	// op32/asp32 are the compact float32 columns used when cfg.Float32 is
 	// set (either handed out by a FeatureSource32 or narrowed locally).
 	op32  []linalg.Vector32
@@ -88,10 +92,7 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 	fc.gammaL = tg.Gamma.Scale(cfg.Lambda)
 	for i, it := range inst.Items {
 		f := &fc.items[i]
-		// A corpus-resident feature source (internal/featstore) hands out
-		// the columns precomputed; the slabs are shared and read-only —
-		// every downstream use copies into request-private buffers. In
-		// float32 mode a FeatureSource32 serves compact slabs directly;
+		// In float32 mode a FeatureSource32 serves compact slabs directly;
 		// items it cannot serve are computed in float64 and narrowed once.
 		if fc.use32 {
 			if src, ok := cfg.Features.(FeatureSource32); ok {
@@ -108,18 +109,14 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 			}
 			continue
 		}
-		if src := cfg.Features; src != nil {
-			if op, asp, ok := src.ItemColumns(it, fc.sch, fc.z); ok {
-				f.opCols, f.aspCols = op, asp
-				continue
-			}
+		// The columns NewTargets got from the feature source are shared
+		// and read-only: every downstream use scatters them into
+		// request-private buffers or reads them as template blocks.
+		if tg.feats != nil && tg.feats[i] != nil {
+			f.op, f.asp = tg.feats[i].Op, tg.feats[i].Asp
+			continue
 		}
-		f.opCols = make([]linalg.Vector, len(it.Reviews))
-		f.aspCols = make([]linalg.Vector, len(it.Reviews))
-		for j, r := range it.Reviews {
-			f.opCols[j] = fc.sch.Column(r, fc.z)
-			f.aspCols[j] = opinion.AspectColumn(r, fc.z)
-		}
+		f.op, f.asp = opinion.Columns(fc.sch, it.Reviews, fc.z)
 	}
 	return fc
 }
@@ -131,12 +128,34 @@ func narrow32(v linalg.Vector) linalg.Vector32 {
 	return out
 }
 
+// widen32 returns the sparse form of float32 columns of length rows,
+// widened to float64.
+func widen32(rows int, cols []linalg.Vector32) *linalg.SparseColumns {
+	dense := make([]linalg.Vector, len(cols))
+	for j, c := range cols {
+		dense[j] = linalg.NewVector(rows)
+		linalg.WidenKernel(c, dense[j])
+	}
+	return linalg.SparseFromColumns(rows, dense)
+}
+
+// columns returns item i's sparse columns, widening the float32 ones on
+// first use in float32 mode.
+func (fc *featureCache) columns(i int) (op, asp *linalg.SparseColumns) {
+	f := &fc.items[i]
+	if f.op == nil {
+		f.op = widen32(fc.sch.Dim(fc.z), f.op32)
+		f.asp = widen32(fc.z, f.asp32)
+	}
+	return f.op, f.asp
+}
+
 // numReviews returns the number of cached review columns.
 func (f *itemFeatures) numReviews() int {
 	if f.op32 != nil {
 		return len(f.op32)
 	}
-	return len(f.opCols)
+	return f.op.Cols()
 }
 
 // muWeight is the collapsed-block scale √(n−1)·μ.
@@ -189,26 +208,13 @@ func (fc *featureCache) baseProblem(i int) *regress.Problem {
 	return f.base
 }
 
+// buildBaseProblem builds item i's CompaReSetS template: op×1 over asp×λ.
 func (fc *featureCache) buildBaseProblem(i int) *regress.Problem {
-	f := &fc.items[i]
-	dim := fc.sch.Dim(fc.z)
-	a := linalg.NewMatrix(dim+fc.z, f.numReviews())
-	if fc.use32 {
-		for j := range f.op32 {
-			col := a.Col(j)
-			linalg.WidenKernel(f.op32[j], col[:dim])
-			linalg.WidenScaleKernel(fc.cfg.Lambda, f.asp32[j], col[dim:])
-		}
-	} else {
-		for j := range f.opCols {
-			col := a.Col(j)
-			copy(col[:dim], f.opCols[j])
-			for k, v := range f.aspCols[j] {
-				col[dim+k] = v * fc.cfg.Lambda
-			}
-		}
-	}
-	return regress.NewProblem(a)
+	op, asp := fc.columns(i)
+	return regress.NewBlockProblem(
+		regress.Block{Cols: op, Scale: 1},
+		regress.Block{Cols: asp, Scale: fc.cfg.Lambda},
+	)
 }
 
 // plusProblem returns item i's collapsed CompaReSetS+ regression problem,
@@ -228,32 +234,15 @@ func (fc *featureCache) plusProblem(i int) *regress.Problem {
 	return f.plus
 }
 
-// buildPlusProblem assembles columns straight into the design matrix's
-// backing array — one allocation for the whole block instead of per-review
-// concatenations.
+// buildPlusProblem builds item i's collapsed CompaReSetS+ template: op×1
+// over asp×λ over asp×√(n−1)·μ.
 func (fc *featureCache) buildPlusProblem(i int) *regress.Problem {
-	f := &fc.items[i]
-	w := fc.muWeight()
-	dim := fc.sch.Dim(fc.z)
-	a := linalg.NewMatrix(dim+2*fc.z, f.numReviews())
-	if fc.use32 {
-		for j := range f.op32 {
-			col := a.Col(j)
-			linalg.WidenKernel(f.op32[j], col[:dim])
-			linalg.WidenScaleKernel(fc.cfg.Lambda, f.asp32[j], col[dim:dim+fc.z])
-			linalg.WidenScaleKernel(w, f.asp32[j], col[dim+fc.z:])
-		}
-	} else {
-		for j := range f.opCols {
-			col := a.Col(j)
-			copy(col[:dim], f.opCols[j])
-			for k, v := range f.aspCols[j] {
-				col[dim+k] = v * fc.cfg.Lambda
-				col[dim+fc.z+k] = v * w
-			}
-		}
-	}
-	return regress.NewProblem(a)
+	op, asp := fc.columns(i)
+	return regress.NewBlockProblem(
+		regress.Block{Cols: op, Scale: 1},
+		regress.Block{Cols: asp, Scale: fc.cfg.Lambda},
+		regress.Block{Cols: asp, Scale: fc.muWeight()},
+	)
 }
 
 // plusTarget assembles item i's sweep target [τᵢ; λ·Γ; √(n−1)·μ·Φ̄] where
@@ -298,7 +287,8 @@ func (fc *featureCache) phi(i int, selected []int) linalg.Vector {
 		}
 	} else {
 		for _, j := range selected {
-			sum.AddInPlace(f.aspCols[j])
+			idx, val := f.asp.Col(j)
+			linalg.ScatterAddKernel(idx, val, sum)
 		}
 	}
 	if m := sum.Max(); m > 0 {
@@ -335,9 +325,14 @@ func (fc *featureCache) piPhi(i int, selected []int) (pi, phi linalg.Vector) {
 			linalg.AddWidenKernel(f.asp32[j], phi)
 		}
 	} else {
+		// Scattering each review's ~5 non-zeros adds exactly what adding
+		// its dense columns did: the skipped entries are zeros, and adding
+		// a zero to an accumulator that starts at +0 changes nothing.
 		for _, j := range selected {
-			pi.AddInPlace(f.opCols[j])
-			phi.AddInPlace(f.aspCols[j])
+			idx, val := f.op.Col(j)
+			linalg.ScatterAddKernel(idx, val, pi)
+			idx, val = f.asp.Col(j)
+			linalg.ScatterAddKernel(idx, val, phi)
 		}
 	}
 	// The shared normalization denominator of Working Example 1: the

@@ -52,7 +52,7 @@ const (
 	// error mode simulates transient I/O and exercises the retry loop.
 	PointStoreRead = "store.itemreviews.read"
 	// PointFeatstoreFill fires before a feature-store fill; error mode
-	// makes ItemColumns decline (ok=false) so callers fall back to
+	// makes ItemFeatures decline (ok=false) so callers fall back to
 	// per-request computation.
 	PointFeatstoreFill = "featstore.fill"
 	// PointCoreSelect fires at selector entry (SelectContext).

@@ -8,12 +8,15 @@
 // loaded (Precompute) or lazily on first touch, guarded per shard so
 // concurrent requests for different items never contend on one lock.
 //
-// The columns of one item live in two immutable flat []float64 slabs (one
-// for opinion columns, one for aspect columns); the returned
-// linalg.Vector views alias those slabs. Callers must treat them as
-// read-only — internal/core's featureCache only ever reads them (it copies
-// into design matrices and accumulates into private scratch), which is what
-// makes sharing across concurrent requests safe.
+// An item's features are an opinion.Features: its reviews' opinion and
+// aspect columns as flat sparse runs (column offsets, rows, values; a
+// review has ~5 non-zeros in 36 rows at z = 12) and its targets π(Rᵢ),
+// φ(Rᵢ), filled together when the entry is computed or rebuilt so one
+// lookup serves a request everything it needs of the item. Callers must
+// treat them as read-only: internal/core's featureCache reads the columns
+// (scattering them into private accumulators) and its regression templates
+// point at them as the blocks of their designs, without a copy — which is
+// what makes sharing across concurrent requests and cached templates safe.
 //
 // A Store is bound to one corpus generation at a time. Loading a new corpus
 // still replaces the Store wholesale, but incremental mutations rebind the
@@ -50,20 +53,17 @@ type shard struct {
 	items map[itemKey]*entry
 }
 
-// entry is one (scheme, item) feature block: vector views over two flat
-// slabs. The float32 companions are narrowed lazily on the first
-// ItemColumns32 touch and alias two further compact slabs. it and sch
-// record which item snapshot the columns were computed from, so a mutation
-// can rebuild the block incrementally: columns of review pointers shared
-// between it.Reviews and the successor's are copied, not recomputed.
+// entry is one (scheme, item) feature block. The float32 companions are
+// narrowed lazily on the first ItemColumns32 touch into two dense compact
+// slabs. it and sch record which item snapshot the features were computed
+// from, so a mutation can rebuild the block incrementally: the runs of
+// review pointers shared between it.Reviews and the successor's are
+// copied, not recomputed.
 type entry struct {
 	it          *model.Item
 	sch         opinion.Scheme
-	op, asp     []linalg.Vector
+	feat        opinion.Features
 	op32, asp32 []linalg.Vector32
-	// tau/phiR are the item-level target vectors π(Rᵢ) and φ(Rᵢ), filled
-	// lazily on the first ItemTargets touch.
-	tau, phiR linalg.Vector
 }
 
 // New returns an empty store bound to the corpus. Features are computed
@@ -144,23 +144,22 @@ func (s *Store) lookup(it *model.Item, sch opinion.Scheme, z int) *entry {
 	return e
 }
 
-// ItemColumns implements core.FeatureSource: it returns the precomputed
-// opinion and aspect columns of the item's reviews under the scheme,
-// computing and memoizing them on first touch. ok is false when the item
-// does not belong to the bound corpus or z disagrees with the corpus
-// vocabulary — callers then fall back to computing features themselves.
-func (s *Store) ItemColumns(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector, ok bool) {
+// ItemFeatures implements core.FeatureSource: the item's review columns
+// and targets under the scheme, computed and memoized on first touch. ok
+// is false when the item does not belong to the bound corpus or z
+// disagrees with the corpus vocabulary — callers then fall back to
+// computing features themselves.
+func (s *Store) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool) {
 	e := s.lookup(it, sch, z)
 	if e == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	return e.op, e.asp, true
+	return &e.feat, true
 }
 
-// ItemColumns32 implements core.FeatureSource32: the compact float32 view
-// of the same feature block ItemColumns serves. The float64 slabs remain
-// the source of truth; the float32 slabs are narrowed from them once per
-// (scheme, item) and memoized, so repeated compact-mode requests pay no
+// ItemColumns32 implements core.FeatureSource32: the item's columns as
+// dense float32 vectors, narrowed from the sparse runs once per (scheme,
+// item) and memoized, so repeated compact-mode requests pay no
 // conversion. The same read-only aliasing contract applies.
 func (s *Store) ItemColumns32(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector32, ok bool) {
 	e := s.lookup(it, sch, z)
@@ -172,122 +171,95 @@ func (s *Store) ItemColumns32(it *model.Item, sch opinion.Scheme, z int) (op, as
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e.op32 == nil {
-		e.narrow(s)
+		e.op32 = narrow(e.feat.Op)
+		e.asp32 = narrow(e.feat.Asp)
+		s.m.Bytes.Add(float64(4 * (e.feat.Op.Rows + e.feat.Asp.Rows) * len(e.op32)))
 	}
 	return e.op32, e.asp32, true
 }
 
-// ItemTargets implements core.TargetSource: the item's target opinion
-// vector τᵢ = sch.Vector(reviews, z) and target aspect vector
-// φ(Rᵢ) = opinion.AspectVector(reviews, z), computed once per
-// (scheme, item) and shared read-only across requests. Every instance that
-// includes the item needs exactly these vectors (they never depend on the
-// request), so serving them resident removes the per-request target pass.
-func (s *Store) ItemTargets(it *model.Item, sch opinion.Scheme, z int) (tau, phi linalg.Vector, ok bool) {
-	e := s.lookup(it, sch, z)
-	if e == nil {
-		return nil, nil, false
+// narrow expands sparse columns into dense float32 vectors over one slab.
+func narrow(c *linalg.SparseColumns) []linalg.Vector32 {
+	n := c.Cols()
+	slab := make([]float32, n*c.Rows)
+	out := make([]linalg.Vector32, n)
+	for j := range out {
+		out[j] = linalg.Vector32(slab[j*c.Rows : (j+1)*c.Rows])
+		idx, val := c.Col(j)
+		for t, i := range idx {
+			out[j][i] = float32(val[t])
+		}
 	}
-	k := key(sch.Name(), it.ID)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.tau == nil {
-		e.tau = sch.Vector(e.it.Reviews, s.z)
-		e.phiR = opinion.AspectVector(e.it.Reviews, s.z)
-		s.m.Bytes.Add(float64(8 * (len(e.tau) + len(e.phiR))))
-	}
-	return e.tau, e.phiR, true
+	return out
 }
 
-// narrow builds the entry's float32 companion slabs from the float64 ones.
-// Caller holds the shard lock.
-func (e *entry) narrow(s *Store) {
-	n := len(e.op)
-	var dim int
-	if n > 0 {
-		dim = len(e.op[0])
-	}
-	opSlab := make([]float32, n*dim)
-	aspSlab := make([]float32, n*s.z)
-	e.op32 = make([]linalg.Vector32, n)
-	e.asp32 = make([]linalg.Vector32, n)
-	for j := 0; j < n; j++ {
-		e.op32[j] = linalg.Vector32(opSlab[j*dim : (j+1)*dim])
-		linalg.NarrowKernel(e.op[j], e.op32[j])
-		e.asp32[j] = linalg.Vector32(aspSlab[j*s.z : (j+1)*s.z])
-		linalg.NarrowKernel(e.asp[j], e.asp32[j])
-	}
-	s.m.Bytes.Add(float64(4 * (len(opSlab) + len(aspSlab))))
-}
-
-// compute builds one item's feature block: both column families are
-// assembled into single flat slabs (one allocation each) that the returned
-// vector views alias.
+// compute builds one item's feature block.
 func (s *Store) compute(it *model.Item, sch opinion.Scheme) *entry {
 	span := obs.StartStage(obs.StagePrecompute)
 	defer span.Stop()
-	dim := sch.Dim(s.z)
-	n := len(it.Reviews)
-	opSlab := make([]float64, n*dim)
-	aspSlab := make([]float64, n*s.z)
-	e := &entry{
-		it:  it,
-		sch: sch,
-		op:  make([]linalg.Vector, n),
-		asp: make([]linalg.Vector, n),
-	}
-	for j, r := range it.Reviews {
-		e.op[j] = linalg.Vector(opSlab[j*dim : (j+1)*dim])
-		copy(e.op[j], sch.Column(r, s.z))
-		e.asp[j] = linalg.Vector(aspSlab[j*s.z : (j+1)*s.z])
-		copy(e.asp[j], opinion.AspectColumn(r, s.z))
-	}
+	e := &entry{it: it, sch: sch, feat: opinion.NewFeatures(sch, it.Reviews, s.z)}
 	s.m.Entries.Add(1)
-	s.m.Bytes.Add(float64(8 * (len(opSlab) + len(aspSlab))))
+	s.m.Bytes.Add(float64(e.feat.Bytes()))
 	return e
 }
 
 // rebuild produces the feature block of a successor item snapshot from its
-// predecessor's block: columns whose review pointer survived the mutation
-// are copied out of the old slabs, only genuinely new or replaced reviews
-// go through the scheme. The old entry stays intact — in-flight requests
-// holding the old item keep reading consistent columns. Returns the new
-// entry plus how many columns were computed fresh vs reused.
+// predecessor's block: the runs of columns whose review pointer survived
+// the mutation are copied out of the old block, only genuinely new or
+// replaced reviews go through the scheme, and the targets are recomputed
+// over the new review list. The old entry stays intact — in-flight
+// requests and cached templates holding the old item keep reading
+// consistent columns. Returns the new entry plus how many columns were
+// computed fresh vs reused.
 func (s *Store) rebuild(old *entry, it *model.Item) (e *entry, computed, reused int) {
 	span := obs.StartStage(obs.StagePrecompute)
 	defer span.Stop()
 	sch := old.sch
-	dim := sch.Dim(s.z)
 	// Index the predecessor's columns by review pointer.
 	pos := make(map[*model.Review]int, len(old.it.Reviews))
 	for j, r := range old.it.Reviews {
 		pos[r] = j
 	}
+	// src[j] is review j's column in the old block, or −1−k for the k-th
+	// review computed fresh.
 	n := len(it.Reviews)
-	opSlab := make([]float64, n*dim)
-	aspSlab := make([]float64, n*s.z)
-	e = &entry{
-		it:  it,
-		sch: sch,
-		op:  make([]linalg.Vector, n),
-		asp: make([]linalg.Vector, n),
-	}
+	src := make([]int, n)
+	var added []*model.Review
+	var nnzOp, nnzAsp int
 	for j, r := range it.Reviews {
-		e.op[j] = linalg.Vector(opSlab[j*dim : (j+1)*dim])
-		e.asp[j] = linalg.Vector(aspSlab[j*s.z : (j+1)*s.z])
-		if k, ok := pos[r]; ok {
-			copy(e.op[j], old.op[k])
-			copy(e.asp[j], old.asp[k])
-			reused++
+		k, ok := pos[r]
+		if !ok {
+			src[j] = -1 - len(added)
+			added = append(added, r)
 			continue
 		}
-		copy(e.op[j], sch.Column(r, s.z))
-		copy(e.asp[j], opinion.AspectColumn(r, s.z))
-		computed++
+		src[j] = k
+		nnzOp += int(old.feat.Op.Off[k+1] - old.feat.Op.Off[k])
+		nnzAsp += int(old.feat.Asp.Off[k+1] - old.feat.Asp.Off[k])
 	}
-	s.m.Bytes.Add(float64(8 * (len(opSlab) + len(aspSlab))))
-	return e, computed, reused
+	freshOp, freshAsp := opinion.Columns(sch, added, s.z)
+	nnzOp += len(freshOp.Idx)
+	nnzAsp += len(freshAsp.Idx)
+	op := linalg.NewSparseColumns(freshOp.Rows, n, nnzOp)
+	asp := linalg.NewSparseColumns(s.z, n, nnzAsp)
+	for _, k := range src {
+		fromOp, fromAsp := old.feat.Op, old.feat.Asp
+		if k < 0 {
+			k, fromOp, fromAsp = -1-k, freshOp, freshAsp
+		}
+		op.AppendSparse(fromOp.Col(k))
+		asp.AppendSparse(fromAsp.Col(k))
+	}
+	op.ShareOnes()
+	asp.ShareOnes()
+	e = &entry{it: it, sch: sch, feat: opinion.Features{
+		Op:  op,
+		Asp: asp,
+		Tau: sch.Vector(it.Reviews, s.z),
+		Phi: opinion.AspectVector(it.Reviews, s.z),
+	}}
+	s.m.Bytes.Add(float64(e.feat.Bytes()))
+	return e, len(added), n - len(added)
 }
 
 // Apply rebinds the store to the post-mutation corpus and eagerly refills
@@ -317,25 +289,25 @@ func (s *Store) Apply(c *model.Corpus, m *model.Mutation) (computed, reused int)
 
 // Precompute eagerly builds the feature blocks of every corpus item under
 // the scheme, so the first request after a corpus load pays no lazy
-// compute. Safe to call concurrently with ItemColumns.
+// compute. Safe to call concurrently with ItemFeatures.
 func (s *Store) Precompute(sch opinion.Scheme) {
 	c := s.corpus.Load()
 	for _, id := range c.ItemIDs() {
-		s.ItemColumns(c.Items[id], sch, s.z)
+		s.lookup(c.Items[id], sch, s.z)
 	}
 }
 
 // Warm touches the feature blocks of the given items under the scheme so a
-// subsequent run finds every slab resident. The batch executor uses it as
-// the group's single slab pass: one warm sweep over the union of a group's
-// items, then every member request hits warm slabs. compact selects the
-// float32 companions as well.
+// subsequent run finds every block resident. The batch executor uses it as
+// the group's single feature pass: one warm sweep over the union of a
+// group's items, then every member request hits warm blocks. compact
+// selects the float32 companions as well.
 func (s *Store) Warm(items []*model.Item, sch opinion.Scheme, compact bool) {
 	for _, it := range items {
 		if compact {
 			s.ItemColumns32(it, sch, s.z)
 		} else {
-			s.ItemColumns(it, sch, s.z)
+			s.lookup(it, sch, s.z)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"comparesets/internal/core"
+	"comparesets/internal/datagen"
 	"comparesets/internal/faultinject"
 	"comparesets/internal/linalg"
 	"comparesets/internal/model"
@@ -40,6 +41,47 @@ func testCorpus(tb testing.TB) *model.Corpus {
 	return c
 }
 
+// checkRuns fails unless f's runs hold exactly the non-zeros of
+// sch.Column and opinion.AspectColumn for every review of reviews, rows
+// ascending and values bit for bit, and its targets equal sch.Vector and
+// opinion.AspectVector over the list.
+func checkRuns(t *testing.T, label string, f *opinion.Features, reviews []*model.Review, sch opinion.Scheme, z int) {
+	t.Helper()
+	if f.Op.Rows != sch.Dim(z) || f.Asp.Rows != z || f.Op.Cols() != len(reviews) || f.Asp.Cols() != len(reviews) {
+		t.Fatalf("%s: op %d×%d asp %d×%d, want %d×%d and %d×%d", label,
+			f.Op.Rows, f.Op.Cols(), f.Asp.Rows, f.Asp.Cols(), sch.Dim(z), len(reviews), z, len(reviews))
+	}
+	same := func(fam string, j int, c *linalg.SparseColumns, dense linalg.Vector) {
+		t.Helper()
+		var wantIdx []int32
+		var wantVal []uint64
+		for i, v := range dense {
+			if v != 0 {
+				wantIdx = append(wantIdx, int32(i))
+				wantVal = append(wantVal, math.Float64bits(v))
+			}
+		}
+		idx, val := c.Col(j)
+		gotVal := make([]uint64, len(val))
+		for t, v := range val {
+			gotVal[t] = math.Float64bits(v)
+		}
+		if len(idx) != len(wantIdx) || (len(idx) > 0 && (!reflect.DeepEqual(idx, wantIdx) || !reflect.DeepEqual(gotVal, wantVal))) {
+			t.Fatalf("%s review %d %s: run %v %v, want non-zeros %v of %v", label, j, fam, idx, val, wantIdx, dense)
+		}
+	}
+	for j, r := range reviews {
+		same("op", j, f.Op, sch.Column(r, z))
+		same("asp", j, f.Asp, opinion.AspectColumn(r, z))
+	}
+	if want := sch.Vector(reviews, z); !reflect.DeepEqual(f.Tau, want) {
+		t.Fatalf("%s: tau = %v want %v", label, f.Tau, want)
+	}
+	if want := opinion.AspectVector(reviews, z); !reflect.DeepEqual(f.Phi, want) {
+		t.Fatalf("%s: phi = %v want %v", label, f.Phi, want)
+	}
+}
+
 func TestItemColumnsMatchDirectComputation(t *testing.T) {
 	c := testCorpus(t)
 	s := New(c)
@@ -47,21 +89,74 @@ func TestItemColumnsMatchDirectComputation(t *testing.T) {
 	for _, sch := range opinion.Schemes() {
 		for _, id := range c.ItemIDs() {
 			it := c.Items[id]
-			op, asp, ok := s.ItemColumns(it, sch, z)
+			f, ok := s.ItemFeatures(it, sch, z)
 			if !ok {
 				t.Fatalf("%s/%s: not ok", sch.Name(), id)
 			}
-			if len(op) != len(it.Reviews) || len(asp) != len(it.Reviews) {
-				t.Fatalf("%s/%s: got %d/%d columns, want %d", sch.Name(), id, len(op), len(asp), len(it.Reviews))
-			}
-			for j, r := range it.Reviews {
-				if want := sch.Column(r, z); !reflect.DeepEqual(op[j], want) {
-					t.Errorf("%s/%s review %d: op = %v want %v", sch.Name(), id, j, op[j], want)
+			checkRuns(t, sch.Name()+"/"+id, f, it.Reviews, sch, z)
+		}
+	}
+}
+
+// The sparse runs hold the non-zeros of every review column of the three
+// synthetic corpora under every scheme, and keep holding them after append,
+// update and remove rebuilds, incremental (Apply) and lazy alike.
+func TestRunsMatchSchemeColumnsOnSyntheticCorpora(t *testing.T) {
+	for _, cfg := range datagen.DefaultConfigs(7) {
+		c, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := c.Aspects.Len()
+		s := New(c)
+		for _, sch := range opinion.Schemes() {
+			s.Precompute(sch)
+			for _, id := range c.ItemIDs() {
+				f, ok := s.ItemFeatures(c.Items[id], sch, z)
+				if !ok {
+					t.Fatalf("%s/%s/%s: not ok", c.Category, sch.Name(), id)
 				}
-				if want := opinion.AspectColumn(r, z); !reflect.DeepEqual(asp[j], want) {
-					t.Errorf("%s/%s review %d: asp = %v want %v", sch.Name(), id, j, asp[j], want)
-				}
+				checkRuns(t, c.Category+"/"+sch.Name()+"/"+id, f, c.Items[id].Reviews, sch, z)
 			}
+		}
+		ids := c.ItemIDs()
+		id := ids[0]
+		donor := c.Items[ids[1]].Reviews
+		steps := []func(*model.Corpus) (*model.Mutation, error){
+			func(n *model.Corpus) (*model.Mutation, error) {
+				r := *donor[0]
+				r.ID, r.ItemID = "appended", id
+				return n.AppendReviews(id, &r)
+			},
+			func(n *model.Corpus) (*model.Mutation, error) {
+				r := *donor[1]
+				r.ID, r.ItemID = n.Items[id].Reviews[0].ID, id
+				return n.UpdateReview(id, &r)
+			},
+			func(n *model.Corpus) (*model.Mutation, error) {
+				return n.RemoveReview(id, n.Items[id].Reviews[1].ID)
+			},
+		}
+		for step, mutate := range steps {
+			next := c.Clone()
+			m, err := mutate(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step == 1 {
+				// Rebind without Apply: the first touch rebuilds lazily.
+				s.corpus.Store(next)
+			} else {
+				s.Apply(next, m)
+			}
+			for _, sch := range opinion.Schemes() {
+				f, ok := s.ItemFeatures(next.Items[id], sch, z)
+				if !ok {
+					t.Fatalf("%s step %d %s: not ok", c.Category, step, sch.Name())
+				}
+				checkRuns(t, fmt.Sprintf("%s step %d %s", c.Category, step, sch.Name()), f, next.Items[id].Reviews, sch, z)
+			}
+			c = next
 		}
 	}
 }
@@ -71,14 +166,14 @@ func TestItemColumnsMemoizes(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	it := c.Items[c.ItemIDs()[0]]
-	op1, asp1, _ := s.ItemColumns(it, opinion.Binary{}, z)
-	op2, asp2, _ := s.ItemColumns(it, opinion.Binary{}, z)
-	if &op1[0][0] != &op2[0][0] || &asp1[0][0] != &asp2[0][0] {
-		t.Error("repeated lookup did not return the memoized slabs")
+	f1, _ := s.ItemFeatures(it, opinion.Binary{}, z)
+	f2, _ := s.ItemFeatures(it, opinion.Binary{}, z)
+	if f1 != f2 || f1.Op != f2.Op || &f1.Tau[0] != &f2.Tau[0] {
+		t.Error("repeated lookup did not return the memoized features")
 	}
 	// Distinct schemes are distinct entries.
-	op3, _, _ := s.ItemColumns(it, opinion.ThreePolarity{}, z)
-	if len(op3[0]) == len(op1[0]) {
+	f3, _ := s.ItemFeatures(it, opinion.ThreePolarity{}, z)
+	if f3.Op.Rows == f1.Op.Rows {
 		t.Error("3-polarity columns should have a different dim than binary")
 	}
 }
@@ -88,10 +183,10 @@ func TestItemColumnsRejectsForeignItems(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	foreign := &model.Item{ID: "p0"} // same ID, different pointer
-	if _, _, ok := s.ItemColumns(foreign, opinion.Binary{}, z); ok {
+	if _, ok := s.ItemFeatures(foreign, opinion.Binary{}, z); ok {
 		t.Error("foreign item pointer accepted")
 	}
-	if _, _, ok := s.ItemColumns(c.Items["p0"], opinion.Binary{}, z+1); ok {
+	if _, ok := s.ItemFeatures(c.Items["p0"], opinion.Binary{}, z+1); ok {
 		t.Error("mismatched z accepted")
 	}
 }
@@ -113,8 +208,8 @@ func TestPrecomputeAndConcurrentAccess(t *testing.T) {
 			for n := 0; n < 50; n++ {
 				it := c.Items[ids[(w+n)%len(ids)]]
 				sch := opinion.Schemes()[n%len(opinion.Schemes())]
-				op, _, ok := s.ItemColumns(it, sch, z)
-				if !ok || len(op) != len(it.Reviews) {
+				f, ok := s.ItemFeatures(it, sch, z)
+				if !ok || f.Op.Cols() != len(it.Reviews) {
 					t.Errorf("concurrent lookup failed for %s", it.ID)
 					return
 				}
@@ -160,7 +255,7 @@ func instanceOf(c *model.Corpus) (*model.Instance, error) {
 	return c.NewInstance(target.ID, 0)
 }
 
-var sinkVec linalg.Vector
+var sinkFeatures *opinion.Features
 
 func BenchmarkItemColumnsWarm(b *testing.B) {
 	c := testCorpus(b)
@@ -171,8 +266,7 @@ func BenchmarkItemColumnsWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, _, _ := s.ItemColumns(it, opinion.Binary{}, z)
-		sinkVec = op[0]
+		sinkFeatures, _ = s.ItemFeatures(it, opinion.Binary{}, z)
 	}
 }
 
@@ -190,24 +284,23 @@ func TestFillFaultFallsBackGracefully(t *testing.T) {
 	faultinject.Arm(faultinject.PointFeatstoreFill, faultinject.Fault{
 		Mode: faultinject.ModeError, Remaining: 1,
 	})
-	if _, _, ok := s.ItemColumns(it, sch, z); ok {
-		t.Fatal("ItemColumns ok under injected fill fault, want decline")
+	if _, ok := s.ItemFeatures(it, sch, z); ok {
+		t.Fatal("ItemFeatures ok under injected fill fault, want decline")
 	}
 	// The fault self-disarmed: the next touch fills and serves normally.
-	op, asp, ok := s.ItemColumns(it, sch, z)
-	if !ok || len(op) != len(it.Reviews) || len(asp) != len(it.Reviews) {
-		t.Fatalf("post-fault fill: ok=%v op=%d asp=%d", ok, len(op), len(asp))
+	f, ok := s.ItemFeatures(it, sch, z)
+	if !ok || f.Op.Cols() != len(it.Reviews) || f.Asp.Cols() != len(it.Reviews) {
+		t.Fatalf("post-fault fill: ok=%v", ok)
 	}
 	// Already-resident entries are immune to fill faults (nothing to fill).
 	faultinject.Arm(faultinject.PointFeatstoreFill, faultinject.Fault{Mode: faultinject.ModeError})
-	if _, _, ok := s.ItemColumns(it, sch, z); !ok {
+	if _, ok := s.ItemFeatures(it, sch, z); !ok {
 		t.Error("resident entry declined under fill fault")
 	}
 }
 
 // The compact slabs must satisfy the FeatureSource32 injection point too.
 var _ core.FeatureSource32 = (*Store)(nil)
-var _ core.TargetSource = (*Store)(nil)
 
 // TestFloat32SlabTolerance pins the accuracy contract of compact mode (this
 // name is referenced by the kernel doc in internal/linalg/kernels32.go):
@@ -221,19 +314,24 @@ func TestFloat32SlabTolerance(t *testing.T) {
 	for _, sch := range opinion.Schemes() {
 		for _, id := range c.ItemIDs() {
 			it := c.Items[id]
-			op, asp, ok := s.ItemColumns(it, sch, z)
+			f, ok := s.ItemFeatures(it, sch, z)
 			op32, asp32, ok32 := s.ItemColumns32(it, sch, z)
 			if !ok || !ok32 {
 				t.Fatalf("%s/%s: lookup failed (ok=%v ok32=%v)", sch.Name(), id, ok, ok32)
 			}
-			check := func(fam string, wide []linalg.Vector, narrow []linalg.Vector32) {
+			check := func(fam string, c *linalg.SparseColumns, narrow []linalg.Vector32) {
 				t.Helper()
-				if len(narrow) != len(wide) {
-					t.Fatalf("%s/%s %s: %d narrow columns, want %d", sch.Name(), id, fam, len(narrow), len(wide))
+				if len(narrow) != c.Cols() {
+					t.Fatalf("%s/%s %s: %d narrow columns, want %d", sch.Name(), id, fam, len(narrow), c.Cols())
 				}
-				for j := range wide {
-					for i := range wide[j] {
-						w, n := wide[j][i], float64(narrow[j][i])
+				for j := range narrow {
+					wide := linalg.NewVector(c.Rows)
+					idx, val := c.Col(j)
+					for t, i := range idx {
+						wide[i] = val[t]
+					}
+					for i := range wide {
+						w, n := wide[i], float64(narrow[j][i])
 						if w == n {
 							continue
 						}
@@ -249,14 +347,14 @@ func TestFloat32SlabTolerance(t *testing.T) {
 					}
 				}
 			}
-			check("op", op, op32)
-			check("asp", asp, asp32)
+			check("op", f.Op, op32)
+			check("asp", f.Asp, asp32)
 		}
 	}
 }
 
-// ItemTargets must serve exactly the vectors the per-request target pass
-// would compute, and memoize them.
+// ItemFeatures serves exactly the target vectors the per-request target
+// pass would compute, and memoizes them.
 func TestItemTargetsMatchDirectComputation(t *testing.T) {
 	c := testCorpus(t)
 	s := New(c)
@@ -264,28 +362,21 @@ func TestItemTargetsMatchDirectComputation(t *testing.T) {
 	for _, sch := range opinion.Schemes() {
 		for _, id := range c.ItemIDs() {
 			it := c.Items[id]
-			tau, phi, ok := s.ItemTargets(it, sch, z)
+			f, ok := s.ItemFeatures(it, sch, z)
 			if !ok {
 				t.Fatalf("%s/%s: not ok", sch.Name(), id)
 			}
-			if want := sch.Vector(it.Reviews, z); !reflect.DeepEqual(tau, want) {
-				t.Errorf("%s/%s: tau = %v want %v", sch.Name(), id, tau, want)
+			if want := sch.Vector(it.Reviews, z); !reflect.DeepEqual(f.Tau, want) {
+				t.Errorf("%s/%s: tau = %v want %v", sch.Name(), id, f.Tau, want)
 			}
-			if want := opinion.AspectVector(it.Reviews, z); !reflect.DeepEqual(phi, want) {
-				t.Errorf("%s/%s: phi = %v want %v", sch.Name(), id, phi, want)
+			if want := opinion.AspectVector(it.Reviews, z); !reflect.DeepEqual(f.Phi, want) {
+				t.Errorf("%s/%s: phi = %v want %v", sch.Name(), id, f.Phi, want)
 			}
-			tau2, phi2, _ := s.ItemTargets(it, sch, z)
-			if &tau[0] != &tau2[0] || &phi[0] != &phi2[0] {
+			f2, _ := s.ItemFeatures(it, sch, z)
+			if &f.Tau[0] != &f2.Tau[0] || &f.Phi[0] != &f2.Phi[0] {
 				t.Errorf("%s/%s: repeated lookup did not return the memoized vectors", sch.Name(), id)
 			}
 		}
-	}
-	// The usual guards apply: foreign pointers and mismatched z decline.
-	if _, _, ok := s.ItemTargets(&model.Item{ID: "p0"}, opinion.Binary{}, z); ok {
-		t.Error("foreign item pointer accepted")
-	}
-	if _, _, ok := s.ItemTargets(c.Items["p0"], opinion.Binary{}, z+1); ok {
-		t.Error("mismatched z accepted")
 	}
 }
 
@@ -312,7 +403,7 @@ func TestApplyRefillsOnlyTouchedColumns(t *testing.T) {
 	s.Precompute(sch)
 	resident := s.Len()
 	oldP0, oldP1 := c.Items["p0"], c.Items["p1"]
-	op1Before, _, _ := s.ItemColumns(oldP1, sch, z)
+	f1Before, _ := s.ItemFeatures(oldP1, sch, z)
 
 	next, m := mutate(t, c)
 	computed, reused := s.Apply(next, m)
@@ -328,31 +419,22 @@ func TestApplyRefillsOnlyTouchedColumns(t *testing.T) {
 
 	// The old snapshot no longer resolves; the new one does, with columns
 	// matching direct computation.
-	if _, _, ok := s.ItemColumns(oldP0, sch, z); ok {
+	if _, ok := s.ItemFeatures(oldP0, sch, z); ok {
 		t.Error("stale item snapshot still resolves after Apply")
 	}
 	newP0 := next.Items["p0"]
-	op, asp, ok := s.ItemColumns(newP0, sch, z)
-	if !ok || len(op) != len(newP0.Reviews) {
-		t.Fatalf("new snapshot: ok=%v len=%d", ok, len(op))
+	f, ok := s.ItemFeatures(newP0, sch, z)
+	if !ok {
+		t.Fatal("new snapshot not served")
 	}
-	for j, r := range newP0.Reviews {
-		if want := sch.Column(r, z); !reflect.DeepEqual(op[j], want) {
-			t.Errorf("review %d: op = %v want %v", j, op[j], want)
-		}
-		if want := opinion.AspectColumn(r, z); !reflect.DeepEqual(asp[j], want) {
-			t.Errorf("review %d: asp = %v want %v", j, asp[j], want)
-		}
-	}
-	// Untouched items keep identical column views (same backing slabs).
-	op1After, _, ok := s.ItemColumns(oldP1, sch, z)
+	checkRuns(t, "new p0", f, newP0.Reviews, sch, z)
+	// Untouched items keep the same features (same backing runs).
+	f1After, ok := s.ItemFeatures(oldP1, sch, z)
 	if !ok {
 		t.Fatal("untouched item lost residency")
 	}
-	for j := range op1Before {
-		if &op1Before[j][0] != &op1After[j][0] {
-			t.Fatalf("untouched item column %d was rebuilt", j)
-		}
+	if f1After != f1Before || &f1After.Op.Idx[0] != &f1Before.Op.Idx[0] {
+		t.Fatal("untouched item's features were rebuilt")
 	}
 }
 
@@ -361,19 +443,17 @@ func TestLazyRebuildOnStaleEntry(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	sch := opinion.Schemes()[0]
-	s.ItemColumns(c.Items["p0"], sch, z) // resident block for the old snapshot
+	s.ItemFeatures(c.Items["p0"], sch, z) // resident block for the old snapshot
 
 	// Rebind without Apply: the first touch of the new snapshot must refill
 	// lazily instead of serving the stale block.
 	next, m := mutate(t, c)
 	s.corpus.Store(next)
-	op, _, ok := s.ItemColumns(m.New, sch, z)
-	if !ok || len(op) != len(m.New.Reviews) {
-		t.Fatalf("lazy rebuild: ok=%v len=%d want %d", ok, len(op), len(m.New.Reviews))
+	f, ok := s.ItemFeatures(m.New, sch, z)
+	if !ok {
+		t.Fatal("lazy rebuild: not ok")
 	}
-	if want := sch.Column(m.New.Reviews[len(op)-1], z); !reflect.DeepEqual(op[len(op)-1], want) {
-		t.Errorf("appended column = %v want %v", op[len(op)-1], want)
-	}
+	checkRuns(t, "lazy rebuild", f, m.New.Reviews, sch, z)
 }
 
 func TestApplyAfterRemoveAndUpdate(t *testing.T) {
@@ -406,15 +486,11 @@ func TestApplyAfterRemoveAndUpdate(t *testing.T) {
 		t.Errorf("update: computed=%d reused=%d", computed, reused)
 	}
 	it := after.Items["p0"]
-	op, _, ok := s.ItemColumns(it, sch, z)
+	f, ok := s.ItemFeatures(it, sch, z)
 	if !ok {
 		t.Fatal("post-update snapshot not resident")
 	}
-	for j, r := range it.Reviews {
-		if want := sch.Column(r, z); !reflect.DeepEqual(op[j], want) {
-			t.Errorf("review %d: op = %v want %v", j, op[j], want)
-		}
-	}
+	checkRuns(t, "post-update", f, it.Reviews, sch, z)
 }
 
 func TestApplyResetsTargets(t *testing.T) {
@@ -422,21 +498,22 @@ func TestApplyResetsTargets(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	sch := opinion.Schemes()[0]
-	tauBefore, _, ok := s.ItemTargets(c.Items["p0"], sch, z)
+	before, ok := s.ItemFeatures(c.Items["p0"], sch, z)
 	if !ok {
 		t.Fatal("targets not served")
 	}
 	next, m := mutate(t, c)
 	s.Apply(next, m)
-	tauAfter, phiAfter, ok := s.ItemTargets(next.Items["p0"], sch, z)
+	after, ok := s.ItemFeatures(next.Items["p0"], sch, z)
 	if !ok {
 		t.Fatal("targets not served after Apply")
 	}
+	tauBefore, tauAfter := before.Tau, after.Tau
 	if want := sch.Vector(next.Items["p0"].Reviews, z); !reflect.DeepEqual(tauAfter, want) {
 		t.Errorf("tau after mutation = %v want %v", tauAfter, want)
 	}
-	if want := opinion.AspectVector(next.Items["p0"].Reviews, z); !reflect.DeepEqual(phiAfter, want) {
-		t.Errorf("phiR after mutation = %v want %v", phiAfter, want)
+	if want := opinion.AspectVector(next.Items["p0"].Reviews, z); !reflect.DeepEqual(after.Phi, want) {
+		t.Errorf("phiR after mutation = %v want %v", after.Phi, want)
 	}
 	if reflect.DeepEqual(tauBefore, tauAfter) {
 		t.Error("tau unchanged although a 5-star review was appended")

@@ -9,8 +9,9 @@ package linalg
 // floating-point dependency chain is broken and the FPU pipelines stay full,
 // and a scalar tail. The CI guard (`make bce-check`) builds this file with
 // -d=ssa/check_bce and fails if any bounds check reappears in a kernel; the
-// one inherently unprovable load — the data-dependent gather in
-// GatherDotKernel — lives in gather.go, outside the guard.
+// inherently unprovable accesses — the data-dependent gather in
+// GatherDotKernel and scatter in ScatterAddKernel — live in gather.go,
+// outside the guard.
 //
 // The unrolled kernels reassociate the reduction (four partial sums combined
 // at the end), so results can differ from a naive left-to-right loop in the

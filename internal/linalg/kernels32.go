@@ -35,16 +35,6 @@ func WidenKernel(src []float32, dst []float64) {
 	}
 }
 
-// WidenScaleKernel writes alpha·float64(src[i]) into dst — the design-matrix
-// block fill for float32 feature columns. It panics if lengths differ.
-func WidenScaleKernel(alpha float64, src []float32, dst []float64) {
-	checkLen(len(src), len(dst))
-	src = src[:len(dst)]
-	for i := 0; i < len(dst) && i < len(src); i++ {
-		dst[i] = alpha * float64(src[i])
-	}
-}
-
 // AddWidenKernel sets y[i] += float64(x[i]) — the candidate-evaluation
 // accumulation over float32 feature columns. It panics if lengths differ.
 func AddWidenKernel(x []float32, y []float64) {

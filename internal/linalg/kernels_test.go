@@ -159,21 +159,6 @@ func TestNarrowWidenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWidenScaleKernelMatchesNaive(t *testing.T) {
-	for _, n := range kernelLens {
-		src, _ := randomPair(n, uint64(n)+53)
-		s32 := narrowed(src)
-		const alpha = 2.5
-		dst := NewVector(n)
-		WidenScaleKernel(alpha, s32, dst)
-		for i := range dst {
-			if want := alpha * float64(s32[i]); dst[i] != want {
-				t.Fatalf("n=%d i=%d: WidenScaleKernel=%g want %g", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
 func TestAddWidenKernelMatchesNaive(t *testing.T) {
 	for _, n := range kernelLens {
 		src, acc := randomPair(n, uint64(n)+61)

@@ -19,8 +19,9 @@ import (
 // filled by an m = 2 pass over every target × λ of Lambdas, then one
 // selection per op over every target × λ × m = MinM..MaxM shape, shuffled.
 // It sizes solver and template changes without HTTP or scheduling noise,
-// and reports the CPU time per op (user + system, from getrusage) and the
-// number of templates the caches hold next to ns/op.
+// and reports the CPU time per op (user + system, from getrusage), the
+// number of templates the caches hold and the bytes those templates own
+// (ProblemCache.Bytes) next to ns/op.
 func BenchmarkColdReplay(b *testing.B) {
 	corpora, err := Corpora()
 	if err != nil {
@@ -42,7 +43,7 @@ func BenchmarkColdReplay(b *testing.B) {
 	sort.Strings(cats)
 	var sel core.CompaReSetSPlus
 	var shapes []shape
-	templates := 0
+	templates, templateBytes := 0, 0
 	for _, cat := range cats {
 		cc := corpus{c: corpora[cat], features: featstore.New(corpora[cat]), problems: core.NewProblemCache()}
 		for _, id := range dataset.TargetIDs(cc.c) {
@@ -62,6 +63,7 @@ func BenchmarkColdReplay(b *testing.B) {
 			}
 		}
 		templates += cc.problems.Len()
+		templateBytes += cc.problems.Bytes()
 	}
 	rand.New(rand.NewSource(CorpusSeed)).Shuffle(len(shapes), func(i, j int) { shapes[i], shapes[j] = shapes[j], shapes[i] })
 
@@ -76,6 +78,7 @@ func BenchmarkColdReplay(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64((cpuTime(b)-cpu0).Microseconds())/float64(b.N), "cpu-us/op")
 	b.ReportMetric(float64(templates), "templates")
+	b.ReportMetric(float64(templateBytes), "template-bytes")
 }
 
 // cpuTime returns the process's user plus system CPU time.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"comparesets/internal/linalg"
 	"comparesets/internal/obs"
@@ -17,28 +18,30 @@ import (
 var errGramFallback = errors.New("regress: gram solver fallback")
 
 // Problem is a preprocessed Integer-Regression instance: the dedup grouping
-// of the design matrix together with every target-independent structure
-// the solver reads — the unique columns' sparse forms for correlation, and
-// their Gram matrix that powers the incremental NNLS. Build one per design
-// matrix and reuse it across targets: CompaReSetS+ re-solves the same
-// per-item design against a fresh target on every sweep, and the dedup
-// grouping, sparsity pattern, and Gram matrix are all invariant across
-// those sweeps. No dense copy of the deduplicated design is kept: the
-// rare numerical fallback rebuilds it from the sparse forms.
+// of the design together with every target-independent structure the
+// solver reads — the design itself, as scaled blocks over shared sparse
+// columns, and the unique columns' Gram matrix that powers the incremental
+// NNLS. Build one per design and reuse it across targets: CompaReSetS+
+// re-solves the same per-item design against a fresh target on every
+// sweep, and the dedup grouping, sparsity pattern, and Gram matrix are all
+// invariant across those sweeps.
 //
-// Cached problems live for the life of a corpus, so the layout is compact:
-// the grouping and the sparse forms are flat int32 offset arrays over flat
-// slabs, and the symmetric Gram matrix keeps only its lower triangle. A
-// problem is five allocations, whatever its size.
+// Cached problems live for the life of a corpus, so a problem holds no
+// copy of its design, dense or sparse: its blocks point at the review
+// columns the feature store keeps once per item, and the rare numerical
+// fallback rebuilds a dense matrix from them. What it owns is the grouping
+// (flat int32 offsets over one member array), the Gram matrix (its packed
+// lower triangle) and the block list: four allocations with the header,
+// whatever its size. Bytes counts them.
 //
 // A Problem additionally owns reusable solver scratch, so it is NOT safe
 // for concurrent use; give each goroutine its own Problem (the per-item
 // fan-out in internal/core assigns every item's Problem to one worker).
 type Problem struct {
-	rows, cols int           // shape of the deduplicated design
-	groups     groups        // the Dedup grouping of the design's columns
-	sparse     sparseColumns // the unique columns' non-zeros
-	gram       []float64     // the unique columns' Gram matrix, packed (see gramAt)
+	rows, cols int       // shape of the deduplicated design
+	groups     groups    // the Dedup grouping of the design's columns
+	blocks     stack     // the design, read at each group's first column
+	gram       []float64 // the unique columns' Gram matrix, packed (see gramAt)
 	scratch    *solverScratch
 }
 
@@ -134,28 +137,57 @@ func (p *Problem) releaseScratch() {
 	}
 }
 
-// NewProblem preprocesses the design matrix a: group identical columns,
-// extract the sparse forms of the unique columns, and compute their Gram
-// matrix. Each group's values are read from its first column of a, so
-// building a Problem materializes no deduplicated copy of a.
+// NewProblem preprocesses the dense design matrix a: it is the
+// one-block design over a's non-zeros at scale 1 (see NewBlockProblem).
 func NewProblem(a *linalg.Matrix) *Problem {
-	g := groupColumns(a)
+	return NewBlockProblem(Block{Cols: linalg.SparseFromMatrix(a), Scale: 1})
+}
+
+// NewBlockProblem preprocesses the design that stacks the blocks top to
+// bottom: group identical columns and compute the Gram matrix of the
+// unique ones. The problem keeps the blocks, which alias their columns, so
+// those must stay unchanged for its life. Each group's values are read
+// from its first column, and the design is never assembled: Gram entry
+// (j, k) is column j's stacked non-zeros dotted, in GatherDotKernel's
+// order, with column k scattered into a dense scratch column, which is
+// exactly the sum the assembled dense matrix gives.
+func NewBlockProblem(blocks ...Block) *Problem {
+	d, rows, cols := newStack(blocks)
+	sc := dedupPool.Get().(*dedupScratch)
+	defer putDedupScratch(sc)
+	g := groupColumns(sc, d, cols)
 	n := g.len()
 	p := &Problem{
-		rows:   a.Rows,
+		rows:   rows,
 		cols:   n,
 		groups: g,
-		sparse: newSparseColumns(n, func(k int) linalg.Vector { return a.Col(g.first(k)) }),
+		blocks: d,
 		gram:   make([]float64, n*(n+1)/2),
 	}
-	for j := 0; j < n; j++ {
-		idx, val := p.sparse.col(j)
-		row := p.gram[j*(j+1)/2:][:j+1]
-		for k := range row {
-			row[k] = linalg.GatherDotKernel(idx, val, a.Col(g.first(k)))
+	if cap(sc.col) < rows {
+		sc.col = make([]float64, rows)
+	}
+	col := sc.col[:rows]
+	clear(col)
+	for k := 0; k < n; k++ {
+		d.scatter(g.first(k), col)
+		for j := k; j < n; j++ {
+			p.gram[j*(j+1)/2+k] = d.dot(g.first(j), col)
 		}
+		clear(col)
 	}
 	return p
+}
+
+// Bytes returns the bytes the problem owns: its header, grouping, Gram
+// matrix and block list. The blocks' columns belong to whoever built the
+// problem (the feature store, for served templates) and are not counted;
+// a Share owns the same bytes as its template.
+func (p *Problem) Bytes() int {
+	return int(unsafe.Sizeof(*p)) +
+		4*(cap(p.groups.off)+cap(p.groups.mem)) +
+		8*cap(p.gram) +
+		int(unsafe.Sizeof(block{}))*cap(p.blocks)
 }
 
 // gramAt returns the Gram entry G[j][k]. The symmetric matrix is stored as
@@ -186,7 +218,7 @@ func (p *Problem) axpyGramCol(alpha float64, k int, y []float64) {
 }
 
 // Share returns a Problem backed by the same preprocessed state — the dedup
-// grouping, sparse column forms, and Gram matrix — but with its own
+// grouping, design blocks, and Gram matrix — but with its own
 // (lazily allocated) solver scratch. Preprocessing is the expensive step
 // and none of the shared fields are ever written after NewProblem, so
 // Share is how concurrent or cached users reuse one preprocessing pass:
@@ -367,17 +399,13 @@ func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) (
 	return path, err
 }
 
-// denseUnique rebuilds Dedup's unique matrix from the sparse forms. Only
+// denseUnique rebuilds Dedup's unique matrix from the design blocks. Only
 // the dense fallback reads it, so it is built per fallback call rather than
 // kept in every template.
 func (p *Problem) denseUnique() *linalg.Matrix {
 	u := linalg.NewMatrix(p.rows, p.cols)
 	for j := 0; j < p.cols; j++ {
-		col := u.Col(j)
-		idx, val := p.sparse.col(j)
-		for t, i := range idx {
-			col[i] = val[t]
-		}
+		p.blocks.scatter(p.groups.first(j), u.Col(j))
 	}
 	return u
 }
@@ -394,8 +422,10 @@ func (p *Problem) nompGram(ctx context.Context, y linalg.Vector, maxAtoms int) (
 	const tol = 1e-10
 	sc := p.scratchState(maxAtoms)
 	sc.resetSolver()
-	// c = Aᵀy over the unique columns, via the sparse forms.
-	p.sparse.correlations(y, sc.c)
+	// c = Aᵀy over the unique columns, via the design's non-zeros.
+	for j := range sc.c {
+		sc.c[j] = p.blocks.dot(p.groups.first(j), y)
+	}
 
 	s := &supportSolver{p: p, sc: sc}
 	path := sc.path[:0]

@@ -26,45 +26,20 @@ import (
 // calls so the grouping pass allocates nothing on the selection hot path:
 // the hash index (with collision chains), the per-column group assignment,
 // and the per-group bookkeeping all come back from the pool. Only the
-// returned grouping is a fresh allocation, because callers retain it.
+// returned grouping is a fresh allocation, because callers retain it. col
+// is the dense column NewBlockProblem scatters each Gram column into.
 type dedupScratch struct {
 	index    map[uint64]int32 // column hash → head of the group chain
 	chain    []int32          // per group: next group with the same hash
 	colGroup []int32          // per column: assigned group
 	firstCol []int32          // per group: representative (first) column
 	count    []int32          // per group: member count
+	col      []float64
 }
 
 var dedupPool = sync.Pool{New: func() any {
 	return &dedupScratch{index: make(map[uint64]int32)}
 }}
-
-// hashColumn folds a column's exact float64 bit patterns with FNV-1a; Dedup
-// verifies candidate groups bit-for-bit, so collisions cost a compare, never
-// correctness.
-func hashColumn(col linalg.Vector) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range col {
-		h ^= math.Float64bits(v)
-		h *= prime
-	}
-	return h
-}
-
-// sameColumn reports bit-exact equality (the notion the old byte-key used:
-// design entries come from the small set {0, 1, λ, μ}).
-func sameColumn(a, b linalg.Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // Dedup groups identical columns of a. It returns the deduplicated matrix,
 // the multiplicity cᵢ of each unique column, and for each unique column the
@@ -72,7 +47,10 @@ func sameColumn(a, b linalg.Vector) bool {
 // is DeduplicateColumns of Algorithm 1, line 5. Groups are ordered by first
 // occurrence, exactly as the original columns are scanned.
 func Dedup(a *linalg.Matrix) (unique *linalg.Matrix, counts []int, members [][]int) {
-	g := groupColumns(a)
+	d, _, _ := newStack([]Block{{Cols: linalg.SparseFromMatrix(a), Scale: 1}})
+	sc := dedupPool.Get().(*dedupScratch)
+	g := groupColumns(sc, d, a.Cols)
+	putDedupScratch(sc)
 	n := g.len()
 	unique = linalg.NewMatrix(a.Rows, n)
 	counts = make([]int, n)
@@ -115,33 +93,25 @@ func (g groups) appendCounts(dst []int) []int {
 	return dst
 }
 
-// groupColumns is the grouping pass of Dedup: the ascending member list of
-// every group of identical columns, groups in order of first occurrence.
-// A group's first member is its first column, so callers read a group's
-// values straight from a without a unique copy.
-func groupColumns(a *linalg.Matrix) groups {
-	sc := dedupPool.Get().(*dedupScratch)
-	defer func() {
-		clear(sc.index)
-		sc.chain = sc.chain[:0]
-		sc.colGroup = sc.colGroup[:0]
-		sc.firstCol = sc.firstCol[:0]
-		sc.count = sc.count[:0]
-		dedupPool.Put(sc)
-	}()
-	if cap(sc.colGroup) < a.Cols {
-		sc.colGroup = make([]int32, 0, a.Cols)
+// groupColumns is the grouping pass of Dedup and NewBlockProblem: the
+// ascending member list of every group of identical columns of the design,
+// groups in order of first occurrence. A group's first member is its first
+// column, so callers read a group's values straight from the design
+// without a unique copy. sc is pooled scratch the caller checked out.
+func groupColumns(sc *dedupScratch, d stack, cols int) groups {
+	if cap(sc.colGroup) < cols {
+		sc.colGroup = make([]int32, 0, cols)
 	}
 	// Grouping pass: hash each column and walk the (usually empty) collision
-	// chain comparing bits against each candidate group's representative.
-	for j := 0; j < a.Cols; j++ {
-		col := a.Col(j)
-		h := hashColumn(col)
+	// chain comparing non-zeros against each candidate group's
+	// representative.
+	for j := 0; j < cols; j++ {
+		h := d.hash(j)
 		g := int32(-1)
 		head, ok := sc.index[h]
 		if ok {
 			for c := head; c >= 0; c = sc.chain[c] {
-				if sameColumn(a.Col(int(sc.firstCol[c])), col) {
+				if d.same(int(sc.firstCol[c]), j) {
 					g = c
 					break
 				}
@@ -165,7 +135,7 @@ func groupColumns(a *linalg.Matrix) groups {
 	// within a group come out ascending because columns are scanned in
 	// order. sc.count is reused as each group's fill cursor.
 	ng := len(sc.firstCol)
-	slab := make([]int32, ng+1+a.Cols)
+	slab := make([]int32, ng+1+cols)
 	out := groups{off: slab[: ng+1 : ng+1], mem: slab[ng+1:]}
 	for g, n := range sc.count {
 		out.off[g+1] = out.off[g] + n
@@ -178,55 +148,14 @@ func groupColumns(a *linalg.Matrix) groups {
 	return out
 }
 
-// sparseColumns extracts each column's non-zero entries once; the NOMP
-// correlation step then iterates only those. Design matrices here are 0/1
-// opinion/aspect indicators scaled by λ/μ — typically >95% zero — so the
-// sparse walk removes the dominant cost of the greedy atom search.
-type sparseColumns struct {
-	off []int32   // column j's entries are idx/val[off[j]:off[j+1]]
-	idx []int32   // row indices of non-zeros, column after column
-	val []float64 // matching values
-}
-
-// col returns column j's row indices and values.
-func (s *sparseColumns) col(j int) ([]int32, []float64) {
-	lo, hi := s.off[j], s.off[j+1]
-	return s.idx[lo:hi], s.val[lo:hi]
-}
-
-// newSparseColumns extracts the non-zeros of n columns, reading column j
-// from col(j).
-func newSparseColumns(n int, col func(j int) linalg.Vector) sparseColumns {
-	nnz := 0
-	for j := 0; j < n; j++ {
-		for _, v := range col(j) {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	// The offsets and row indices share one int32 slab; the values take
-	// one float64 slab.
-	ints := make([]int32, n+1+nnz)
-	s := sparseColumns{off: ints[: n+1 : n+1], idx: ints[n+1 : n+1], val: make([]float64, 0, nnz)}
-	for j := 0; j < n; j++ {
-		for i, v := range col(j) {
-			if v != 0 {
-				s.idx = append(s.idx, int32(i))
-				s.val = append(s.val, v)
-			}
-		}
-		s.off[j+1] = int32(len(s.idx))
-	}
-	return s
-}
-
-// correlations computes aᵀ·resid using the sparse column structure.
-func (s *sparseColumns) correlations(resid linalg.Vector, out linalg.Vector) {
-	for j := 0; j+1 < len(s.off); j++ {
-		idx, val := s.col(j)
-		out[j] = linalg.GatherDotKernel(idx, val, resid)
-	}
+// putDedupScratch resets sc and returns it to the pool.
+func putDedupScratch(sc *dedupScratch) {
+	clear(sc.index)
+	sc.chain = sc.chain[:0]
+	sc.colGroup = sc.colGroup[:0]
+	sc.firstCol = sc.firstCol[:0]
+	sc.count = sc.count[:0]
+	dedupPool.Put(sc)
 }
 
 // NOMPPath runs non-negative OMP on (a, y) and returns the solution after
@@ -251,7 +180,7 @@ func nompPathDense(ctx context.Context, a *linalg.Matrix, y linalg.Vector, maxAt
 		// columns; larger supports cannot improve an exact fit anyway.
 		maxAtoms = a.Rows
 	}
-	sparse := newSparseColumns(a.Cols, a.Col)
+	sparse := linalg.SparseFromMatrix(a)
 	corr := linalg.NewVector(n)
 	path := make([]linalg.Vector, 0, maxAtoms)
 	support := []int{}
@@ -264,7 +193,10 @@ func nompPathDense(ctx context.Context, a *linalg.Matrix, y linalg.Vector, maxAt
 			return nil, err
 		}
 		// Greedy atom: maximum positive correlation with the residual.
-		sparse.correlations(resid, corr)
+		for j := range corr {
+			idx, val := sparse.Col(j)
+			corr[j] = linalg.GatherDotKernel(idx, val, resid)
+		}
 		best, bestC := -1, tol
 		for j := 0; j < n; j++ {
 			if !inSupport[j] && corr[j] > bestC {

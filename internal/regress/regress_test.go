@@ -268,8 +268,10 @@ func TestSparseCorrelationsMatchDense(t *testing.T) {
 		}
 		want := a.MulVecT(resid)
 		got := linalg.NewVector(cols)
-		sparse := newSparseColumns(a.Cols, a.Col)
-		sparse.correlations(resid, got)
+		d, _, _ := newStack([]Block{{Cols: linalg.SparseFromMatrix(a), Scale: 1}})
+		for j := range got {
+			got[j] = d.dot(j, resid)
+		}
 		if !got.ApproxEqual(want, 1e-10) {
 			t.Fatalf("trial %d: sparse %v != dense %v", trial, got, want)
 		}

@@ -99,7 +99,7 @@ func naiveGrouping(a *linalg.Matrix) [][]int {
 	var groups [][]int
 	for j := 0; j < a.Cols; j++ {
 		g := 0
-		for g < len(groups) && !sameColumn(a.Col(groups[g][0]), a.Col(j)) {
+		for g < len(groups) && !sameBits(a.Col(groups[g][0]), a.Col(j)) {
 			g++
 		}
 		if g == len(groups) {
@@ -268,39 +268,42 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 }
 
 // A template allocates its compact layout and nothing more: the Problem
-// value, one int32 slab for the grouping, one for the sparse offsets and
-// row indices, one float64 slab for the non-zeros, and the packed Gram.
-// TotalAlloc counts every byte handed out whenever the GC runs, so the
-// delta around NewProblem measures the template; a warm call first fills
-// the pooled dedup scratch, and the smallest of a few deltas discards a
-// pool emptied by a collection in between.
+// value, one int32 slab for the grouping, the packed Gram and the block
+// list; the design's columns stay with their owner. Bytes reports that
+// layout exactly. TotalAlloc counts every byte handed out whenever the GC
+// runs, so the delta around NewBlockProblem measures the template; a warm
+// call first fills the pooled dedup scratch, and the smallest of a few
+// deltas discards a pool emptied by a collection in between.
 func TestNewProblemAllocatesCompactLayout(t *testing.T) {
 	const reviews, dim, z = 40, 16, 24
-	a := plusDesign(rand.New(rand.NewSource(66)), dim, z, reviews, 20, 0.5, 2)
-	p := NewProblem(a)
-	n, nnz := p.cols, len(p.sparse.idx)
+	bl := plusBlocks(rand.New(rand.NewSource(66)), dim, z, reviews, 20, 0.5, 2)
+	p := NewBlockProblem(bl...)
+	n := p.cols
 	if n < 15 {
 		t.Fatalf("design has %d unique columns, want about 20", n)
 	}
 	layout := uint64(unsafe.Sizeof(Problem{})) +
 		4*uint64(n+1+reviews) + // grouping offsets and members
-		4*uint64(n+1+nnz) + 8*uint64(nnz) + // sparse offsets, rows, values
-		8*uint64(n*(n+1)/2) // packed Gram
-	// Size classes round each of the five allocations up by at most 1/8,
+		8*uint64(n*(n+1)/2) + // packed Gram
+		uint64(len(bl))*uint64(unsafe.Sizeof(block{})) // block list
+	if got := uint64(p.Bytes()); got != layout {
+		t.Fatalf("Bytes() = %d, layout %d", got, layout)
+	}
+	// Size classes round each of the four allocations up by at most 1/8,
 	// and by at most 16 bytes below 128 bytes.
-	limit := layout + layout/8 + 5*16
+	limit := layout + layout/8 + 4*16
 	var before, after runtime.MemStats
 	got := uint64(math.MaxUint64)
 	for try := 0; try < 5; try++ {
-		NewProblem(a)
+		NewBlockProblem(bl...)
 		runtime.ReadMemStats(&before)
-		NewProblem(a)
+		NewBlockProblem(bl...)
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	t.Logf("%d unique columns, %d non-zeros: NewProblem allocates %d bytes, layout %d, limit %d", n, nnz, got, layout, limit)
+	t.Logf("%d unique columns: NewBlockProblem allocates %d bytes, layout %d, limit %d", n, got, layout, limit)
 	if got > limit {
-		t.Fatalf("NewProblem allocates %d bytes, more than the %d-byte compact layout plus size-class slack (%d)", got, layout, limit)
+		t.Fatalf("NewBlockProblem allocates %d bytes, more than the %d-byte compact layout plus size-class slack (%d)", got, layout, limit)
 	}
 }
 
