@@ -66,25 +66,24 @@ fuzz:
 # isolates the serving path (cold vs warm cache vs coalesced);
 # BENCH_simgraph.json covers the shortlist solvers (Exact/Greedy/HkS at
 # n∈{16,32,64}, k∈{5,10} — 10x because HkS n=64 runs 64 exact solves/op);
-# BENCH_batch.json isolates the batched executor (group sizes 1/4/16 and the
-# 8-concurrent-distinct workload, batched vs unbatched); BENCH_mutate.json
-# compares the incremental write path against the old whole-epoch flush
-# (append-1-review vs AddCorpus+precompute at n∈{64,256}). The end-to-end
+# BENCH_mutate.json compares the incremental write path against the old
+# whole-epoch flush (append-1-review vs AddCorpus+precompute at
+# n∈{64,256}). The end-to-end
 # serving numbers come from perfbench, gated against a parent commit by
 # `go run ./cmd/benchpair <parent-ref>`.
 bench-json:
 	go run ./cmd/bench -out BENCH_core.json
 	go run ./cmd/bench -out BENCH_service.json ./internal/service/
 	go run ./cmd/bench -out BENCH_simgraph.json -benchtime 10x ./internal/simgraph/
-	go run ./cmd/bench -out BENCH_batch.json -bench 'SelectBatch|SelectConcurrent' ./internal/service/
 	go run ./cmd/bench -out BENCH_mutate.json -bench 'Mutate' ./internal/service/
 
 # Prove the compute kernels stay free of bounds checks: build the linalg
 # package with the BCE diagnostic and fail if the compiler reports a bounds
-# check inside kernels.go or kernels32.go. GOARCH is pinned because BCE
-# decisions are architecture-dependent.
+# check inside kernels.go (gather.go keeps its data-dependent load check on
+# purpose). GOARCH is pinned because BCE decisions are
+# architecture-dependent.
 bce-check:
-	@out=$$(GOARCH=amd64 go build -gcflags='comparesets/internal/linalg=-d=ssa/check_bce/debug=1' ./internal/linalg/ 2>&1 | grep -E 'kernels(32)?\.go' || true); \
+	@out=$$(GOARCH=amd64 go build -gcflags='comparesets/internal/linalg=-d=ssa/check_bce/debug=1' ./internal/linalg/ 2>&1 | grep -E 'kernels\.go' || true); \
 	if [ -n "$$out" ]; then \
 		echo "bounds checks found in kernels:"; echo "$$out"; exit 1; \
 	else echo "bce-check: kernels are bounds-check free"; fi

@@ -16,11 +16,9 @@
 //
 // Select responses for named corpora are cached in a sharded LRU
 // (-cache-bytes budget, default 64 MiB) and identical concurrent requests
-// are coalesced into one pipeline execution. -batch-window additionally
-// groups concurrent merely-similar cold requests (same corpus and
-// selection shape, different targets) into one shared execution, sealed
-// early at -batch-max members; -float32 serves from compact float32
-// feature slabs.
+// are coalesced into one pipeline execution. A miss runs the selection
+// over each corpus's resident float64 review features and its shared
+// regression templates.
 //
 // -max-inflight bounds concurrently executing select requests; excess
 // requests queue briefly and are shed with 503 + Retry-After once the
@@ -75,9 +73,6 @@ func main() {
 		storePath     = flag.String("store", "", "append-only review store log to open (health feeds /readyz)")
 		mutLog        = flag.Bool("mutlog", false, "write-ahead log corpus mutations to the -store log (seeds an empty log with the loaded corpora)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
-		batchWindow   = flag.Duration("batch-window", 0, "batch cold select requests of the same shape for up to this window (0 = no batching)")
-		batchMax      = flag.Int("batch-max", 0, "seal a batch group early at this many requests (0 = window only)")
-		float32Mode   = flag.Bool("float32", false, "serve selections from compact float32 feature slabs (float64 accumulation)")
 		joinURL       = flag.String("join", "", "bootstrap corpora from a peer's snapshot endpoint (base URL of a worker or router) instead of -data/-synthetic")
 		joinDir       = flag.String("join-dir", "", "directory for snapshot logs fetched by -join (default: a temp dir)")
 		serveSnapshot = flag.Bool("serve-snapshot", false, "serve GET /internal/v1/snapshot/{category} so peers and the router can replicate from this worker")
@@ -106,9 +101,6 @@ func main() {
 		CacheBytes:  *cacheBytes,
 		MaxInflight: *maxInflight,
 		MaxQueue:    *maxQueue,
-		BatchWindow: *batchWindow,
-		BatchMax:    *batchMax,
-		Float32:     *float32Mode,
 	}
 	var st *store.Store
 	if *storePath != "" {

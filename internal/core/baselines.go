@@ -38,8 +38,10 @@ func (CRS) SelectContext(ctx context.Context, inst *model.Instance, cfg Config) 
 	crsCfg := cfg
 	crsCfg.Lambda = 0
 	crsCfg.Mu = 0
+	// Targets do not depend on λ or μ: the CRS regressions and the
+	// reported objective read the same ones.
 	tg := NewTargets(inst, crsCfg)
-	sel := &Selection{Indices: make([][]int, inst.NumItems())}
+	sel := &Selection{Indices: make([][]int, inst.NumItems()), Targets: tg}
 	z := inst.Aspects.Len()
 	sch := crsCfg.scheme()
 	for i, it := range inst.Items {
@@ -62,7 +64,7 @@ func (CRS) SelectContext(ctx context.Context, inst *model.Instance, cfg Config) 
 			return nil, err
 		}
 	}
-	sel.Objective = ObjectiveCompareSets(inst, NewTargets(inst, cfg), cfg, sel.Reviews(inst))
+	sel.Objective = ObjectiveCompareSets(inst, tg, cfg, sel.Reviews(inst))
 	return sel, nil
 }
 
@@ -89,7 +91,7 @@ func (Greedy) SelectContext(ctx context.Context, inst *model.Instance, cfg Confi
 		return nil, ErrEmptyInstance
 	}
 	tg := NewTargets(inst, cfg)
-	sel := &Selection{Indices: make([][]int, inst.NumItems())}
+	sel := &Selection{Indices: make([][]int, inst.NumItems()), Targets: tg}
 	for i, it := range inst.Items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -158,7 +160,7 @@ func (Random) SelectContext(ctx context.Context, inst *model.Instance, cfg Confi
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tg := NewTargets(inst, cfg)
-	sel := &Selection{Indices: make([][]int, inst.NumItems())}
+	sel := &Selection{Indices: make([][]int, inst.NumItems()), Targets: tg}
 	for i, it := range inst.Items {
 		sel.Indices[i] = randomSubset(rng, len(it.Reviews), cfg.M)
 	}

@@ -49,7 +49,7 @@ func (CompaReSetS) SelectContext(ctx context.Context, inst *model.Instance, cfg 
 	if err != nil {
 		return nil, err
 	}
-	sel := &Selection{Indices: indices}
+	sel := &Selection{Indices: indices, Targets: tg}
 	sel.Objective = ObjectiveCompareSets(inst, tg, cfg, sel.Reviews(inst))
 	return sel, nil
 }
@@ -192,7 +192,7 @@ func (CompaReSetSPlus) SelectContext(ctx context.Context, inst *model.Instance, 
 		}
 		sweepSpan.Stop()
 	}
-	sel := &Selection{Indices: indices}
+	sel := &Selection{Indices: indices, Targets: tg}
 	sel.Objective = ObjectivePlus(inst, tg, cfg, sel.Reviews(inst))
 	return sel, nil
 }

@@ -48,22 +48,14 @@ type Config struct {
 	// instance. Selections are identical either way — the source only skips
 	// the per-request feature computation.
 	Features FeatureSource
-	// Float32 stores feature columns as float32 slabs (halving feature
-	// memory traffic) while keeping every accumulation, target, and solver
-	// in float64. The 0/1 and small-integer columns of the counting schemes
-	// are exactly representable in float32, so those schemes select
-	// identically; general schemes agree within the narrowing tolerance
-	// (see linalg.Dot32Kernel). If Features implements FeatureSource32 its
-	// compact slabs are used directly; otherwise columns are narrowed once
-	// per instance.
-	Float32 bool
 	// Problems optionally shares preprocessed per-item regression problems
 	// across selections over the same corpus: the serving layer keeps one
-	// cache per corpus generation, so repeated and batched requests skip
-	// the per-item design assembly, dedup, and Gram products entirely. The
-	// cache hands every caller a private share of an immutable template
-	// (regress.Problem.Share), so any number of selections may use one
-	// cache concurrently. Selections are identical with or without it.
+	// cache per corpus generation, so later requests over the same items
+	// skip the per-item design assembly, dedup, and Gram products
+	// entirely. The cache hands every caller a private share of an
+	// immutable template (regress.Problem.Share), so any number of
+	// selections may use one cache concurrently. Selections are identical
+	// with or without it.
 	Problems *ProblemCache
 }
 
@@ -73,24 +65,16 @@ type Config struct {
 // only; Tau must equal sch.Vector(it.Reviews, z) and Phi
 // opinion.AspectVector(it.Reviews, z). None of it depends on the request,
 // so a corpus-resident source computes it once, and a selection looks each
-// item up once: NewTargets asks the source and hands the columns on to
-// the feature cache through Targets. Implementations return ok=false when
-// they cannot serve the item (e.g. it belongs to another corpus), in which
-// case the caller computes the features itself. The returned features are
-// shared across requests and cached regression templates and must never
-// be mutated.
+// item up once: NewTargets asks the source, hands the columns on to the
+// feature cache through Targets, and the Selection carries those Targets
+// to its consumers. Features are float64 sparse runs, the one
+// representation every consumer reads. Implementations return ok=false
+// when they cannot serve the item (e.g. it belongs to another corpus), in
+// which case the caller computes the features itself. The returned
+// features are shared across requests and cached regression templates and
+// must never be mutated.
 type FeatureSource interface {
 	ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool)
-}
-
-// FeatureSource32 is the compact-slab extension of FeatureSource: sources
-// that store float32 feature slabs implement it so Config.Float32 requests
-// can read them without a widening copy per request. The same aliasing
-// contract applies — returned vectors are shared and must never be mutated.
-// Column j must equal the float32 narrowing of the FeatureSource columns,
-// densely.
-type FeatureSource32 interface {
-	ItemColumns32(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector32, ok bool)
 }
 
 func (c Config) workerCount() int {
@@ -130,6 +114,11 @@ type Selection struct {
 	// Objective is the value of the optimized objective (Eq. 1 for
 	// CompaReSetS, Eq. 5 for CompaReSetS+) on the returned sets.
 	Objective float64
+	// Targets are the instance's targets the selector scored against
+	// (NewTargets under the selection's Config). Consumers that need them
+	// again, such as the similarity graph's StatsForSets pass, read them
+	// here instead of looking every item up a second time.
+	Targets *Targets
 }
 
 // Reviews materializes the selected review sets S₁..S_n.

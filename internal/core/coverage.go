@@ -41,6 +41,7 @@ func (Comprehensive) SelectContext(ctx context.Context, inst *model.Instance, cf
 		})
 	}
 	tg := NewTargets(inst, cfg)
+	sel.Targets = tg
 	sel.Objective = ObjectiveCompareSets(inst, tg, cfg, sel.Reviews(inst))
 	return sel, nil
 }
@@ -96,6 +97,7 @@ func (CoverageOpinions) SelectContext(ctx context.Context, inst *model.Instance,
 		})
 	}
 	tg := NewTargets(inst, cfg)
+	sel.Targets = tg
 	sel.Objective = ObjectiveCompareSets(inst, tg, cfg, sel.Reviews(inst))
 	return sel, nil
 }

@@ -33,7 +33,7 @@ func (Exhaustive) Select(inst *model.Instance, cfg Config) (*Selection, error) {
 		return nil, ErrEmptyInstance
 	}
 	tg := NewTargets(inst, cfg)
-	sel := &Selection{Indices: make([][]int, inst.NumItems())}
+	sel := &Selection{Indices: make([][]int, inst.NumItems()), Targets: tg}
 	for i, it := range inst.Items {
 		best, err := exhaustiveItem(inst, tg, cfg, i, it)
 		if err != nil {

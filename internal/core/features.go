@@ -40,10 +40,7 @@ type featureCache struct {
 	// counting is true for schemes whose π(S) is a normalized column sum,
 	// enabling candidate evaluation straight from the cached columns.
 	counting bool
-	// use32 mirrors cfg.Float32: columns live in op32/asp32 float32 slabs
-	// and every consumer widens on the fly (accumulating in float64).
-	use32 bool
-	tg    *Targets
+	tg       *Targets
 	// gammaL is λ·Γ, scaled once: it appears in every item's base target
 	// and every sweep target.
 	gammaL linalg.Vector
@@ -53,13 +50,8 @@ type featureCache struct {
 // itemFeatures is the per-item slice of the cache.
 type itemFeatures struct {
 	// op column j holds the non-zeros of sch.Column(reviews[j], z); asp
-	// column j those of the 0/1 aspect column of reviews[j]. In float32
-	// mode they are widened from op32/asp32 when a template is first built.
+	// column j those of the 0/1 aspect column of reviews[j].
 	op, asp *linalg.SparseColumns
-	// op32/asp32 are the compact float32 columns used when cfg.Float32 is
-	// set (either handed out by a FeatureSource32 or narrowed locally).
-	op32  []linalg.Vector32
-	asp32 []linalg.Vector32
 	// base is the CompaReSetS problem over columns [op; λ·asp], built on
 	// first use; baseTarget is its fixed target [τᵢ; λ·Γ].
 	base       *regress.Problem
@@ -88,27 +80,9 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 		items: make([]itemFeatures, inst.NumItems()),
 	}
 	fc.counting = opinion.IsCounting(fc.sch)
-	fc.use32 = cfg.Float32
 	fc.gammaL = tg.Gamma.Scale(cfg.Lambda)
 	for i, it := range inst.Items {
 		f := &fc.items[i]
-		// In float32 mode a FeatureSource32 serves compact slabs directly;
-		// items it cannot serve are computed in float64 and narrowed once.
-		if fc.use32 {
-			if src, ok := cfg.Features.(FeatureSource32); ok {
-				if op, asp, ok := src.ItemColumns32(it, fc.sch, fc.z); ok {
-					f.op32, f.asp32 = op, asp
-					continue
-				}
-			}
-			f.op32 = make([]linalg.Vector32, len(it.Reviews))
-			f.asp32 = make([]linalg.Vector32, len(it.Reviews))
-			for j, r := range it.Reviews {
-				f.op32[j] = narrow32(fc.sch.Column(r, fc.z))
-				f.asp32[j] = narrow32(opinion.AspectColumn(r, fc.z))
-			}
-			continue
-		}
 		// The columns NewTargets got from the feature source are shared
 		// and read-only: every downstream use scatters them into
 		// request-private buffers or reads them as template blocks.
@@ -119,43 +93,6 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 		f.op, f.asp = opinion.Columns(fc.sch, it.Reviews, fc.z)
 	}
 	return fc
-}
-
-// narrow32 copies v into a fresh float32 slab.
-func narrow32(v linalg.Vector) linalg.Vector32 {
-	out := make(linalg.Vector32, len(v))
-	linalg.NarrowKernel(v, out)
-	return out
-}
-
-// widen32 returns the sparse form of float32 columns of length rows,
-// widened to float64.
-func widen32(rows int, cols []linalg.Vector32) *linalg.SparseColumns {
-	dense := make([]linalg.Vector, len(cols))
-	for j, c := range cols {
-		dense[j] = linalg.NewVector(rows)
-		linalg.WidenKernel(c, dense[j])
-	}
-	return linalg.SparseFromColumns(rows, dense)
-}
-
-// columns returns item i's sparse columns, widening the float32 ones on
-// first use in float32 mode.
-func (fc *featureCache) columns(i int) (op, asp *linalg.SparseColumns) {
-	f := &fc.items[i]
-	if f.op == nil {
-		f.op = widen32(fc.sch.Dim(fc.z), f.op32)
-		f.asp = widen32(fc.z, f.asp32)
-	}
-	return f.op, f.asp
-}
-
-// numReviews returns the number of cached review columns.
-func (f *itemFeatures) numReviews() int {
-	if f.op32 != nil {
-		return len(f.op32)
-	}
-	return f.op.Cols()
 }
 
 // muWeight is the collapsed-block scale √(n−1)·μ.
@@ -177,13 +114,12 @@ func (fc *featureCache) problemKey(i int, kind problemKind) problemKey {
 		muW = fc.muWeight()
 	}
 	return problemKey{
-		item:    fc.inst.Items[i],
-		kind:    kind,
-		scheme:  fc.sch.Name(),
-		z:       fc.z,
-		lambda:  fc.cfg.Lambda,
-		muW:     muW,
-		float32: fc.use32,
+		item:   fc.inst.Items[i],
+		kind:   kind,
+		scheme: fc.sch.Name(),
+		z:      fc.z,
+		lambda: fc.cfg.Lambda,
+		muW:    muW,
 	}
 }
 
@@ -210,10 +146,10 @@ func (fc *featureCache) baseProblem(i int) *regress.Problem {
 
 // buildBaseProblem builds item i's CompaReSetS template: op×1 over asp×λ.
 func (fc *featureCache) buildBaseProblem(i int) *regress.Problem {
-	op, asp := fc.columns(i)
+	f := &fc.items[i]
 	return regress.NewBlockProblem(
-		regress.Block{Cols: op, Scale: 1},
-		regress.Block{Cols: asp, Scale: fc.cfg.Lambda},
+		regress.Block{Cols: f.op, Scale: 1},
+		regress.Block{Cols: f.asp, Scale: fc.cfg.Lambda},
 	)
 }
 
@@ -237,11 +173,11 @@ func (fc *featureCache) plusProblem(i int) *regress.Problem {
 // buildPlusProblem builds item i's collapsed CompaReSetS+ template: op×1
 // over asp×λ over asp×√(n−1)·μ.
 func (fc *featureCache) buildPlusProblem(i int) *regress.Problem {
-	op, asp := fc.columns(i)
+	f := &fc.items[i]
 	return regress.NewBlockProblem(
-		regress.Block{Cols: op, Scale: 1},
-		regress.Block{Cols: asp, Scale: fc.cfg.Lambda},
-		regress.Block{Cols: asp, Scale: fc.muWeight()},
+		regress.Block{Cols: f.op, Scale: 1},
+		regress.Block{Cols: f.asp, Scale: fc.cfg.Lambda},
+		regress.Block{Cols: f.asp, Scale: fc.muWeight()},
 	)
 }
 
@@ -281,15 +217,9 @@ func (fc *featureCache) plusTarget(i int, othersSum linalg.Vector) linalg.Vector
 func (fc *featureCache) phi(i int, selected []int) linalg.Vector {
 	sum := linalg.NewVector(fc.z)
 	f := &fc.items[i]
-	if fc.use32 {
-		for _, j := range selected {
-			linalg.AddWidenKernel(f.asp32[j], sum)
-		}
-	} else {
-		for _, j := range selected {
-			idx, val := f.asp.Col(j)
-			linalg.ScatterAddKernel(idx, val, sum)
-		}
+	for _, j := range selected {
+		idx, val := f.asp.Col(j)
+		linalg.ScatterAddKernel(idx, val, sum)
 	}
 	if m := sum.Max(); m > 0 {
 		sum.ScaleInPlace(1 / m)
@@ -319,21 +249,14 @@ func (fc *featureCache) piPhi(i int, selected []int) (pi, phi linalg.Vector) {
 	for k := range phi {
 		phi[k] = 0
 	}
-	if fc.use32 {
-		for _, j := range selected {
-			linalg.AddWidenKernel(f.op32[j], pi)
-			linalg.AddWidenKernel(f.asp32[j], phi)
-		}
-	} else {
-		// Scattering each review's ~5 non-zeros adds exactly what adding
-		// its dense columns did: the skipped entries are zeros, and adding
-		// a zero to an accumulator that starts at +0 changes nothing.
-		for _, j := range selected {
-			idx, val := f.op.Col(j)
-			linalg.ScatterAddKernel(idx, val, pi)
-			idx, val = f.asp.Col(j)
-			linalg.ScatterAddKernel(idx, val, phi)
-		}
+	// Scattering each review's ~5 non-zeros adds exactly what adding its
+	// dense columns did: the skipped entries are zeros, and adding a zero
+	// to an accumulator that starts at +0 changes nothing.
+	for _, j := range selected {
+		idx, val := f.op.Col(j)
+		linalg.ScatterAddKernel(idx, val, pi)
+		idx, val = f.asp.Col(j)
+		linalg.ScatterAddKernel(idx, val, phi)
 	}
 	// The shared normalization denominator of Working Example 1: the
 	// maximum per-aspect review count within the set.

@@ -18,29 +18,29 @@ const (
 // problemKey identifies a per-item regression problem by everything its
 // design matrix depends on: the item's reviews (by corpus-resident item
 // identity), the opinion scheme and vocabulary size, the λ scale, the
-// collapsed μ-block scale √(n−1)·μ (which folds in the instance size), and
-// whether the columns came through the float32 slab path (narrowed columns
-// can differ from float64 ones for non-integer schemes).
+// collapsed μ-block scale √(n−1)·μ (which folds in the instance size).
+// The review columns themselves are the item's one float64 sparse
+// representation, so nothing else can tell two builds apart.
 type problemKey struct {
-	item    *model.Item
-	kind    problemKind
-	scheme  string
-	z       int
-	lambda  float64
-	muW     float64
-	float32 bool
+	item   *model.Item
+	kind   problemKind
+	scheme string
+	z      int
+	lambda float64
+	muW    float64
 }
 
 // maxCachedProblems bounds a ProblemCache (one per corpus). An item holds a
 // CompaReSetS template per (λ, scheme) and a CompaReSetS+ template per
-// (λ, scheme, √(n−1)·μ), and the μ-block scale folds in the size n of every
-// instance the item appears in, so the count grows with λ values times
-// instance sizes, not just with items. The perfbench cold_select shapes
-// build 1,648 / 1,834 / 1,616 templates (Cellphone / Toy / Clothing) for
-// their two λ values; a run that reaches all four of its λ layers builds
-// 3,668 in Toy, near this bound. Overflow resets the whole map, so every
-// template is then rebuilt; the reset keeps the cache a pure accelerator
-// with no eviction bookkeeping on the hit path.
+// (λ, scheme, √(n−1)·μ), all over the item's one set of float64 review
+// columns, and the μ-block scale folds in the size n of every instance the
+// item appears in, so the count grows with λ values times instance sizes,
+// not just with items. The perfbench cold_select shapes build 1,648 /
+// 1,834 / 1,616 templates (Cellphone / Toy / Clothing) for their two λ
+// values; a run that reaches all four of its λ layers builds 3,668 in Toy,
+// near this bound. Overflow resets the whole map, so every template is
+// then rebuilt; the reset keeps the cache a pure accelerator with no
+// eviction bookkeeping on the hit path.
 const maxCachedProblems = 4096
 
 // ProblemCache shares preprocessed per-item regression problems

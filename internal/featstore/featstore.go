@@ -53,17 +53,16 @@ type shard struct {
 	items map[itemKey]*entry
 }
 
-// entry is one (scheme, item) feature block. The float32 companions are
-// narrowed lazily on the first ItemColumns32 touch into two dense compact
-// slabs. it and sch record which item snapshot the features were computed
-// from, so a mutation can rebuild the block incrementally: the runs of
-// review pointers shared between it.Reviews and the successor's are
-// copied, not recomputed.
+// entry is one (scheme, item) feature block: the item's float64 sparse
+// review runs and targets, the only form the store keeps. it and sch
+// record which item snapshot the features were computed from, so a
+// mutation can rebuild the block incrementally: the runs of review
+// pointers shared between it.Reviews and the successor's are copied, not
+// recomputed.
 type entry struct {
-	it          *model.Item
-	sch         opinion.Scheme
-	feat        opinion.Features
-	op32, asp32 []linalg.Vector32
+	it   *model.Item
+	sch  opinion.Scheme
+	feat opinion.Features
 }
 
 // New returns an empty store bound to the corpus. Features are computed
@@ -155,42 +154,6 @@ func (s *Store) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinio
 		return nil, false
 	}
 	return &e.feat, true
-}
-
-// ItemColumns32 implements core.FeatureSource32: the item's columns as
-// dense float32 vectors, narrowed from the sparse runs once per (scheme,
-// item) and memoized, so repeated compact-mode requests pay no
-// conversion. The same read-only aliasing contract applies.
-func (s *Store) ItemColumns32(it *model.Item, sch opinion.Scheme, z int) (op, asp []linalg.Vector32, ok bool) {
-	e := s.lookup(it, sch, z)
-	if e == nil {
-		return nil, nil, false
-	}
-	k := key(sch.Name(), it.ID)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.op32 == nil {
-		e.op32 = narrow(e.feat.Op)
-		e.asp32 = narrow(e.feat.Asp)
-		s.m.Bytes.Add(float64(4 * (e.feat.Op.Rows + e.feat.Asp.Rows) * len(e.op32)))
-	}
-	return e.op32, e.asp32, true
-}
-
-// narrow expands sparse columns into dense float32 vectors over one slab.
-func narrow(c *linalg.SparseColumns) []linalg.Vector32 {
-	n := c.Cols()
-	slab := make([]float32, n*c.Rows)
-	out := make([]linalg.Vector32, n)
-	for j := range out {
-		out[j] = linalg.Vector32(slab[j*c.Rows : (j+1)*c.Rows])
-		idx, val := c.Col(j)
-		for t, i := range idx {
-			out[j][i] = float32(val[t])
-		}
-	}
-	return out
 }
 
 // compute builds one item's feature block.
@@ -294,21 +257,6 @@ func (s *Store) Precompute(sch opinion.Scheme) {
 	c := s.corpus.Load()
 	for _, id := range c.ItemIDs() {
 		s.lookup(c.Items[id], sch, s.z)
-	}
-}
-
-// Warm touches the feature blocks of the given items under the scheme so a
-// subsequent run finds every block resident. The batch executor uses it as
-// the group's single feature pass: one warm sweep over the union of a
-// group's items, then every member request hits warm blocks. compact
-// selects the float32 companions as well.
-func (s *Store) Warm(items []*model.Item, sch opinion.Scheme, compact bool) {
-	for _, it := range items {
-		if compact {
-			s.ItemColumns32(it, sch, s.z)
-		} else {
-			s.lookup(it, sch, s.z)
-		}
 	}
 }
 

@@ -299,60 +299,6 @@ func TestFillFaultFallsBackGracefully(t *testing.T) {
 	}
 }
 
-// The compact slabs must satisfy the FeatureSource32 injection point too.
-var _ core.FeatureSource32 = (*Store)(nil)
-
-// TestFloat32SlabTolerance pins the accuracy contract of compact mode (this
-// name is referenced by the kernel doc in internal/linalg/kernels32.go):
-// every float32 slab entry is the correctly-rounded narrowing of its float64
-// source, i.e. within relative 1e-6 per term — float32 rounding error only,
-// never accumulation error, because accumulation always happens in float64.
-func TestFloat32SlabTolerance(t *testing.T) {
-	c := testCorpus(t)
-	s := New(c)
-	z := c.Aspects.Len()
-	for _, sch := range opinion.Schemes() {
-		for _, id := range c.ItemIDs() {
-			it := c.Items[id]
-			f, ok := s.ItemFeatures(it, sch, z)
-			op32, asp32, ok32 := s.ItemColumns32(it, sch, z)
-			if !ok || !ok32 {
-				t.Fatalf("%s/%s: lookup failed (ok=%v ok32=%v)", sch.Name(), id, ok, ok32)
-			}
-			check := func(fam string, c *linalg.SparseColumns, narrow []linalg.Vector32) {
-				t.Helper()
-				if len(narrow) != c.Cols() {
-					t.Fatalf("%s/%s %s: %d narrow columns, want %d", sch.Name(), id, fam, len(narrow), c.Cols())
-				}
-				for j := range narrow {
-					wide := linalg.NewVector(c.Rows)
-					idx, val := c.Col(j)
-					for t, i := range idx {
-						wide[i] = val[t]
-					}
-					for i := range wide {
-						w, n := wide[i], float64(narrow[j][i])
-						if w == n {
-							continue
-						}
-						rel := math.Abs(w-n) / math.Max(math.Abs(w), 1)
-						if rel > 1e-6 {
-							t.Errorf("%s/%s %s[%d][%d]: float32=%g float64=%g rel=%g",
-								sch.Name(), id, fam, j, i, n, w, rel)
-						}
-						if float32(w) != narrow[j][i] {
-							t.Errorf("%s/%s %s[%d][%d]: not the rounded narrowing of %g",
-								sch.Name(), id, fam, j, i, w)
-						}
-					}
-				}
-			}
-			check("op", f.Op, op32)
-			check("asp", f.Asp, asp32)
-		}
-	}
-}
-
 // ItemFeatures serves exactly the target vectors the per-request target
 // pass would compute, and memoizes them.
 func TestItemTargetsMatchDirectComputation(t *testing.T) {

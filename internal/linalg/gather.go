@@ -8,7 +8,7 @@ package linalg
 // This kernel lives outside kernels.go deliberately: the dense[idx[t]] load
 // is data-dependent, so its bounds check is unprovable by construction and
 // stays as the safety net against a corrupt sparse form. The bce-check guard
-// covers kernels.go and kernels32.go only; everything provable here (the
+// covers kernels.go only; everything provable here (the
 // idx/val walk) still follows the bounds-check-free advancing-slice shape.
 func GatherDotKernel(idx []int32, val, dense []float64) float64 {
 	checkLen(len(idx), len(val))

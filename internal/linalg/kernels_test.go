@@ -139,62 +139,6 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 	DotKernel(Vector{1, 2}, Vector{1})
 }
 
-func narrowed(v Vector) Vector32 {
-	out := make(Vector32, len(v))
-	NarrowKernel(v, out)
-	return out
-}
-
-func TestNarrowWidenRoundTrip(t *testing.T) {
-	// Small integers are exactly representable in float32: the round trip
-	// must be lossless (this is what makes counting-scheme selections
-	// byte-identical in compact mode).
-	v := Vector{0, 1, 2, 3, 5, 8, 13, 21}
-	back := NewVector(len(v))
-	WidenKernel(narrowed(v), back)
-	for i := range v {
-		if back[i] != v[i] {
-			t.Fatalf("i=%d: round trip %g -> %g", i, v[i], back[i])
-		}
-	}
-}
-
-func TestAddWidenKernelMatchesNaive(t *testing.T) {
-	for _, n := range kernelLens {
-		src, acc := randomPair(n, uint64(n)+61)
-		s32 := narrowed(src)
-		want := acc.Clone()
-		for i := range want {
-			want[i] += float64(s32[i])
-		}
-		AddWidenKernel(s32, acc)
-		for i := range want {
-			if acc[i] != want[i] {
-				t.Fatalf("n=%d i=%d: AddWidenKernel=%g naive=%g", n, i, acc[i], want[i])
-			}
-		}
-	}
-}
-
-func TestDot32AndSqDist32MatchFloat64WithinTolerance(t *testing.T) {
-	for _, n := range kernelLens {
-		a, b := randomPair(n, uint64(n)+71)
-		a32, b32 := narrowed(a), narrowed(b)
-		// Reference: float64 kernels over the widened float32 inputs —
-		// float32 mode's only loss is the input narrowing, never the
-		// accumulation, so against widened inputs the match is exact.
-		wa, wb := NewVector(n), NewVector(n)
-		WidenKernel(a32, wa)
-		WidenKernel(b32, wb)
-		if got, want := Dot32Kernel(a32, b32), DotKernel(wa, wb); !relClose(got, want) {
-			t.Errorf("n=%d: Dot32Kernel=%g float64 ref=%g", n, got, want)
-		}
-		if got, want := SqDist32Kernel(a32, b32), SqDistKernel(wa, wb); !relClose(got, want) {
-			t.Errorf("n=%d: SqDist32Kernel=%g float64 ref=%g", n, got, want)
-		}
-	}
-}
-
 // Kernel micro-benchmarks (recorded into BENCH_core.json; CI runs them as a
 // 1x smoke so a kernel regression that panics or allocates is caught).
 
@@ -241,23 +185,5 @@ func BenchmarkGatherDotKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkFloat = GatherDotKernel(idx, val, dense)
-	}
-}
-
-func BenchmarkDot32Kernel(b *testing.B) {
-	x, y := benchPair(b)
-	x32, y32 := narrowed(x), narrowed(y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkFloat = Dot32Kernel(x32, y32)
-	}
-}
-
-func BenchmarkSqDist32Kernel(b *testing.B) {
-	x, y := benchPair(b)
-	x32, y32 := narrowed(x), narrowed(y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkFloat = SqDist32Kernel(x32, y32)
 	}
 }

@@ -31,10 +31,6 @@ const (
 	// StagePrecompute is one item's corpus-resident feature slab build
 	// (internal/featstore).
 	StagePrecompute = "feature_precompute"
-	// StageBatchGroup is one batched group execution — the shared slab
-	// warm-up plus every member request's pipeline run
-	// (internal/batchexec).
-	StageBatchGroup = "batch_group"
 	// StageMutateApply is one corpus mutation's apply pass: the
 	// copy-on-write model mutation, the WAL append, the incremental
 	// feature refill, and the per-item cache invalidation
@@ -63,7 +59,7 @@ func Default() *Registry { return defaultRegistry }
 // stageHists is populated once at init and read-only afterwards, so the
 // hot-path lookup in ObserveStage is a plain map read with no locking.
 var stageHists = func() map[string]*Histogram {
-	known := []string{StageFeatureBuild, StageNOMP, StageNNLS, StageRound, StageSweep, StageShortlist, StageShortlistExact, StagePrecompute, StageBatchGroup, StageMutateApply, StageRouterForward, StageRouterEdge, StageSnapshotShip}
+	known := []string{StageFeatureBuild, StageNOMP, StageNNLS, StageRound, StageSweep, StageShortlist, StageShortlistExact, StagePrecompute, StageMutateApply, StageRouterForward, StageRouterEdge, StageSnapshotShip}
 	m := make(map[string]*Histogram, len(known))
 	for _, stage := range known {
 		m[stage] = defaultRegistry.Histogram(stageMetricName,

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"comparesets/internal/dataset"
 	"comparesets/internal/model"
@@ -69,13 +68,13 @@ func BenchmarkSelectWarm(b *testing.B) {
 	}
 }
 
-// benchConcurrentDistinct fires 8 concurrent same-shape requests for
-// distinct targets per iteration, cache purged each time — the cold-path
-// concurrency profile that batching targets (coalescing cannot help:
-// every request is distinct).
-func benchConcurrentDistinct(b *testing.B, opts Options) {
+// BenchmarkSelectConcurrentDistinct fires 8 concurrent same-shape
+// requests for distinct targets per iteration, cache purged each time: the
+// cold-path concurrency profile, where coalescing cannot help because
+// every request is distinct and each runs its own full pipeline.
+func BenchmarkSelectConcurrentDistinct(b *testing.B) {
 	c := cellphoneCorpus(b, 3)
-	s := NewWithOptions(map[string]*model.Corpus{"Cellphone": c}, nil, opts)
+	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
 	h := s.Handler()
 	const fanout = 8
 	s.mu.RLock()
@@ -102,19 +101,6 @@ func benchConcurrentDistinct(b *testing.B, opts Options) {
 		}
 		wg.Wait()
 	}
-}
-
-// BenchmarkSelectConcurrentDistinct is the unbatched baseline: 8 distinct
-// cold requests each run their own full pipeline.
-func BenchmarkSelectConcurrentDistinct(b *testing.B) {
-	benchConcurrentDistinct(b, Options{})
-}
-
-// BenchmarkSelectConcurrentBatched is the same load with batching on: the
-// 8 requests seal into one group sharing a slab pass and per-item
-// regression problems. Divide by 8 for per-request cost.
-func BenchmarkSelectConcurrentBatched(b *testing.B) {
-	benchConcurrentDistinct(b, Options{BatchWindow: 10 * time.Millisecond, BatchMax: 8})
 }
 
 // BenchmarkSelectCoalesced measures the hot-key miss under concurrency:

@@ -2,21 +2,26 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"comparesets/internal/core"
 	"comparesets/internal/datagen"
 	"comparesets/internal/dataset"
 	"comparesets/internal/faultinject"
 	"comparesets/internal/lexicon"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
+	"comparesets/internal/opinion"
 	"comparesets/internal/selectreq"
 )
 
@@ -121,6 +126,113 @@ func TestCachedAndUncachedPayloadsAgree(t *testing.T) {
 	}
 	if !bytes.Equal(a.Body.Bytes(), warm.Body.Bytes()) {
 		t.Errorf("warm hit differs from the fill:\ncold %s\nwarm %s", a.Body.String(), warm.Body.String())
+	}
+}
+
+// elapsedField matches a select payload's wall-clock elapsed_ms member.
+var elapsedField = regexp.MustCompile(`"elapsed_ms":[^,}]*`)
+
+// withoutElapsed blanks elapsed_ms, the one field that legitimately
+// differs between two computations of the same answer.
+func withoutElapsed(body []byte) []byte {
+	return elapsedField.ReplaceAll(body, []byte(`"elapsed_ms":0`))
+}
+
+// Concurrent cold selects for distinct targets share one corpus's feature
+// store and ProblemCache while they run; each must still return the bytes
+// (modulo elapsed_ms) a fresh server computes for that request alone.
+func TestConcurrentColdSelectsMatchFreshServers(t *testing.T) {
+	c := cellphoneCorpus(t, 3)
+	shared := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	targets := dataset.TargetIDs(c)
+	const n = 6
+	if len(targets) < n {
+		t.Fatalf("corpus has %d targets, need %d", len(targets), n)
+	}
+	targets = targets[:n]
+	want := make([][]byte, n)
+	for i, tgt := range targets {
+		fresh := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+		req := hotRequest(t, fresh)
+		req.Target = tgt
+		w := postRecorded(t, fresh.Handler(), "/api/v1/select", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("fresh %s: status %d body %s", tgt, w.Code, w.Body.String())
+		}
+		want[i] = withoutElapsed(w.Body.Bytes())
+	}
+
+	h := shared.Handler()
+	got := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i, tgt := range targets {
+		wg.Add(1)
+		go func(i int, tgt string) {
+			defer wg.Done()
+			req := hotRequest(t, shared)
+			req.Target = tgt
+			w := postRecorded(t, h, "/api/v1/select", req)
+			if w.Code != http.StatusOK {
+				t.Errorf("shared %s: status %d body %s", tgt, w.Code, w.Body.String())
+				return
+			}
+			got[i] = withoutElapsed(w.Body.Bytes())
+		}(i, tgt)
+	}
+	wg.Wait()
+	for i, tgt := range targets {
+		if got[i] != nil && !bytes.Equal(got[i], want[i]) {
+			t.Errorf("target %s: shared-server answer differs from a fresh server's\nshared %s\nfresh  %s", tgt, got[i], want[i])
+		}
+	}
+}
+
+// countingFeatures is a FeatureSource that counts its lookups.
+type countingFeatures struct {
+	core.FeatureSource
+	calls atomic.Int64
+}
+
+func (f *countingFeatures) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool) {
+	f.calls.Add(1)
+	return f.FeatureSource.ItemFeatures(it, sch, z)
+}
+
+// A select with a shortlist (k > 0) looks each instance item up in the
+// feature store once: the similarity graph reuses the targets the
+// selector scored against. The answer is the one the server serves.
+func TestShortlistSelectLooksEachItemUpOnce(t *testing.T) {
+	c := cellphoneCorpus(t, 3)
+	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	s.mu.RLock()
+	fs, pc := s.feats["Cellphone"], s.problems["Cellphone"]
+	s.mu.RUnlock()
+	for _, sel := range core.Selectors() {
+		req := hotRequest(t, s)
+		req.Algorithm = sel.Name()
+		served := postRecorded(t, s.Handler(), "/api/v1/select", req)
+		if served.Code != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", sel.Name(), served.Code, served.Body.String())
+		}
+		inst, err := c.NewInstance(req.Target, req.MaxComparative)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver, err := solverFor(req.Method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &countingFeatures{FeatureSource: fs}
+		resp, apiErr := s.computeSelect(context.Background(), &req, inst, src, sel, solver, pc)
+		if apiErr != nil {
+			t.Fatalf("%s: computeSelect: %v", sel.Name(), apiErr)
+		}
+		if got, want := src.calls.Load(), int64(inst.NumItems()); got != want {
+			t.Errorf("%s (k=%d): %d feature lookups for %d items, want one per item", sel.Name(), req.K, got, want)
+		}
+		if got, want := withoutElapsed(s.encodeSelectPayload(resp)), withoutElapsed(served.Body.Bytes()); !bytes.Equal(got, want) {
+			t.Errorf("%s: payload differs from the served answer\ngot    %s\nserved %s", sel.Name(), got, want)
+		}
 	}
 }
 

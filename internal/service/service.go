@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"comparesets/internal/aspectex"
-	"comparesets/internal/batchexec"
 	"comparesets/internal/core"
 	"comparesets/internal/dataset"
 	"comparesets/internal/explain"
@@ -108,19 +107,17 @@ type Options struct {
 	// StoreProbe, when set, is consulted by /readyz: a non-nil error marks
 	// the backing review store unhealthy and the server degraded.
 	StoreProbe func() error
-	// BatchWindow enables request batching on the corpus-referenced select
-	// path: a cold request waits up to this long for merely-similar
-	// requests (same corpus and selection shape, different targets) to
-	// arrive, then the whole group executes once, sharing a feature-slab
-	// pass and per-item regression problems. 0 disables batching — the
-	// default, since the window adds up to BatchWindow of latency to
-	// isolated cold requests.
+	// BatchWindow has no effect: request batching is gone, and every
+	// corpus select runs cache → flight → pipeline on its own.
+	//
+	// Deprecated: NewWithOptions ignores it. It stays only until perfbench
+	// stops reading it to report the batch layer as off.
 	BatchWindow time.Duration
-	// BatchMax seals a batch group early once this many members have
-	// joined, instead of waiting out the window. ≤ 0 means no size cap.
-	BatchMax int
-	// Float32 serves selections in compact feature mode: float32 feature
-	// and distance slabs with float64 accumulation (core.Config.Float32).
+	// Float32 has no effect: selections run over the feature store's
+	// float64 sparse review runs, the one feature representation.
+	//
+	// Deprecated: NewWithOptions ignores it. It stays only until perfbench
+	// stops reading it to report the float32 layer as off.
 	Float32 bool
 	// MutationLog, when set, makes corpus mutations durable: every
 	// successful mutation endpoint call appends a typed record to this CSLG
@@ -162,10 +159,6 @@ type Server struct {
 	// stale-while-error copy whatever its epoch.
 	cache   *servecache.Cache
 	flights *servecache.FlightGroup
-	// batcher is nil unless Options.BatchWindow > 0; it groups
-	// merely-similar cold requests inside their flights.
-	batcher *batchexec.Batcher[*batchReq, *batchRes]
-	float32 bool
 	// limiter is nil unless Options.MaxInflight > 0.
 	limiter    *limiter
 	storeProbe func() error
@@ -229,11 +222,6 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 	}
 	s.cache = servecache.New(bytes, 0, obs.NewCacheMetrics(s.reg, "servecache"))
 	s.flights = servecache.NewFlightGroup(obs.NewCacheMetrics(s.reg, "selectflight"))
-	if opts.BatchWindow > 0 {
-		s.batcher = batchexec.New(opts.BatchWindow, opts.BatchMax,
-			batchexec.NewMetrics(s.reg), s.executeBatch)
-	}
-	s.float32 = opts.Float32
 	for name, c := range corpora {
 		s.registerCorpus(name, c)
 	}
@@ -537,13 +525,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		c, ok := s.corpora[req.Category]
 		fs := s.feats[req.Category]
 		pc := s.problems[req.Category]
-		base := s.epochs[req.Category]
-		epoch := base
+		epoch := s.epochs[req.Category]
 		var inst *model.Instance
 		var instErr error
 		if ok {
 			if inst, instErr = c.NewInstance(req.Target, req.MaxComparative); instErr == nil {
-				epoch = instanceEpoch(base, s.gens[req.Category], inst)
+				epoch = instanceEpoch(epoch, s.gens[req.Category], inst)
 			}
 		}
 		s.mu.RUnlock()
@@ -563,36 +550,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		// The flight key folds the epoch in, so a read admitted after a
 		// write never joins a flight computing the pre-write answer.
 		body, _, err := s.flights.Do(ctx, key+"|epoch="+epoch, func(fctx context.Context) ([]byte, error) {
-			var payload []byte
-			var canon bool
-			// Coalescing has already collapsed identical requests into this
-			// flight; with batching on, the flight joins a group of
-			// merely-similar requests (same shape, different targets) that
-			// executes once, sharing slab and problem work.
-			if s.batcher != nil {
-				// The group key uses the base epoch: members differ by
-				// target, so per-instance generation suffixes would split
-				// otherwise batchable groups.
-				group := req
-				group.Target = ""
-				res, _, err := s.batcher.Submit(fctx, selectreq.Key(&group)+"|epoch="+base, &batchReq{
-					ctx: fctx, req: &req, inst: inst, corpus: c, sel: sel, solver: solver,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if res.err != nil {
-					return nil, res.err
-				}
-				payload, canon = res.payload, res.canonical
-			} else {
-				resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc)
-				if apiErr != nil {
-					return nil, apiErr
-				}
-				payload, canon = s.encodeSelectPayload(resp), canonical(resp)
+			resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc)
+			if apiErr != nil {
+				return nil, apiErr
 			}
-			if !canon {
+			payload := s.encodeSelectPayload(resp)
+			if !canonical(resp) {
 				// Every waiter learns the verdict with the bytes.
 				return nil, &nonCanonical{payload: payload}
 			}
@@ -711,16 +674,13 @@ func degradeBody(body []byte) []byte {
 
 // computeSelect runs the full selection pipeline for a validated request:
 // selection, response assembly, optional summaries/explanations/metrics,
-// and the optional shortlist solve. fs supplies corpus-resident features
-// (nil for inline instances); solver is non-nil exactly when req.K > 0;
-// problems is the corpus's shared ProblemCache on the flight and batch
-// paths, and nil for inline instances, whose request-scoped items must not
-// be pinned in a cache.
-func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, fs *featstore.Store, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
-	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Float32: s.float32, Problems: problems}
-	if fs != nil {
-		cfg.Features = fs
-	}
+// and the optional shortlist solve. features supplies corpus-resident
+// features (the corpus's feature store; nil for inline instances); solver
+// is non-nil exactly when req.K > 0; problems is the corpus's shared
+// ProblemCache on the flight path, and nil for inline instances, whose
+// request-scoped items must not be pinned in a cache.
+func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, features core.FeatureSource, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
+	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Features: features, Problems: problems}
 	if err := faultinject.CheckCtx(ctx, faultinject.PointServiceSelect); err != nil {
 		return nil, asAPIError(err)
 	}
@@ -753,8 +713,8 @@ func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *mo
 		resp.Metrics = &m
 	}
 	if solver != nil {
-		tg := core.NewTargets(inst, cfg)
-		g := simgraph.Build(core.StatsForSets(inst, tg, cfg, sets), cfg)
+		// The selector's own targets: each item was looked up once, above.
+		g := simgraph.Build(core.StatsForSets(inst, selection.Targets, cfg, sets), cfg)
 		shortlistSpan := obs.StartStage(obs.StageShortlist)
 		res, reason := s.solveShortlist(ctx, g, req.K, solver, req.Method)
 		shortlistSpan.Stop()

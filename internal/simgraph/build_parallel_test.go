@@ -45,14 +45,14 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 			seq[i] = make([]float64, n)
 			par[i] = make([]float64, n)
 		}
-		buildDistancesSequential(seq, stats, nil, cfg)
+		buildDistancesSequential(seq, stats, cfg)
 		for _, workers := range []int{2, 3, 8} {
 			for i := range par {
 				for j := range par[i] {
 					par[i][j] = 0
 				}
 			}
-			buildDistancesParallel(par, stats, nil, cfg, workers)
+			buildDistancesParallel(par, stats, cfg, workers)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if math.Float64bits(seq[i][j]) != math.Float64bits(par[i][j]) {
@@ -74,7 +74,7 @@ func TestBuildDispatchConsistent(t *testing.T) {
 	for i := range want {
 		want[i] = make([]float64, len(stats))
 	}
-	buildDistancesSequential(want, stats, nil, cfg)
+	buildDistancesSequential(want, stats, cfg)
 	ref, err := FromDistances(want)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func BenchmarkBuildSequential200(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildDistancesSequential(d, stats, nil, cfg)
+		buildDistancesSequential(d, stats, cfg)
 		g, _ := FromDistances(d)
 		_ = g
 	}

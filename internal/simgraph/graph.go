@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"comparesets/internal/core"
-	"comparesets/internal/linalg"
 )
 
 // Graph is a complete undirected weighted graph over the instance items.
@@ -104,59 +103,21 @@ func Build(stats []core.ItemStats, cfg core.Config) *Graph {
 	for i := range d {
 		d[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
-	// Compact mode: the only vector term of d_ij is μ²·Δ(φ(Sᵢ), φ(Sⱼ)).
-	// Narrow every φ once and stream float32 slabs through the O(n²)
-	// pairwise loop — half the bandwidth — while the scalar losses stay
-	// float64. Distances differ from the float64 pass only by the float32
-	// rounding of the φ entries.
-	var phi32 [][]float32
-	if cfg.Float32 {
-		phi32 = narrowPhis(stats)
-	}
 	if workers := runtime.GOMAXPROCS(0); n >= parallelBuildThreshold && workers > 1 {
-		buildDistancesParallel(d, stats, phi32, cfg, workers)
+		buildDistancesParallel(d, stats, cfg, workers)
 	} else {
-		buildDistancesSequential(d, stats, phi32, cfg)
+		buildDistancesSequential(d, stats, cfg)
 	}
 	g, _ := FromDistances(d) // square matrix by construction
 	return g
 }
 
-// narrowPhis packs every item's φ into one float32 backing slab.
-func narrowPhis(stats []core.ItemStats) [][]float32 {
-	n := len(stats)
-	if n == 0 {
-		return nil
-	}
-	z := len(stats[0].Phi)
-	backing := make([]float32, n*z)
-	out := make([][]float32, n)
-	for i := range stats {
-		out[i] = backing[i*z : (i+1)*z : (i+1)*z]
-		linalg.NarrowKernel(stats[i].Phi, out[i])
-	}
-	return out
-}
-
-// pairDistance computes d_ij from two items' stats, using the compact φ
-// slabs for the pairwise term when phi32 is non-nil.
-func pairDistance(stats []core.ItemStats, phi32 [][]float32, cfg core.Config, i, j int) float64 {
-	if phi32 == nil {
-		return core.ItemDistance(stats[i], stats[j], cfg)
-	}
-	a, b := &stats[i], &stats[j]
-	l2, m2 := cfg.Lambda*cfg.Lambda, cfg.Mu*cfg.Mu
-	return a.OpinionLoss + b.OpinionLoss +
-		l2*a.AspectLoss + l2*b.AspectLoss +
-		m2*linalg.SqDist32Kernel(phi32[i], phi32[j])
-}
-
 // buildDistancesSequential fills the symmetric distance matrix row by row.
-func buildDistancesSequential(d [][]float64, stats []core.ItemStats, phi32 [][]float32, cfg core.Config) {
+func buildDistancesSequential(d [][]float64, stats []core.ItemStats, cfg core.Config) {
 	n := len(stats)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dist := pairDistance(stats, phi32, cfg, i, j)
+			dist := core.ItemDistance(stats[i], stats[j], cfg)
 			d[i][j], d[j][i] = dist, dist
 		}
 	}
@@ -169,7 +130,7 @@ func buildDistancesSequential(d [][]float64, stats []core.ItemStats, phi32 [][]f
 // and each d_ij is a single deterministic float expression: bytes match
 // the sequential loop exactly. The atomic row counter load-balances the
 // shrinking triangle rows.
-func buildDistancesParallel(d [][]float64, stats []core.ItemStats, phi32 [][]float32, cfg core.Config, workers int) {
+func buildDistancesParallel(d [][]float64, stats []core.ItemStats, cfg core.Config, workers int) {
 	n := len(stats)
 	if workers > n {
 		workers = n
@@ -186,7 +147,7 @@ func buildDistancesParallel(d [][]float64, stats []core.ItemStats, phi32 [][]flo
 					return
 				}
 				for j := i + 1; j < n; j++ {
-					dist := pairDistance(stats, phi32, cfg, i, j)
+					dist := core.ItemDistance(stats[i], stats[j], cfg)
 					d[i][j], d[j][i] = dist, dist
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // requires the reopen to reconstruct exactly the live view of the surviving
 // record prefix — mutations must never cost durability of earlier records.
 func FuzzCSLGAppend(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2}, uint(1 << 20))
+	f.Add([]byte{0, 1, 0, 2}, uint(1<<20))
 	f.Add([]byte{0, 0, 1, 2, 2, 1}, uint(40))
 	f.Add([]byte{0, 2}, uint(0))
 	f.Add([]byte{0, 1, 1, 1}, uint(60))
