@@ -3,9 +3,10 @@
 // the served pipeline with its feature store, shared regression templates
 // and pooled solver scratch — over the three synthetic corpora, and
 // records every answer: the selected review IDs per item, the Eq. 1/Eq. 5
-// objective, and the shortlist. Every request shape is replayed twice:
-// once with the default CompaReSetS+ (Eq. 5) and once with CompaReSetS
-// (Eq. 1), so both kinds of cached regression template are pinned.
+// objective, and the shortlist. Every request shape is replayed three
+// times: with the default CompaReSetS+ (Eq. 5), with CompaReSetS (Eq. 1),
+// and with the CRS baseline (scored by Eq. 1), so both kinds of cached
+// regression template and CRS's per-item template are pinned.
 // QUALITY.json at the repository root holds the committed answers; the
 // package test regenerates them and diffs (selections and shortlists
 // exactly, floats within RelTol), so an optimization that moves a single
@@ -63,8 +64,12 @@ type Request struct {
 	Algorithm string `json:"algorithm,omitempty"`
 }
 
-// baseAlgorithm is the selector of the workload's second pass.
-const baseAlgorithm = "CompaReSetS"
+// The selectors of the workload's second and third passes. Both answers
+// report Eq. 1.
+const (
+	baseAlgorithm = "CompaReSetS"
+	crsAlgorithm  = "Crs"
+)
 
 // Item is one item's selected reviews, in served order.
 type Item struct {
@@ -96,7 +101,8 @@ func Corpora() (map[string]*model.Corpus, error) {
 
 // Requests lists the workload in replay order: λ outermost, then m, then
 // target, so the exact shortlists fall on varied (m, target) pairs. The
-// CompaReSetS+ pass comes first; the CompaReSetS pass repeats its shapes.
+// CompaReSetS+ pass comes first; the CompaReSetS and CRS passes repeat its
+// shapes, in that order.
 func Requests(corpora map[string]*model.Corpus) []Request {
 	cats := make([]string, 0, len(corpora))
 	for cat := range corpora {
@@ -123,9 +129,12 @@ func Requests(corpora map[string]*model.Corpus) []Request {
 			}
 		}
 	}
-	for _, r := range reqs {
-		r.Algorithm = baseAlgorithm
-		reqs = append(reqs, r)
+	plus := len(reqs)
+	for _, alg := range []string{baseAlgorithm, crsAlgorithm} {
+		for _, r := range reqs[:plus] {
+			r.Algorithm = alg
+			reqs = append(reqs, r)
+		}
 	}
 	return reqs
 }
@@ -246,8 +255,8 @@ func Diff(want, got []Answer) []string {
 // with more than m reviews, a review ID that is not one of its item's
 // reviews or is repeated, or a reported objective that differs by more
 // than RelTol relative from the request's objective recomputed from the
-// returned sets (core.ObjectiveCompareSets for CompaReSetS answers,
-// core.ObjectivePlus otherwise). corpora are the corpora the answers were
+// returned sets (core.ObjectiveCompareSets for CompaReSetS and CRS
+// answers, core.ObjectivePlus otherwise). corpora are the corpora the answers were
 // served from.
 func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
 	var out []string
@@ -295,7 +304,7 @@ func Violations(corpora map[string]*model.Corpus, answers []Answer) []string {
 		}
 		cfg := core.Config{M: r.M, Lambda: r.Lambda, Mu: r.Mu}
 		objective := core.ObjectivePlus
-		if r.Algorithm == baseAlgorithm {
+		if r.Algorithm == baseAlgorithm || r.Algorithm == crsAlgorithm {
 			objective = core.ObjectiveCompareSets
 		}
 		if obj := objective(inst, core.NewTargets(inst, cfg), cfg, sets); !within(a.Objective, obj) {
