@@ -48,18 +48,17 @@ func (CRS) SelectContext(ctx context.Context, inst *model.Instance, cfg Config) 
 		if len(it.Reviews) == 0 {
 			continue
 		}
-		cols := make([]linalg.Vector, len(it.Reviews))
-		for j, r := range it.Reviews {
-			cols[j] = sch.Column(r, z)
-		}
-		w := linalg.MatrixFromColumns(cols)
+		// The design is the item's opinion columns alone: λ = 0 drops
+		// CompaReSetS's aspect block.
+		op, _ := tg.itemColumns(inst, sch, i)
+		p := regress.NewBlockProblem(regress.Block{Cols: op, Scale: 1})
 		item := i
 		eval := func(selected []int) float64 {
 			set := gather(it.Reviews, selected)
 			return linalg.SquaredDistance(tg.Tau[item], sch.Vector(set, z))
 		}
 		var err error
-		sel.Indices[i], _, err = regress.SolveContext(ctx, w, tg.Tau[i], crsCfg.M, eval)
+		sel.Indices[i], _, err = p.SolveContext(ctx, tg.Tau[i], crsCfg.M, eval)
 		if err != nil {
 			return nil, err
 		}

@@ -129,7 +129,7 @@ func selectForItem(ctx context.Context, fc *featureCache, item int) ([]int, erro
 	eval := func(selected []int) float64 {
 		return fc.itemObjective(item, selected)
 	}
-	sel, _, err := p.SolveContext(ctx, fc.items[item].baseTarget, fc.cfg.M, nil, eval)
+	sel, _, err := p.SolveContext(ctx, fc.items[item].baseTarget, fc.cfg.M, eval)
 	return sel, err
 }
 
@@ -237,7 +237,7 @@ func resyncItem(ctx context.Context, fc *featureCache, item int, indices [][]int
 
 	p := fc.plusProblem(item)
 	y := fc.plusTarget(item, othersSum)
-	sel, obj, err := p.SolveContext(ctx, y, fc.cfg.M, nil, eval)
+	sel, obj, err := p.SolveContext(ctx, y, fc.cfg.M, eval)
 	if err != nil {
 		return nil, err
 	}

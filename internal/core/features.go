@@ -81,18 +81,23 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 	}
 	fc.counting = opinion.IsCounting(fc.sch)
 	fc.gammaL = tg.Gamma.Scale(cfg.Lambda)
-	for i, it := range inst.Items {
+	for i := range inst.Items {
 		f := &fc.items[i]
-		// The columns NewTargets got from the feature source are shared
-		// and read-only: every downstream use scatters them into
-		// request-private buffers or reads them as template blocks.
-		if tg.feats != nil && tg.feats[i] != nil {
-			f.op, f.asp = tg.feats[i].Op, tg.feats[i].Asp
-			continue
-		}
-		f.op, f.asp = opinion.Columns(fc.sch, it.Reviews, fc.z)
+		f.op, f.asp = tg.itemColumns(inst, fc.sch, i)
 	}
 	return fc
+}
+
+// itemColumns returns item i's opinion and aspect review columns under
+// sch: the runs the feature source served through NewTargets when it
+// served the item, else columns computed from the item's reviews. Served
+// columns are shared and read-only: every downstream use scatters them
+// into request-private buffers or reads them as template blocks.
+func (t *Targets) itemColumns(inst *model.Instance, sch opinion.Scheme, i int) (op, asp *linalg.SparseColumns) {
+	if t.feats != nil && t.feats[i] != nil {
+		return t.feats[i].Op, t.feats[i].Asp
+	}
+	return opinion.Columns(sch, inst.Items[i].Reviews, inst.Aspects.Len())
 }
 
 // muWeight is the collapsed-block scale √(n−1)·μ.

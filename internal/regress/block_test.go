@@ -128,12 +128,12 @@ func checkBlockDesign(t *testing.T, blocks []Block, y linalg.Vector, m int) {
 			t.Fatalf("(Aᵀy)[%d] = %v, dense reference %v", j, got, ref)
 		}
 	}
-	unique, _, _ := Dedup(a)
+	unique, _, _ := dedup(a)
 	if got := p.denseUnique(); !sameMatrix(got, unique) {
 		t.Fatalf("fallback matrix differs from the dense design's unique columns")
 	}
-	dense := NewProblem(a)
-	if got, ref := p.NOMPPath(y, m), dense.NOMPPath(y, m); !samePath(got, ref) {
+	dense := newProblem(a)
+	if got, ref := gramPath(p, y, m), gramPath(dense, y, m); !samePath(got, ref) {
 		t.Fatalf("NOMP path differs:\nblocks %v\ndense  %v", got, ref)
 	}
 	eval := func(sel []int) float64 {
@@ -143,8 +143,8 @@ func checkBlockDesign(t *testing.T, blocks []Block, y linalg.Vector, m int) {
 		}
 		return math.Abs(float64(len(sel))-2) + s
 	}
-	gotSel, gotObj := p.Solve(y, m, nil, eval)
-	refSel, refObj := dense.Solve(y, m, nil, eval)
+	gotSel, gotObj := solve(p, y, m, eval)
+	refSel, refObj := solve(dense, y, m, eval)
 	if math.Float64bits(gotObj) != math.Float64bits(refObj) || fmt.Sprint(gotSel) != fmt.Sprint(refSel) {
 		t.Fatalf("Solve = (%v, %v), dense (%v, %v)", gotSel, gotObj, refSel, refObj)
 	}

@@ -34,10 +34,10 @@ func TestProblemNOMPPathMatchesDenseReference(t *testing.T) {
 		cols := 3 + rng.Intn(20)
 		a, y := sparseProblem(rng, rows, cols, 2+rng.Intn(4))
 		m := 1 + rng.Intn(8)
-		p := NewProblem(a)
+		p := newProblem(a)
 		u := p.denseUnique()
-		dense := NOMPPath(u, y, minInt(m, minInt(u.Cols, u.Rows)))
-		inc := p.NOMPPath(y, m)
+		dense := densePath(u, y, minInt(m, minInt(u.Cols, u.Rows)))
+		inc := gramPath(p, y, m)
 		if len(dense) != len(inc) {
 			t.Fatalf("trial %d: path lengths %d vs %d", trial, len(dense), len(inc))
 		}
@@ -53,9 +53,9 @@ func TestProblemNOMPPathResidualMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 20; trial++ {
 		a, y := sparseProblem(rng, 40, 12, 3)
-		p := NewProblem(a)
+		p := newProblem(a)
 		u := p.denseUnique()
-		path := p.NOMPPath(y, 6)
+		path := gramPath(p, y, 6)
 		prev := math.Inf(1)
 		for step, x := range path {
 			r := y.Sub(u.MulVec(x)).Norm2()
@@ -72,6 +72,8 @@ func TestProblemNOMPPathResidualMonotone(t *testing.T) {
 	}
 }
 
+// A template's solve agrees with the dense candidate loop over the same
+// design.
 func TestProblemSolveMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 25; trial++ {
@@ -85,9 +87,8 @@ func TestProblemSolveMatchesSolve(t *testing.T) {
 			}
 			return math.Abs(float64(len(sel))-3) + s
 		}
-		wantSel, wantObj := SolveWithRounding(a, y, 5, RoundCandidates, eval)
-		p := NewProblem(a)
-		gotSel, gotObj := p.Solve(y, 5, RoundCandidates, eval)
+		wantSel, wantObj := solveWithRounding(a, y, 5, roundCandidates, eval)
+		gotSel, gotObj := solve(newProblem(a), y, 5, eval)
 		if math.Abs(wantObj-gotObj) > 1e-9 {
 			t.Fatalf("trial %d: obj %v vs %v (sel %v vs %v)", trial, wantObj, gotObj, wantSel, gotSel)
 		}
@@ -95,8 +96,8 @@ func TestProblemSolveMatchesSolve(t *testing.T) {
 }
 
 func TestProblemSolveEmpty(t *testing.T) {
-	p := NewProblem(linalg.NewMatrix(0, 0))
-	sel, obj := p.Solve(linalg.Vector{}, 3, RoundCandidates, func([]int) float64 { return 0 })
+	p := newProblem(linalg.NewMatrix(0, 0))
+	sel, obj := solve(p, linalg.Vector{}, 3, func([]int) float64 { return 0 })
 	if sel != nil || !math.IsInf(obj, 1) {
 		t.Fatalf("sel=%v obj=%v", sel, obj)
 	}
@@ -108,15 +109,15 @@ func TestProblemReuseAcrossTargets(t *testing.T) {
 	// cached state.
 	rng := rand.New(rand.NewSource(54))
 	a, _ := sparseProblem(rng, 30, 12, 3)
-	p := NewProblem(a)
+	p := newProblem(a)
 	eval := func(sel []int) float64 { return float64(len(sel)) }
 	for round := 0; round < 5; round++ {
 		y := linalg.NewVector(30)
 		for i := range y {
 			y[i] = rng.Float64()
 		}
-		wantSel, wantObj := SolveWithRounding(a, y, 4, RoundCandidates, eval)
-		gotSel, gotObj := p.Solve(y, 4, RoundCandidates, eval)
+		wantSel, wantObj := solve(newProblem(a), y, 4, eval)
+		gotSel, gotObj := solve(p, y, 4, eval)
 		if math.Abs(wantObj-gotObj) > 1e-9 || len(wantSel) != len(gotSel) {
 			t.Fatalf("round %d: (%v, %v) vs (%v, %v)", round, gotSel, gotObj, wantSel, wantObj)
 		}
@@ -133,7 +134,7 @@ func TestProblemDuplicateColumnsDedup(t *testing.T) {
 		{0, 1, 0, 0},
 		{1, 0, 1, 0},
 	}
-	p := NewProblem(linalg.MatrixFromColumns(cols))
+	p := newProblem(linalg.MatrixFromColumns(cols))
 	if u := p.denseUnique(); u.Cols != 2 {
 		t.Fatalf("unique cols = %d, want 2", u.Cols)
 	}
@@ -141,7 +142,7 @@ func TestProblemDuplicateColumnsDedup(t *testing.T) {
 		t.Fatalf("counts = %v", got)
 	}
 	y := linalg.Vector{2, 1, 2, 0}
-	path := p.NOMPPath(y, 2)
+	path := gramPath(p, y, 2)
 	if len(path) != 2 {
 		t.Fatalf("path length %d", len(path))
 	}
@@ -166,7 +167,7 @@ func minInt(a, b int) int {
 func TestProblemShareConcurrentSolvesDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	a, _ := sparseProblem(rng, 30, 12, 3)
-	template := NewProblem(a)
+	template := newProblem(a)
 	eval := func(sel []int) float64 {
 		var s float64
 		for _, j := range sel {
@@ -183,7 +184,7 @@ func TestProblemShareConcurrentSolvesDeterministic(t *testing.T) {
 			y[j] = rng.Float64()
 		}
 		ys[i] = y
-		_, wantObj[i] = SolveWithRounding(a, y, 4, RoundCandidates, eval)
+		_, wantObj[i] = solve(newProblem(a), y, 4, eval)
 	}
 
 	var wg sync.WaitGroup
@@ -194,7 +195,7 @@ func TestProblemShareConcurrentSolvesDeterministic(t *testing.T) {
 			p := template.Share()
 			for n := 0; n < 4*targets; n++ {
 				i := (w + n) % targets
-				_, obj := p.Solve(ys[i], 4, RoundCandidates, eval)
+				_, obj := solve(p, ys[i], 4, eval)
 				if math.Abs(obj-wantObj[i]) > 1e-9 {
 					t.Errorf("worker %d target %d: obj %v, want %v", w, i, obj, wantObj[i])
 					return

@@ -15,7 +15,7 @@ func TestDedupGroupsIdenticalColumns(t *testing.T) {
 	a := linalg.MatrixFromColumns([]linalg.Vector{
 		{1, 0}, {0, 1}, {1, 0}, {1, 0}, {0, 1},
 	})
-	unique, counts, members := Dedup(a)
+	unique, counts, members := dedup(a)
 	if unique.Cols != 2 {
 		t.Fatalf("unique cols = %d", unique.Cols)
 	}
@@ -29,7 +29,7 @@ func TestDedupGroupsIdenticalColumns(t *testing.T) {
 
 func TestDedupDistinguishesClose(t *testing.T) {
 	a := linalg.MatrixFromColumns([]linalg.Vector{{1}, {1 + 1e-15}})
-	unique, _, _ := Dedup(a)
+	unique, _, _ := dedup(a)
 	if unique.Cols != 2 {
 		t.Errorf("distinct floats collapsed: cols = %d", unique.Cols)
 	}
@@ -41,7 +41,7 @@ func TestNOMPPathRecoversSparseCombination(t *testing.T) {
 		{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1},
 	})
 	y := linalg.Vector{2, 0, 1}
-	path := NOMPPath(a, y, 3)
+	path := densePath(a, y, 3)
 	if len(path) != 3 {
 		t.Fatalf("path length = %d", len(path))
 	}
@@ -76,7 +76,7 @@ func TestNOMPPathMonotoneResidual(t *testing.T) {
 		for i := range y {
 			y[i] = rng.Float64()
 		}
-		path := NOMPPath(a, y, 5)
+		path := densePath(a, y, 5)
 		prev := math.Inf(1)
 		for ell, x := range path {
 			r := linalg.SquaredDistance(a.MulVec(x), y)
@@ -90,7 +90,7 @@ func TestNOMPPathMonotoneResidual(t *testing.T) {
 
 func TestNOMPPathZeroTarget(t *testing.T) {
 	a := linalg.MatrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
-	path := NOMPPath(a, linalg.Vector{0, 0}, 2)
+	path := densePath(a, linalg.Vector{0, 0}, 2)
 	for _, x := range path {
 		if x.Norm1() > 1e-10 {
 			t.Errorf("nonzero solution for zero target: %v", x)
@@ -98,62 +98,90 @@ func TestNOMPPathZeroTarget(t *testing.T) {
 	}
 }
 
+// The rounder apportions exact proportions exactly: x ∝ (1/3, 1/3, 1/3)
+// with ample caps gives one unit each at T = 3.
 func TestRoundExactProportions(t *testing.T) {
-	// x ∝ (1/3, 1/3, 1/3) with ample caps: T = 3 gives distance 0.
 	x := linalg.Vector{0.5, 0.5, 0.5}
-	nu := Round(x, []int{5, 5, 5}, 3)
+	nu := apportion(x.Normalized(), []int{5, 5, 5}, 3)
 	if !reflect.DeepEqual(nu, []int{1, 1, 1}) {
 		t.Errorf("nu = %v", nu)
 	}
 }
 
+// A dominant weight whose group holds one review takes one unit at every
+// total; the rest goes to the column with room.
 func TestRoundRespectsCaps(t *testing.T) {
 	x := linalg.Vector{1, 0.001}
-	nu := Round(x, []int{1, 3}, 4)
-	if nu == nil {
-		t.Fatal("nil rounding")
-	}
-	if nu[0] > 1 {
-		t.Errorf("cap violated: %v", nu)
+	for total := 1; total <= 4; total++ {
+		nu := apportion(x.Normalized(), []int{1, 3}, total)
+		if nu == nil {
+			t.Fatalf("total %d: nil rounding", total)
+		}
+		if nu[0] != 1 || nu[0]+nu[1] != total {
+			t.Errorf("total %d: nu = %v", total, nu)
+		}
 	}
 }
 
+// A solve whose NOMP iterates are all zero has nothing to round: it scores
+// no candidate and returns (nil, +Inf).
 func TestRoundZeroVector(t *testing.T) {
-	if nu := Round(linalg.Vector{0, 0}, []int{1, 1}, 3); nu != nil {
-		t.Errorf("nu = %v, want nil", nu)
+	a := linalg.MatrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
+	sel, obj := solve(newProblem(a), linalg.Vector{0, 0}, 3, func([]int) float64 {
+		t.Fatal("a zero iterate produced a candidate")
+		return 0
+	})
+	if sel != nil || !math.IsInf(obj, 1) {
+		t.Errorf("sel = %v obj = %v", sel, obj)
 	}
 }
 
+// Every apportionment for T = 1..m stays within the caps and sums to T,
+// and one exists whenever the caps hold T.
 func TestRoundTotalNeverExceedsBudget(t *testing.T) {
 	f := func(raw [5]uint8, caps [5]uint8) bool {
 		x := linalg.NewVector(5)
 		counts := make([]int, 5)
+		capacity := 0
 		for i := range x {
 			x[i] = float64(raw[i] % 16)
 			counts[i] = int(caps[i]%4) + 1
+			capacity += counts[i]
+		}
+		if x.Norm1() == 0 {
+			return true
 		}
 		const m = 4
-		nu := Round(x, counts, m)
-		if nu == nil {
-			return x.Norm1() == 0
-		}
-		total := 0
-		for i, v := range nu {
-			if v < 0 || v > counts[i] {
+		for total := 1; total <= m; total++ {
+			nu := apportion(x.Normalized(), counts, total)
+			if nu == nil {
+				if capacity >= total {
+					return false
+				}
+				continue
+			}
+			sum := 0
+			for i, v := range nu {
+				if v < 0 || v > counts[i] {
+					return false
+				}
+				sum += v
+			}
+			if sum != total {
 				return false
 			}
-			total += v
 		}
-		return total >= 1 && total <= m
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// Expansion selects the first ν[i] members of each group, ascending.
 func TestExpand(t *testing.T) {
-	members := [][]int{{0, 2, 3}, {1, 4}}
-	sel := Expand([]int{2, 1}, members)
+	g := groups{off: []int32{0, 3, 5}, mem: []int32{0, 2, 3, 1, 4}}
+	sel := appendExpandSparse(nil, []mult{{0, 2}, {1, 1}}, g)
 	if !reflect.DeepEqual(sel, []int{0, 1, 2}) {
 		t.Errorf("sel = %v", sel)
 	}
@@ -182,7 +210,7 @@ func TestSolvePicksExactSubset(t *testing.T) {
 		}
 		return linalg.SquaredDistance(sum, y)
 	}
-	sel, obj := Solve(a, y, 2, eval)
+	sel, obj := solve(newProblem(a), y, 2, eval)
 	sort.Ints(sel)
 	if !reflect.DeepEqual(sel, []int{1, 3}) {
 		t.Errorf("sel = %v (obj %v)", sel, obj)
@@ -193,7 +221,7 @@ func TestSolvePicksExactSubset(t *testing.T) {
 }
 
 func TestSolveEmptyMatrix(t *testing.T) {
-	sel, obj := Solve(linalg.NewMatrix(3, 0), linalg.Vector{1, 2, 3}, 2, func([]int) float64 { return 0 })
+	sel, obj := solve(newProblem(linalg.NewMatrix(3, 0)), linalg.Vector{1, 2, 3}, 2, func([]int) float64 { return 0 })
 	if sel != nil || !math.IsInf(obj, 1) {
 		t.Errorf("sel = %v obj = %v", sel, obj)
 	}
@@ -201,7 +229,7 @@ func TestSolveEmptyMatrix(t *testing.T) {
 
 func TestSolveZeroBudget(t *testing.T) {
 	a := linalg.MatrixFromColumns([]linalg.Vector{{1}})
-	sel, obj := Solve(a, linalg.Vector{1}, 0, func([]int) float64 { return 0 })
+	sel, obj := solve(newProblem(a), linalg.Vector{1}, 0, func([]int) float64 { return 0 })
 	if sel != nil || !math.IsInf(obj, 1) {
 		t.Errorf("sel = %v obj = %v", sel, obj)
 	}
@@ -227,7 +255,7 @@ func TestSolveNeverExceedsBudget(t *testing.T) {
 			y[i] = rng.Float64()
 		}
 		m := 1 + rng.Intn(4)
-		sel, _ := Solve(a, y, m, func(s []int) float64 {
+		sel, _ := solve(newProblem(a), y, m, func(s []int) float64 {
 			sum := linalg.NewVector(rows)
 			for _, j := range s {
 				sum.AddInPlace(colsv[j])
@@ -281,7 +309,7 @@ func TestSparseCorrelationsMatchDense(t *testing.T) {
 func TestRoundTopK(t *testing.T) {
 	x := linalg.Vector{0.5, 0, 0.9, 0.2}
 	counts := []int{1, 1, 1, 1}
-	cands := RoundTopK(x, counts, 3)
+	cands := roundTopK(x, counts, 3)
 	if len(cands) != 3 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
@@ -291,7 +319,7 @@ func TestRoundTopK(t *testing.T) {
 	if !reflect.DeepEqual(cands[2], []int{1, 0, 1, 1}) {
 		t.Errorf("T=3 candidate = %v", cands[2])
 	}
-	if got := RoundTopK(linalg.Vector{0, 0}, []int{1, 1}, 2); got != nil {
+	if got := roundTopK(linalg.Vector{0, 0}, []int{1, 1}, 2); got != nil {
 		t.Errorf("zero x candidates = %v", got)
 	}
 }
@@ -333,8 +361,8 @@ func TestRoundingAblation(t *testing.T) {
 			}
 			return linalg.SquaredDistance(sum, y)
 		}
-		_, lr := SolveWithRounding(a, y, 4, RoundCandidates, eval)
-		_, tk := SolveWithRounding(a, y, 4, RoundTopK, eval)
+		_, lr := solve(newProblem(a), y, 4, eval)
+		_, tk := solveWithRounding(a, y, 4, roundTopK, eval)
 		lrTotal += lr
 		topkTotal += tk
 	}
@@ -349,7 +377,7 @@ func TestSolveHandlesDuplicateReviews(t *testing.T) {
 	col := linalg.Vector{1, 1}
 	a := linalg.MatrixFromColumns([]linalg.Vector{col, col, col, col})
 	y := linalg.Vector{1, 1}
-	sel, _ := Solve(a, y, 3, func(s []int) float64 {
+	sel, _ := solve(newProblem(a), y, 3, func(s []int) float64 {
 		return math.Abs(float64(len(s)) - 2) // prefer exactly two reviews
 	})
 	if len(sel) != 2 {

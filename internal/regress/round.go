@@ -270,10 +270,10 @@ func growInts(v []int, n int) []int {
 
 // candidateSet records the candidates scored in one solve as canonical
 // sparse ν — entries clamped to [0, group size], zeros dropped — grouped
-// by |Expand(ν)|. Expand is injective on canonical ν and keeps its size,
-// so a candidate is new exactly when its selection is, and a candidate is
-// compared only against earlier ones of the same size, before it is ever
-// expanded.
+// by the size of their selection. Expansion (appendExpandSparse) is
+// injective on canonical ν and keeps its size, so a candidate is new
+// exactly when its selection is, and a candidate is compared only against
+// earlier ones of the same size, before it is ever expanded.
 type candidateSet struct {
 	arena  []mult
 	bySize [][]span // bySize[T]: the recorded candidates selecting T columns
@@ -308,7 +308,7 @@ func (s *candidateSet) add(nu []mult, size int) bool {
 	return true
 }
 
-// canonicalize clamps each entry of nu to what Expand selects from its
+// canonicalize clamps each entry of nu to what expansion selects from its
 // group and drops empty entries, in place; it returns the result and the
 // selection size.
 func canonicalize(nu []mult, g groups) ([]mult, int) {
@@ -324,8 +324,9 @@ func canonicalize(nu []mult, g groups) ([]mult, int) {
 	return out, size
 }
 
-// appendExpandSparse is Expand for a canonical sparse ν: the selected
-// members, inserted in ascending order as they are appended.
+// appendExpandSparse is Algorithm 1, line 9, for a canonical sparse ν: for
+// each unique column i, the first ν[i] of its member columns are selected;
+// they are inserted in ascending order as they are appended.
 func appendExpandSparse(dst []int, nu []mult, g groups) []int {
 	for _, e := range nu {
 		lo := int(g.off[e.idx])

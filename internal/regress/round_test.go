@@ -231,42 +231,12 @@ func recordingEval(eval func([]int) float64, calls *[][]int) func([]int) float64
 	}
 }
 
-// referenceSolve is Problem.Solve's candidate loop as it was before sparse
-// rounding: every iterate of the same NOMP path rounded densely for
-// T = 1..m, expanded, and deduplicated on the expanded selection.
-func referenceSolve(a *linalg.Matrix, y linalg.Vector, m int, eval func([]int) float64) ([]int, float64) {
-	_, counts, members := Dedup(a)
-	var best []int
-	bestObj := math.Inf(1)
-	seen := map[string]bool{}
-	for _, x := range NewProblem(a).NOMPPath(y, m) {
-		u := x.Normalized()
-		if u.Norm1() == 0 {
-			continue
-		}
-		for total := 1; total <= m; total++ {
-			nu := make([]int, len(u))
-			if ok, _ := apportionInto(u, counts, total, nu, nil); !ok {
-				continue
-			}
-			sel := Expand(nu, members)
-			if key := fmt.Sprint(sel); seen[key] {
-				continue
-			} else {
-				seen[key] = true
-			}
-			if obj := eval(sel); obj < bestObj {
-				bestObj, best = obj, sel
-			}
-		}
-	}
-	return best, bestObj
-}
-
-// The default Solve scores exactly the selections the dense reference
-// scores, in the same order, and returns the same answer: deduplicating
-// sparse ν before expansion drops what selection dedup dropped, and
-// skipping a repeated iterate drops only seen candidates.
+// SolveContext scores exactly the selections the dense reference scores —
+// every iterate of the same NOMP path rounded densely for T = 1..m,
+// expanded, and deduplicated on the expanded selection — in the same
+// order, and returns the same answer: deduplicating sparse ν before
+// expansion drops what selection dedup dropped, and skipping a repeated
+// iterate drops only seen candidates.
 func TestSolveEvalSequenceMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	evals := []func([]int) float64{
@@ -292,8 +262,8 @@ func TestSolveEvalSequenceMatchesDenseReference(t *testing.T) {
 		m := 1 + trial%10
 		eval := evals[trial%len(evals)]
 		var want, got [][]int
-		wantSel, wantObj := referenceSolve(a, y, m, recordingEval(eval, &want))
-		gotSel, gotObj := NewProblem(a).Solve(y, m, nil, recordingEval(eval, &got))
+		wantSel, wantObj := solveWithRounding(a, y, m, roundCandidates, recordingEval(eval, &want))
+		gotSel, gotObj := solve(newProblem(a), y, m, recordingEval(eval, &got))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d (m=%d): eval sequence\n%v\nreference\n%v", trial, m, got, want)
 		}
@@ -313,7 +283,7 @@ func TestSolveRecordsOneRoundObservation(t *testing.T) {
 	a, y := benchProblem(40, 12)
 	h := obs.StageHistogram(obs.StageRound)
 	before := h.Count()
-	NewProblem(a).Solve(y, 5, nil, func(sel []int) float64 { return float64(len(sel)) })
+	solve(newProblem(a), y, 5, func(sel []int) float64 { return float64(len(sel)) })
 	if got := h.Count() - before; got != 1 {
 		t.Fatalf("one solve recorded %d round observations, want 1", got)
 	}

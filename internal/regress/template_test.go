@@ -174,11 +174,11 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	check := func(trial int, a *linalg.Matrix) {
 		t.Helper()
-		unique, counts, members := Dedup(a)
+		unique, counts, members := dedup(a)
 		if want := naiveGrouping(a); fmt.Sprint(members) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: Dedup groups %v, want %v", trial, members, want)
+			t.Fatalf("trial %d: dedup groups %v, want %v", trial, members, want)
 		}
-		p := NewProblem(a)
+		p := newProblem(a)
 		if got := p.denseUnique(); !sameMatrix(got, unique) {
 			t.Fatalf("trial %d: rebuilt %dx%d matrix differs from Dedup's %dx%d unique matrix",
 				trial, got.Rows, got.Cols, unique.Rows, unique.Cols)
@@ -237,11 +237,8 @@ func TestProblemDenseUniqueRoundTrip(t *testing.T) {
 			y[i] = rng.Float64()
 		}
 		m := 1 + rng.Intn(8)
-		ref, err := nompPathDense(context.Background(), p.denseUnique(), y, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := p.NOMPPath(y, m)
+		ref := densePath(p.denseUnique(), y, m)
+		path := gramPath(p, y, m)
 		if len(path) != len(ref) {
 			t.Fatalf("trial %d: path of %d iterates, dense reference %d", trial, len(path), len(ref))
 		}
@@ -352,22 +349,15 @@ func TestProblemGramFallbackMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 50; trial++ {
 		a, y := fallbackDesign(rng)
-		unique, _, _ := Dedup(a)
+		unique, _, _ := dedup(a)
 		m := unique.Cols
-		p := NewProblem(a)
+		p := newProblem(a)
 		if _, err := p.nompGram(context.Background(), y, m); !errors.Is(err, errGramFallback) {
 			t.Fatalf("trial %d: Gram solver did not fall back (err %v)", trial, err)
 		}
-		got, err := p.nompPath(context.Background(), y, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := NOMPPath(unique, y, m)
-		if !samePath(got, want) {
-			t.Fatalf("trial %d: fallback path differs from NOMPPath on the unique matrix:\ngot  %v\nwant %v", trial, got, want)
-		}
-		if exported := p.NOMPPath(y, m); !samePath(exported, want) {
-			t.Fatalf("trial %d: Problem.NOMPPath differs from the dense reference", trial)
+		want := densePath(unique, y, m)
+		if got := gramPath(p, y, m); !samePath(got, want) {
+			t.Fatalf("trial %d: fallback path differs from the dense reference on the unique matrix:\ngot  %v\nwant %v", trial, got, want)
 		}
 	}
 }
@@ -385,18 +375,18 @@ func TestProblemSolveThroughGramFallback(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		a, y := fallbackDesign(rng)
-		unique, counts, members := Dedup(a)
+		unique, counts, members := dedup(a)
 		m := unique.Cols
-		if _, err := NewProblem(a).nompGram(context.Background(), y, m); !errors.Is(err, errGramFallback) {
+		if _, err := newProblem(a).nompGram(context.Background(), y, m); !errors.Is(err, errGramFallback) {
 			t.Fatalf("trial %d: Gram solver did not fall back (err %v)", trial, err)
 		}
 		budget := minInt(m, unique.Rows)
 		wantObj := math.Inf(1)
 		var wantSel []int
 		seen := map[string]bool{}
-		for _, x := range NOMPPath(unique, y, budget) {
-			for _, nu := range RoundCandidates(x, counts, m) {
-				sel := Expand(nu, members)
+		for _, x := range densePath(unique, y, budget) {
+			for _, nu := range roundCandidates(x, counts, m) {
+				sel := expand(nu, members)
 				key := fmt.Sprint(sel)
 				if seen[key] {
 					continue
@@ -407,7 +397,7 @@ func TestProblemSolveThroughGramFallback(t *testing.T) {
 				}
 			}
 		}
-		gotSel, gotObj := NewProblem(a).Solve(y, m, nil, eval)
+		gotSel, gotObj := solve(newProblem(a), y, m, eval)
 		if gotObj != wantObj || len(gotSel) != len(wantSel) {
 			t.Fatalf("trial %d: (%v, %v), want (%v, %v)", trial, gotSel, gotObj, wantSel, wantObj)
 		}
@@ -431,7 +421,7 @@ func TestScratchReuseAfterCancelAcrossSizes(t *testing.T) {
 	for i := range bigY {
 		bigY[i] = rng.Float64()
 	}
-	big := NewProblem(bigA)
+	big := newProblem(bigA)
 
 	type small struct {
 		a       *linalg.Matrix
@@ -454,7 +444,7 @@ func TestScratchReuseAfterCancelAcrossSizes(t *testing.T) {
 		for r := range s.y {
 			s.y[r] = rng.Float64()
 		}
-		s.wantSel, s.wantObj = NewProblem(s.a).Solve(s.y, s.m, nil, eval)
+		s.wantSel, s.wantObj = solve(newProblem(s.a), s.y, s.m, eval)
 		smalls[i] = s
 	}
 
@@ -468,7 +458,7 @@ func TestScratchReuseAfterCancelAcrossSizes(t *testing.T) {
 		bigShare := big.Share()
 		var bigScratch *solverScratch
 		evals := 0
-		_, _, err := bigShare.SolveContext(ctx, bigY, 10, nil, func(sel []int) float64 {
+		_, _, err := bigShare.SolveContext(ctx, bigY, 10, func(sel []int) float64 {
 			bigScratch = bigShare.scratch
 			if evals++; evals == stopAfter {
 				cancel()
@@ -480,9 +470,9 @@ func TestScratchReuseAfterCancelAcrossSizes(t *testing.T) {
 			t.Fatalf("round %d: large solve returned %v after %d evaluations, want cancellation", round, err, evals)
 		}
 		for i, s := range smalls {
-			sh := NewProblem(s.a).Share()
+			sh := newProblem(s.a).Share()
 			var drew *solverScratch
-			gotSel, gotObj := sh.Solve(s.y, s.m, nil, func(sel []int) float64 {
+			gotSel, gotObj := solve(sh, s.y, s.m, func(sel []int) float64 {
 				drew = sh.scratch
 				return eval(sel)
 			})
