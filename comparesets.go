@@ -179,10 +179,10 @@ func SelectorByName(name string) (Selector, bool) { return core.SelectorByName(n
 
 // SimilarityGraph builds the item-similarity graph of §3.1 from a
 // selection: vertices are instance items (vertex 0 = target), edge weights
-// invert the pairwise selection distances d_ij.
+// invert the pairwise selection distances d_ij. It reads the targets the
+// selection carries, computing them under cfg only when it carries none.
 func SimilarityGraph(inst *Instance, sel *Selection, cfg Config) *Graph {
-	tg := core.NewTargets(inst, cfg)
-	return simgraph.Build(core.Stats(inst, tg, cfg, sel), cfg)
+	return simgraph.Build(core.Stats(inst, sel.TargetsFor(inst, cfg), cfg, sel), cfg)
 }
 
 // ShortlistMethod identifies a TargetHkS solver in the typed v2 API.

@@ -121,6 +121,16 @@ type Selection struct {
 	Targets *Targets
 }
 
+// TargetsFor returns the targets the selection was scored against, or
+// NewTargets(inst, cfg) for a selection that does not carry them (one
+// assembled by hand rather than returned by a selector).
+func (s *Selection) TargetsFor(inst *model.Instance, cfg Config) *Targets {
+	if s.Targets != nil {
+		return s.Targets
+	}
+	return NewTargets(inst, cfg)
+}
+
 // Reviews materializes the selected review sets S₁..S_n.
 func (s *Selection) Reviews(inst *model.Instance) [][]*model.Review {
 	out := make([][]*model.Review, len(s.Indices))

@@ -308,6 +308,24 @@ func TestStatsShapes(t *testing.T) {
 	}
 }
 
+// TargetsFor hands back the targets a selector's answer carries, and
+// computes NewTargets's for a selection that carries none.
+func TestSelectionTargetsFor(t *testing.T) {
+	inst := workingExampleInstance()
+	cfg := Config{M: 3, Lambda: 1}
+	sel, err := (CompaReSetS{}).Select(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Targets == nil || sel.TargetsFor(inst, cfg) != sel.Targets {
+		t.Fatal("TargetsFor did not return the selection's own targets")
+	}
+	bare := &Selection{Indices: sel.Indices}
+	if got, want := bare.TargetsFor(inst, cfg), NewTargets(inst, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TargetsFor = %+v, NewTargets = %+v", got, want)
+	}
+}
+
 func TestSelectorsRegistry(t *testing.T) {
 	names := []string{"Random", "Crs", "CompaReSetS_Greedy", "CompaReSetS", "CompaReSetS+"}
 	ss := Selectors()

@@ -302,7 +302,7 @@ func Figure11(w *Workload, ds int, ms []int) (Figure11Result, error) {
 		var lossT, lossA, cosT, cosA []float64
 		for i, sel := range sels {
 			inst := w.Instances[ds][i]
-			tg := core.NewTargets(inst, cfg)
+			tg := sel.TargetsFor(inst, cfg)
 			st := core.Stats(inst, tg, cfg, sel)
 			for item, s := range st {
 				cos := linalg.Cosine(tg.Tau[item], s.Pi)

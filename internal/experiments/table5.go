@@ -37,8 +37,7 @@ func shortlistInputs(w *Workload, ds, k int) ([]*core.Selection, []*simgraph.Gra
 	graphs := make([]*simgraph.Graph, len(sels))
 	for i, sel := range sels {
 		inst := w.Instances[ds][i]
-		tg := core.NewTargets(inst, cfg)
-		graphs[i] = simgraph.Build(core.Stats(inst, tg, cfg, sel), cfg)
+		graphs[i] = simgraph.Build(core.Stats(inst, sel.TargetsFor(inst, cfg), cfg, sel), cfg)
 	}
 	return sels, graphs, nil
 }

@@ -220,7 +220,8 @@ func TestPrecomputeAndConcurrentAccess(t *testing.T) {
 }
 
 // Selections driven through the store must be identical to selections that
-// recompute features per request.
+// recompute features per request, for every selector of the paper's
+// evaluation.
 func TestSelectionsIdenticalWithStore(t *testing.T) {
 	c := testCorpus(t)
 	s := New(c)
@@ -231,7 +232,7 @@ func TestSelectionsIdenticalWithStore(t *testing.T) {
 	base := core.Config{M: 3, Lambda: 1, Mu: 0.2}
 	withStore := base
 	withStore.Features = s
-	for _, sel := range []core.Selector{core.CompaReSetS{}, core.CompaReSetSPlus{}} {
+	for _, sel := range core.Selectors() {
 		a, err := sel.Select(inst, base)
 		if err != nil {
 			t.Fatal(err)
