@@ -62,8 +62,9 @@ import (
 const DefaultEdgeCacheBytes int64 = 64 << 20
 
 // maxEdgeInstances bounds each category's membership memo; on overflow the
-// memo resets (the core.ProblemCache policy — it is a pure accelerator, and
-// forgotten memberships are relearned from the next fill).
+// memo resets. A reset keeps eviction bookkeeping off the read path and
+// costs little: the memo is a pure accelerator, and a forgotten membership
+// is relearned from the instance's next fill.
 const maxEdgeInstances = 4096
 
 // edgeSelect is a cacheable select body, decoded once: its canonical key

@@ -9,7 +9,6 @@ import (
 
 	"comparesets/internal/linalg"
 	"comparesets/internal/model"
-	"comparesets/internal/regress"
 )
 
 // CRS is the single-item Characteristic Review Selection baseline of Lappas
@@ -50,8 +49,8 @@ func (CRS) SelectContext(ctx context.Context, inst *model.Instance, cfg Config) 
 		}
 		// The design is the item's opinion columns alone: λ = 0 drops
 		// CompaReSetS's aspect block.
-		op, _ := tg.itemColumns(inst, sch, i)
-		p := regress.NewBlockProblem(regress.Block{Cols: op, Scale: 1})
+		op, asp := tg.itemColumns(inst, sch, i)
+		p := tg.template(i, TemplateKey{Kind: TemplateCRS}, op, asp)
 		item := i
 		eval := func(selected []int) float64 {
 			set := gather(it.Reviews, selected)

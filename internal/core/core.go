@@ -44,19 +44,9 @@ type Config struct {
 	// identical selections.
 	Workers int
 	// Features optionally supplies precomputed per-item features — review
-	// columns and targets (internal/featstore); nil recomputes them per
-	// instance. Selections are identical either way — the source only skips
-	// the per-request feature computation.
+	// columns and targets — and regression templates (internal/featstore);
+	// nil recomputes them per instance. Selections are identical either way.
 	Features FeatureSource
-	// Problems optionally shares preprocessed per-item regression problems
-	// across selections over the same corpus: the serving layer keeps one
-	// cache per corpus generation, so later requests over the same items
-	// skip the per-item design assembly, dedup, and Gram products
-	// entirely. The cache hands every caller a private share of an
-	// immutable template (regress.Problem.Share), so any number of
-	// selections may use one cache concurrently. Selections are identical
-	// with or without it.
-	Problems *ProblemCache
 }
 
 // FeatureSource supplies an item's precomputed features under a scheme
@@ -72,9 +62,10 @@ type Config struct {
 // when they cannot serve the item (e.g. it belongs to another corpus), in
 // which case the caller computes the features itself. The returned
 // features are shared across requests and cached regression templates and
-// must never be mutated.
+// must never be mutated. The same lookup returns the item's template
+// table under the scheme (see Templates), nil when the source keeps none.
 type FeatureSource interface {
-	ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool)
+	ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, Templates, bool)
 }
 
 func (c Config) workerCount() int {
@@ -165,10 +156,11 @@ type Selector interface {
 type Targets struct {
 	Gamma linalg.Vector   // target aspect vector Γ
 	Tau   []linalg.Vector // per-item target opinion vectors τᵢ
-	// feats[i] is item i's features as Config.Features served them, nil
-	// where it declined or when there is no source; the feature cache reads
-	// the review columns from here instead of looking the item up again.
-	feats []*opinion.Features
+	// feats[i] and tables[i] are what Config.Features served for item i
+	// (nil where it declined or there is none), read here instead of
+	// looking the item up again.
+	feats  []*opinion.Features
+	tables []Templates
 }
 
 // NewTargets computes the targets for the instance under the configured
@@ -179,15 +171,13 @@ type Targets struct {
 func NewTargets(inst *model.Instance, cfg Config) *Targets {
 	z := inst.Aspects.Len()
 	sch := cfg.scheme()
-	t := &Targets{Tau: make([]linalg.Vector, inst.NumItems())}
-	if cfg.Features != nil {
-		t.feats = make([]*opinion.Features, inst.NumItems())
-	}
+	n := inst.NumItems()
+	t := &Targets{Tau: make([]linalg.Vector, n), feats: make([]*opinion.Features, n), tables: make([]Templates, n)}
 	for i, it := range inst.Items {
 		var phi linalg.Vector
 		if cfg.Features != nil {
-			if f, ok := cfg.Features.ItemFeatures(it, sch, z); ok {
-				t.feats[i], t.Tau[i], phi = f, f.Tau, f.Phi
+			if f, tab, ok := cfg.Features.ItemFeatures(it, sch, z); ok {
+				t.feats[i], t.tables[i], t.Tau[i], phi = f, tab, f.Tau, f.Phi
 			}
 		}
 		if t.Tau[i] == nil {

@@ -94,8 +94,8 @@ func newFeatureCache(inst *model.Instance, cfg Config, tg *Targets) *featureCach
 // columns are shared and read-only: every downstream use scatters them
 // into request-private buffers or reads them as template blocks.
 func (t *Targets) itemColumns(inst *model.Instance, sch opinion.Scheme, i int) (op, asp *linalg.SparseColumns) {
-	if t.feats != nil && t.feats[i] != nil {
-		return t.feats[i].Op, t.feats[i].Asp
+	if f := t.feats[i]; f != nil {
+		return f.Op, f.Asp
 	}
 	return opinion.Columns(sch, inst.Items[i].Reviews, inst.Aspects.Len())
 }
@@ -109,81 +109,31 @@ func (fc *featureCache) muWeight() float64 {
 	return fc.cfg.Mu * math.Sqrt(float64(n-1))
 }
 
-// problemKey identifies item i's regression problem of the given kind for
-// sharing through a ProblemCache. Instances alias corpus-resident item
-// pointers (model.NewInstance), so the pointer is a stable item identity
-// across requests over the same corpus.
-func (fc *featureCache) problemKey(i int, kind problemKind) problemKey {
-	var muW float64
-	if kind == problemPlus {
-		muW = fc.muWeight()
-	}
-	return problemKey{
-		item:   fc.inst.Items[i],
-		kind:   kind,
-		scheme: fc.sch.Name(),
-		z:      fc.z,
-		lambda: fc.cfg.Lambda,
-		muW:    muW,
-	}
-}
-
-// baseProblem returns item i's CompaReSetS regression problem, building and
-// memoizing it on first use — consulting the shared ProblemCache first when
-// the config carries one. Not safe for concurrent calls on the same item;
-// the parallel fan-out assigns each item to exactly one worker.
+// baseProblem returns item i's CompaReSetS regression problem, taken from
+// the item's template table (or built) on first use and memoized. Not safe
+// for concurrent calls on the same item; the parallel fan-out assigns each
+// item to exactly one worker.
 func (fc *featureCache) baseProblem(i int) *regress.Problem {
 	f := &fc.items[i]
 	if f.baseTarget == nil {
 		f.baseTarget = linalg.Concat(fc.tg.Tau[i], fc.gammaL)
 	}
 	if f.base == nil {
-		if pc := fc.cfg.Problems; pc != nil {
-			f.base = pc.getOrBuild(fc.problemKey(i, problemBase), func() *regress.Problem {
-				return fc.buildBaseProblem(i)
-			})
-		} else {
-			f.base = fc.buildBaseProblem(i)
-		}
+		f.base = fc.tg.template(i, TemplateKey{Kind: TemplateBase, Lambda: fc.cfg.Lambda}, f.op, f.asp)
 	}
 	return f.base
 }
 
-// buildBaseProblem builds item i's CompaReSetS template: op×1 over asp×λ.
-func (fc *featureCache) buildBaseProblem(i int) *regress.Problem {
-	f := &fc.items[i]
-	return regress.NewBlockProblem(
-		regress.Block{Cols: f.op, Scale: 1},
-		regress.Block{Cols: f.asp, Scale: fc.cfg.Lambda},
-	)
-}
-
 // plusProblem returns item i's collapsed CompaReSetS+ regression problem,
-// building and memoizing it on first use (through the shared ProblemCache
-// when present).
+// taken from the item's template table (or built) on first use and
+// memoized.
 func (fc *featureCache) plusProblem(i int) *regress.Problem {
 	f := &fc.items[i]
 	if f.plus == nil {
-		if pc := fc.cfg.Problems; pc != nil {
-			f.plus = pc.getOrBuild(fc.problemKey(i, problemPlus), func() *regress.Problem {
-				return fc.buildPlusProblem(i)
-			})
-		} else {
-			f.plus = fc.buildPlusProblem(i)
-		}
+		k := TemplateKey{Kind: TemplatePlus, Lambda: fc.cfg.Lambda, MuW: fc.muWeight()}
+		f.plus = fc.tg.template(i, k, f.op, f.asp)
 	}
 	return f.plus
-}
-
-// buildPlusProblem builds item i's collapsed CompaReSetS+ template: op×1
-// over asp×λ over asp×√(n−1)·μ.
-func (fc *featureCache) buildPlusProblem(i int) *regress.Problem {
-	f := &fc.items[i]
-	return regress.NewBlockProblem(
-		regress.Block{Cols: f.op, Scale: 1},
-		regress.Block{Cols: f.asp, Scale: fc.cfg.Lambda},
-		regress.Block{Cols: f.asp, Scale: fc.muWeight()},
-	)
 }
 
 // plusTarget assembles item i's sweep target [τᵢ; λ·Γ; √(n−1)·μ·Φ̄] where

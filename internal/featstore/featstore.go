@@ -18,6 +18,10 @@
 // point at them as the blocks of their designs, without a copy — which is
 // what makes sharing across concurrent requests and cached templates safe.
 //
+// Each entry also holds the item's regression templates (core.Templates),
+// handed to core by the same lookup; a replaced entry drops them, and a
+// store over its template byte budget drops cold entries' templates.
+//
 // A Store is bound to one corpus generation at a time. Loading a new corpus
 // still replaces the Store wholesale, but incremental mutations rebind the
 // existing Store to the post-mutation corpus clone (Apply): untouched items
@@ -27,25 +31,46 @@
 package featstore
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
+	"comparesets/internal/core"
 	"comparesets/internal/faultinject"
 	"comparesets/internal/linalg"
 	"comparesets/internal/model"
 	"comparesets/internal/obs"
 	"comparesets/internal/opinion"
+	"comparesets/internal/regress"
 )
 
 // shardCount is the power-of-two number of lazy-compute shards.
 const shardCount = 16
 
-// Store caches per-review feature columns for one corpus.
+// templateBudget bounds the bytes a store's regression templates own. A
+// template owns ~1.43 KB on the evaluation corpora (BenchmarkColdReplay's
+// template-bytes over templates); perfbench at all four of its λ values
+// builds at most 3,668 templates in one corpus (Toy), ~5.2 MB. 16 MiB
+// (~11,700 templates) holds that three times over, so no benchmark
+// workload evicts, while many more λ values cannot grow the heap unbounded.
+const templateBudget = 16 << 20
+
+// Store caches per-review feature columns and per-item regression
+// templates for one corpus.
 type Store struct {
 	corpus atomic.Pointer[model.Corpus]
 	z      int
 	shards [shardCount]shard
 	m      *obs.CacheMetrics
+
+	// tmu guards ring, hand and tbytes and every write to an entry's
+	// templates; lock order is shard, tmu, entry. ring holds the entries
+	// with templates in second-chance (CLOCK) order, and tbytes is what
+	// their templates own, kept ≤ budget.
+	tmu            sync.Mutex
+	ring           []*entry
+	hand           int
+	tbytes, budget int
 }
 
 type shard struct {
@@ -54,23 +79,37 @@ type shard struct {
 }
 
 // entry is one (scheme, item) feature block: the item's float64 sparse
-// review runs and targets, the only form the store keeps. it and sch
-// record which item snapshot the features were computed from, so a
-// mutation can rebuild the block incrementally: the runs of review
-// pointers shared between it.Reviews and the successor's are copied, not
-// recomputed.
+// review runs and targets, the only form the store keeps, and the item's
+// regression templates. it and sch record which item snapshot the
+// features were computed from, so a mutation can rebuild the block
+// incrementally: the runs of review pointers shared between it.Reviews
+// and the successor's are copied, not recomputed.
 type entry struct {
+	s    *Store
 	it   *model.Item
 	sch  opinion.Scheme
 	feat opinion.Features
+
+	// mu guards tmpl and ref for Template; writers also hold s.tmu, which
+	// alone guards the rest. ref marks a hit since the clock hand last
+	// passed, so templates no request reused go first. slot is the
+	// entry's index in s.ring, −1 off it. A retired (replaced) entry
+	// keeps no templates.
+	mu      sync.Mutex
+	tmpl    map[core.TemplateKey]*regress.Problem
+	ref     bool
+	tbytes  int
+	slot    int
+	retired bool
 }
 
 // New returns an empty store bound to the corpus. Features are computed
 // lazily on first touch; call Precompute to front-load them.
 func New(c *model.Corpus) *Store {
 	s := &Store{
-		z: c.Aspects.Len(),
-		m: obs.NewCacheMetrics(obs.Default(), "featstore"),
+		z:      c.Aspects.Len(),
+		m:      obs.NewCacheMetrics(obs.Default(), "featstore"),
+		budget: templateBudget,
 	}
 	s.corpus.Store(c)
 	for i := range s.shards {
@@ -135,6 +174,7 @@ func (s *Store) lookup(it *model.Item, sch opinion.Scheme, z int) *entry {
 			return nil
 		}
 		s.m.Misses.Inc()
+		s.retire(e)
 		e, _, _ = s.rebuild(e, it)
 		sh.items[k] = e
 	default:
@@ -144,36 +184,137 @@ func (s *Store) lookup(it *model.Item, sch opinion.Scheme, z int) *entry {
 }
 
 // ItemFeatures implements core.FeatureSource: the item's review columns
-// and targets under the scheme, computed and memoized on first touch. ok
-// is false when the item does not belong to the bound corpus or z
-// disagrees with the corpus vocabulary — callers then fall back to
-// computing features themselves.
-func (s *Store) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool) {
+// and targets under the scheme, computed and memoized on first touch, and
+// its template table. ok is false when the item does not belong to the
+// bound corpus or z disagrees with the corpus vocabulary — callers then
+// fall back to computing features themselves.
+func (s *Store) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, core.Templates, bool) {
 	e := s.lookup(it, sch, z)
 	if e == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return &e.feat, true
+	return &e.feat, e, true
+}
+
+// Template implements core.Templates.
+func (e *entry) Template(k core.TemplateKey) *regress.Problem {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p := e.tmpl[k]
+	e.ref = e.ref || p != nil
+	return p
+}
+
+// Keep implements core.Templates: a template a concurrent builder stored
+// first wins (builds are deterministic), and a retired entry stores
+// nothing. Over budget, the clock hand then drops whole entries'
+// templates: it spares an entry hit since its last pass (clearing the
+// mark), and after two full turns spares none, so hits cannot stall it.
+func (e *entry) Keep(k core.TemplateKey, p *regress.Problem) *regress.Problem {
+	s := e.s
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	if prev := e.tmpl[k]; prev != nil || e.retired {
+		return cmp.Or(prev, p)
+	}
+	e.mu.Lock()
+	if e.tmpl == nil {
+		e.tmpl = map[core.TemplateKey]*regress.Problem{}
+	}
+	e.tmpl[k] = p
+	e.mu.Unlock()
+	if e.slot < 0 {
+		e.slot = len(s.ring)
+		s.ring = append(s.ring, e)
+	}
+	b := p.Bytes()
+	e.tbytes += b
+	s.tbytes += b
+	s.m.Bytes.Add(float64(b))
+	for turns := 2 * len(s.ring); s.tbytes > s.budget && len(s.ring) > 0; turns-- {
+		s.hand %= len(s.ring)
+		v := s.ring[s.hand]
+		v.mu.Lock()
+		spare := v.ref && turns > 0
+		v.ref = false
+		v.mu.Unlock()
+		if spare {
+			s.hand++
+		} else {
+			s.m.Evictions.Add(s.drop(v))
+		}
+	}
+	return p
+}
+
+// drop empties e's template table and takes e off the ring (the last
+// entry takes its slot), returning how many templates it held. Caller
+// holds s.tmu.
+func (s *Store) drop(e *entry) int {
+	e.mu.Lock()
+	n := len(e.tmpl)
+	e.tmpl = nil
+	e.mu.Unlock()
+	if i := e.slot; i >= 0 {
+		last := len(s.ring) - 1
+		s.ring[i] = s.ring[last]
+		s.ring[i].slot = i
+		s.ring[last] = nil
+		s.ring = s.ring[:last]
+		e.slot = -1
+	}
+	s.tbytes -= e.tbytes
+	s.m.Bytes.Add(-float64(e.tbytes))
+	e.tbytes = 0
+	return n
+}
+
+// retire takes a replaced entry's feature bytes and templates out of the
+// accounting and marks it to keep no later build, returning how many
+// templates it held.
+func (s *Store) retire(old *entry) int {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	old.retired = true
+	s.m.Bytes.Add(-float64(old.feat.Bytes()))
+	return s.drop(old)
+}
+
+// Templates returns the number of regression templates the store holds
+// and the bytes they own (regress.Problem.Bytes), not counting the review
+// columns their blocks point at.
+func (s *Store) Templates() (n, bytes int) {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	for _, e := range s.ring {
+		n += len(e.tmpl)
+	}
+	return n, s.tbytes
+}
+
+// newEntry returns an entry, with no templates yet, for the features of
+// item snapshot it under sch, and counts their bytes.
+func (s *Store) newEntry(it *model.Item, sch opinion.Scheme, feat opinion.Features) *entry {
+	s.m.Bytes.Add(float64(feat.Bytes()))
+	return &entry{s: s, it: it, sch: sch, feat: feat, slot: -1}
 }
 
 // compute builds one item's feature block.
 func (s *Store) compute(it *model.Item, sch opinion.Scheme) *entry {
 	span := obs.StartStage(obs.StagePrecompute)
 	defer span.Stop()
-	e := &entry{it: it, sch: sch, feat: opinion.NewFeatures(sch, it.Reviews, s.z)}
 	s.m.Entries.Add(1)
-	s.m.Bytes.Add(float64(e.feat.Bytes()))
-	return e
+	return s.newEntry(it, sch, opinion.NewFeatures(sch, it.Reviews, s.z))
 }
 
 // rebuild produces the feature block of a successor item snapshot from its
 // predecessor's block: the runs of columns whose review pointer survived
 // the mutation are copied out of the old block, only genuinely new or
 // replaced reviews go through the scheme, and the targets are recomputed
-// over the new review list. The old entry stays intact — in-flight
-// requests and cached templates holding the old item keep reading
-// consistent columns. Returns the new entry plus how many columns were
-// computed fresh vs reused.
+// over the new review list. The old entry's features stay intact —
+// in-flight requests and template shares holding the old item keep
+// reading consistent columns; the caller retires it. Returns the new
+// entry plus how many columns were computed fresh vs reused.
 func (s *Store) rebuild(old *entry, it *model.Item) (e *entry, computed, reused int) {
 	span := obs.StartStage(obs.StagePrecompute)
 	defer span.Stop()
@@ -215,13 +356,12 @@ func (s *Store) rebuild(old *entry, it *model.Item) (e *entry, computed, reused 
 	}
 	op.ShareOnes()
 	asp.ShareOnes()
-	e = &entry{it: it, sch: sch, feat: opinion.Features{
+	e = s.newEntry(it, sch, opinion.Features{
 		Op:  op,
 		Asp: asp,
 		Tau: sch.Vector(it.Reviews, s.z),
 		Phi: opinion.AspectVector(it.Reviews, s.z),
-	}}
-	s.m.Bytes.Add(float64(e.feat.Bytes()))
+	})
 	return e, len(added), n - len(added)
 }
 
@@ -230,8 +370,9 @@ func (s *Store) rebuild(old *entry, it *model.Item) (e *entry, computed, reused 
 // reusing every column whose review pointer the mutation preserved. Blocks
 // of untouched items are untouched — their item pointers still match the
 // new corpus. Returns the number of feature columns computed fresh and the
-// number reused, for the mutation receipt.
-func (s *Store) Apply(c *model.Corpus, m *model.Mutation) (computed, reused int) {
+// number reused, and the number of regression templates the replaced
+// blocks held, for the mutation receipt.
+func (s *Store) Apply(c *model.Corpus, m *model.Mutation) (computed, reused, dropped int) {
 	s.corpus.Store(c)
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -240,6 +381,7 @@ func (s *Store) Apply(c *model.Corpus, m *model.Mutation) (computed, reused int)
 			if k.item != m.ItemID || e.it == m.New {
 				continue
 			}
+			dropped += s.retire(e)
 			ne, nc, nr := s.rebuild(e, m.New)
 			sh.items[k] = ne
 			computed += nc
@@ -247,7 +389,7 @@ func (s *Store) Apply(c *model.Corpus, m *model.Mutation) (computed, reused int)
 		}
 		sh.mu.Unlock()
 	}
-	return computed, reused
+	return computed, reused, dropped
 }
 
 // Precompute eagerly builds the feature blocks of every corpus item under

@@ -13,6 +13,7 @@ import (
 	"comparesets/internal/linalg"
 	"comparesets/internal/model"
 	"comparesets/internal/opinion"
+	"comparesets/internal/regress"
 )
 
 // The store must satisfy the injection point core exposes.
@@ -89,7 +90,7 @@ func TestItemColumnsMatchDirectComputation(t *testing.T) {
 	for _, sch := range opinion.Schemes() {
 		for _, id := range c.ItemIDs() {
 			it := c.Items[id]
-			f, ok := s.ItemFeatures(it, sch, z)
+			f, _, ok := s.ItemFeatures(it, sch, z)
 			if !ok {
 				t.Fatalf("%s/%s: not ok", sch.Name(), id)
 			}
@@ -112,7 +113,7 @@ func TestRunsMatchSchemeColumnsOnSyntheticCorpora(t *testing.T) {
 		for _, sch := range opinion.Schemes() {
 			s.Precompute(sch)
 			for _, id := range c.ItemIDs() {
-				f, ok := s.ItemFeatures(c.Items[id], sch, z)
+				f, _, ok := s.ItemFeatures(c.Items[id], sch, z)
 				if !ok {
 					t.Fatalf("%s/%s/%s: not ok", c.Category, sch.Name(), id)
 				}
@@ -150,7 +151,7 @@ func TestRunsMatchSchemeColumnsOnSyntheticCorpora(t *testing.T) {
 				s.Apply(next, m)
 			}
 			for _, sch := range opinion.Schemes() {
-				f, ok := s.ItemFeatures(next.Items[id], sch, z)
+				f, _, ok := s.ItemFeatures(next.Items[id], sch, z)
 				if !ok {
 					t.Fatalf("%s step %d %s: not ok", c.Category, step, sch.Name())
 				}
@@ -166,13 +167,13 @@ func TestItemColumnsMemoizes(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	it := c.Items[c.ItemIDs()[0]]
-	f1, _ := s.ItemFeatures(it, opinion.Binary{}, z)
-	f2, _ := s.ItemFeatures(it, opinion.Binary{}, z)
+	f1, _, _ := s.ItemFeatures(it, opinion.Binary{}, z)
+	f2, _, _ := s.ItemFeatures(it, opinion.Binary{}, z)
 	if f1 != f2 || f1.Op != f2.Op || &f1.Tau[0] != &f2.Tau[0] {
 		t.Error("repeated lookup did not return the memoized features")
 	}
 	// Distinct schemes are distinct entries.
-	f3, _ := s.ItemFeatures(it, opinion.ThreePolarity{}, z)
+	f3, _, _ := s.ItemFeatures(it, opinion.ThreePolarity{}, z)
 	if f3.Op.Rows == f1.Op.Rows {
 		t.Error("3-polarity columns should have a different dim than binary")
 	}
@@ -183,10 +184,10 @@ func TestItemColumnsRejectsForeignItems(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	foreign := &model.Item{ID: "p0"} // same ID, different pointer
-	if _, ok := s.ItemFeatures(foreign, opinion.Binary{}, z); ok {
+	if _, _, ok := s.ItemFeatures(foreign, opinion.Binary{}, z); ok {
 		t.Error("foreign item pointer accepted")
 	}
-	if _, ok := s.ItemFeatures(c.Items["p0"], opinion.Binary{}, z+1); ok {
+	if _, _, ok := s.ItemFeatures(c.Items["p0"], opinion.Binary{}, z+1); ok {
 		t.Error("mismatched z accepted")
 	}
 }
@@ -208,7 +209,7 @@ func TestPrecomputeAndConcurrentAccess(t *testing.T) {
 			for n := 0; n < 50; n++ {
 				it := c.Items[ids[(w+n)%len(ids)]]
 				sch := opinion.Schemes()[n%len(opinion.Schemes())]
-				f, ok := s.ItemFeatures(it, sch, z)
+				f, _, ok := s.ItemFeatures(it, sch, z)
 				if !ok || f.Op.Cols() != len(it.Reviews) {
 					t.Errorf("concurrent lookup failed for %s", it.ID)
 					return
@@ -221,30 +222,260 @@ func TestPrecomputeAndConcurrentAccess(t *testing.T) {
 
 // Selections driven through the store must be identical to selections that
 // recompute features per request, for every selector of the paper's
-// evaluation.
+// evaluation, every scheme and both worker counts: on the cold pass that
+// builds the item templates and on the warm pass that hits them.
 func TestSelectionsIdenticalWithStore(t *testing.T) {
+	c := testCorpus(t)
+	inst, err := instanceOf(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range opinion.Schemes() {
+		s := New(c)
+		for _, workers := range []int{1, 0} {
+			base := core.Config{M: 3, Lambda: 1, Mu: 0.2, Scheme: sch, Workers: workers}
+			withStore := base
+			withStore.Features = s
+			for _, sel := range core.Selectors() {
+				want, err := sel.Select(inst, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first pass fills the tables (or hits templates left
+				// by the other worker count — the key ignores workers), the
+				// second is all hits.
+				for pass := 0; pass < 2; pass++ {
+					got, err := sel.Select(inst, withStore)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Indices, want.Indices) || got.Objective != want.Objective {
+						t.Errorf("%s/%s workers=%d pass %d: selection differs with feature store: %+v vs %+v",
+							sel.Name(), sch.Name(), workers, pass, got, want)
+					}
+				}
+			}
+		}
+		if n, _ := s.Templates(); n == 0 {
+			t.Errorf("%s: no template kept", sch.Name())
+		}
+	}
+}
+
+// Many selections may share one store at once: each holder solves on a
+// private Problem.Share, so concurrent runs must match the sequential
+// reference exactly — with every template resident, and with a budget so
+// small that builds evict the templates other runs are hitting. Run under
+// -race this also exercises the share/scratch split and the clock sweep.
+func TestStoreConcurrentSelections(t *testing.T) {
+	c := testCorpus(t)
+	inst, err := instanceOf(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selectors := core.Selectors()
+	lambdas := []float64{1, 0.5, 2}
+	want := make([][]*core.Selection, len(selectors))
+	for i, sel := range selectors {
+		for _, lambda := range lambdas {
+			s, err := sel.Select(inst, core.Config{M: 3, Lambda: lambda, Mu: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], s)
+		}
+	}
+	for _, budget := range []int{templateBudget, 1} {
+		s := New(c)
+		s.budget = budget
+		evicted := s.m.Evictions.Value()
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for n := 0; n < 10; n++ {
+					i, l := (w+n)%len(selectors), (w+2*n)%len(lambdas)
+					cfg := core.Config{M: 3, Lambda: lambdas[l], Mu: 0.2, Features: s}
+					got, err := selectors[i].Select(inst, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if ref := want[i][l]; !reflect.DeepEqual(got.Indices, ref.Indices) || got.Objective != ref.Objective {
+						t.Errorf("budget %d worker %d run %d (%s λ=%g): %+v vs %+v",
+							budget, w, n, selectors[i].Name(), lambdas[l], got, ref)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		n, bytes := s.Templates()
+		if bytes > budget {
+			t.Errorf("budget %d: %d template bytes resident", budget, bytes)
+		}
+		if budget == templateBudget && (n == 0 || s.m.Evictions.Value() != evicted) {
+			t.Errorf("default budget: %d templates kept, %d evicted", n, s.m.Evictions.Value()-evicted)
+		}
+		if budget == 1 && s.m.Evictions.Value() == evicted {
+			t.Error("one-byte budget: nothing evicted")
+		}
+	}
+}
+
+// A second identical CRS select over store-served items builds no
+// template: each item's op×1 template is kept on its entry under kind
+// crs, and the answer does not move.
+func TestCRSReusesStoreTemplates(t *testing.T) {
 	c := testCorpus(t)
 	s := New(c)
 	inst, err := instanceOf(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := core.Config{M: 3, Lambda: 1, Mu: 0.2}
-	withStore := base
-	withStore.Features = s
-	for _, sel := range core.Selectors() {
-		a, err := sel.Select(inst, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sel.Select(inst, withStore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Indices, b.Indices) || a.Objective != b.Objective {
-			t.Errorf("%s: selection differs with feature store: %+v vs %+v", sel.Name(), a, b)
+	cfg := core.Config{M: 3, Lambda: 1, Mu: 0.2, Features: s}
+	first, err := core.CRS{}.Select(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _ := s.Templates()
+	if built != inst.NumItems() {
+		t.Fatalf("first CRS select kept %d templates for %d items", built, inst.NumItems())
+	}
+	z := c.Aspects.Len()
+	for _, it := range inst.Items {
+		_, tab, _ := s.ItemFeatures(it, opinion.Binary{}, z)
+		if tab.Template(core.TemplateKey{Kind: core.TemplateCRS}) == nil {
+			t.Errorf("%s: no crs template on the entry", it.ID)
 		}
 	}
+	second, err := core.CRS{}.Select(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Templates(); n != built {
+		t.Errorf("second CRS select changed the template count %d -> %d", built, n)
+	}
+	if !reflect.DeepEqual(first.Indices, second.Indices) || first.Objective != second.Objective {
+		t.Errorf("warm CRS answer moved: %+v vs %+v", second, first)
+	}
+}
+
+// keepBase builds item it's CompaReSetS template at λ and keeps it on the
+// item's entry, returning the entry's table and the key.
+func keepBase(t *testing.T, s *Store, it *model.Item, lambda float64) (core.Templates, core.TemplateKey) {
+	t.Helper()
+	f, tab, ok := s.ItemFeatures(it, opinion.Binary{}, s.z)
+	if !ok {
+		t.Fatalf("%s: not served", it.ID)
+	}
+	k := core.TemplateKey{Kind: core.TemplateBase, Lambda: lambda}
+	tab.Keep(k, regress.NewBlockProblem(
+		regress.Block{Cols: f.Op, Scale: 1},
+		regress.Block{Cols: f.Asp, Scale: lambda},
+	))
+	return tab, k
+}
+
+// Past its budget a store drops cold entries' templates in clock order:
+// resident template bytes never exceed the budget, a build never empties
+// the store, and an entry hit between builds keeps its template.
+func TestTemplateBudgetSparesHotEntries(t *testing.T) {
+	c := testCorpus(t)
+	s := New(c)
+	ids := c.ItemIDs()
+	hot, hotKey := keepBase(t, s, c.Items[ids[0]], 1)
+	_, per := s.Templates()
+	s.budget = 5 * per
+	evicted := s.m.Evictions.Value()
+	for round := 0; round < 6; round++ {
+		for _, id := range ids[1:] {
+			keepBase(t, s, c.Items[id], float64(2+round))
+			n, bytes := s.Templates()
+			if bytes > s.budget || n < 2 {
+				t.Fatalf("round %d %s: %d templates, %d bytes resident (budget %d)", round, id, n, bytes, s.budget)
+			}
+			if hot.Template(hotKey) == nil {
+				t.Fatalf("round %d %s: the hot entry lost its template", round, id)
+			}
+		}
+	}
+	if s.m.Evictions.Value() == evicted {
+		t.Error("filling past the budget evicted nothing")
+	}
+}
+
+var sinkProblem *regress.Problem
+
+// A template hit allocates nothing beyond the Problem.Share the caller
+// solves on: the lookup, the table and the key stay off the heap.
+func TestTemplateHitAllocations(t *testing.T) {
+	c := testCorpus(t)
+	s := New(c)
+	it := c.Items[c.ItemIDs()[0]]
+	tab, k := keepBase(t, s, it, 1)
+	p := tab.Template(k)
+	share := testing.AllocsPerRun(100, func() { sinkProblem = p.Share() })
+	hit := testing.AllocsPerRun(100, func() {
+		_, tab, _ := s.ItemFeatures(it, opinion.Binary{}, s.z)
+		sinkProblem = tab.Template(k).Share()
+	})
+	if share != 1 || hit != share {
+		t.Errorf("Share allocates %v, a table hit %v; want 1 and 1", share, hit)
+	}
+}
+
+// residentBytes sums what the store holds: every entry's features and
+// every template.
+func residentBytes(s *Store) int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.items {
+			n += e.feat.Bytes()
+		}
+		sh.mu.Unlock()
+	}
+	_, tb := s.Templates()
+	return n + tb
+}
+
+// The featstore bytes gauge follows resident bytes: a mutation moves it by
+// the new block's bytes less the old block's and its templates', an
+// eviction by the templates dropped.
+func TestBytesGaugeTracksResidentBytes(t *testing.T) {
+	c := testCorpus(t)
+	s := New(c)
+	inst, err := instanceOf(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (core.CompaReSetSPlus{}).Select(inst, core.Config{M: 3, Lambda: 1, Mu: 0.2, Features: s}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, gauge0 float64, resident0 int) {
+		t.Helper()
+		if got, want := s.m.Bytes.Value()-gauge0, float64(residentBytes(s)-resident0); got != want {
+			t.Errorf("%s: gauge moved %g, resident bytes %g", step, got, want)
+		}
+	}
+	gauge0, resident0 := s.m.Bytes.Value(), residentBytes(s)
+	next, m := mutate(t, c)
+	if _, _, dropped := s.Apply(next, m); dropped == 0 {
+		t.Fatal("Apply dropped no template of the selected item")
+	}
+	check("Apply", gauge0, resident0)
+
+	gauge0, resident0 = s.m.Bytes.Value(), residentBytes(s)
+	evicted := s.m.Evictions.Value()
+	s.budget = 1
+	keepBase(t, s, next.Items["p1"], 3)
+	if s.m.Evictions.Value() == evicted {
+		t.Fatal("nothing evicted over a one-byte budget")
+	}
+	check("eviction", gauge0, resident0)
 }
 
 // instanceOf builds an instance over the first corpus item with every other
@@ -267,7 +498,7 @@ func BenchmarkItemColumnsWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFeatures, _ = s.ItemFeatures(it, opinion.Binary{}, z)
+		sinkFeatures, _, _ = s.ItemFeatures(it, opinion.Binary{}, z)
 	}
 }
 
@@ -285,17 +516,17 @@ func TestFillFaultFallsBackGracefully(t *testing.T) {
 	faultinject.Arm(faultinject.PointFeatstoreFill, faultinject.Fault{
 		Mode: faultinject.ModeError, Remaining: 1,
 	})
-	if _, ok := s.ItemFeatures(it, sch, z); ok {
+	if _, _, ok := s.ItemFeatures(it, sch, z); ok {
 		t.Fatal("ItemFeatures ok under injected fill fault, want decline")
 	}
 	// The fault self-disarmed: the next touch fills and serves normally.
-	f, ok := s.ItemFeatures(it, sch, z)
+	f, _, ok := s.ItemFeatures(it, sch, z)
 	if !ok || f.Op.Cols() != len(it.Reviews) || f.Asp.Cols() != len(it.Reviews) {
 		t.Fatalf("post-fault fill: ok=%v", ok)
 	}
 	// Already-resident entries are immune to fill faults (nothing to fill).
 	faultinject.Arm(faultinject.PointFeatstoreFill, faultinject.Fault{Mode: faultinject.ModeError})
-	if _, ok := s.ItemFeatures(it, sch, z); !ok {
+	if _, _, ok := s.ItemFeatures(it, sch, z); !ok {
 		t.Error("resident entry declined under fill fault")
 	}
 }
@@ -309,7 +540,7 @@ func TestItemTargetsMatchDirectComputation(t *testing.T) {
 	for _, sch := range opinion.Schemes() {
 		for _, id := range c.ItemIDs() {
 			it := c.Items[id]
-			f, ok := s.ItemFeatures(it, sch, z)
+			f, _, ok := s.ItemFeatures(it, sch, z)
 			if !ok {
 				t.Fatalf("%s/%s: not ok", sch.Name(), id)
 			}
@@ -319,7 +550,7 @@ func TestItemTargetsMatchDirectComputation(t *testing.T) {
 			if want := opinion.AspectVector(it.Reviews, z); !reflect.DeepEqual(f.Phi, want) {
 				t.Errorf("%s/%s: phi = %v want %v", sch.Name(), id, f.Phi, want)
 			}
-			f2, _ := s.ItemFeatures(it, sch, z)
+			f2, _, _ := s.ItemFeatures(it, sch, z)
 			if &f.Tau[0] != &f2.Tau[0] || &f.Phi[0] != &f2.Phi[0] {
 				t.Errorf("%s/%s: repeated lookup did not return the memoized vectors", sch.Name(), id)
 			}
@@ -350,10 +581,10 @@ func TestApplyRefillsOnlyTouchedColumns(t *testing.T) {
 	s.Precompute(sch)
 	resident := s.Len()
 	oldP0, oldP1 := c.Items["p0"], c.Items["p1"]
-	f1Before, _ := s.ItemFeatures(oldP1, sch, z)
+	f1Before, _, _ := s.ItemFeatures(oldP1, sch, z)
 
 	next, m := mutate(t, c)
-	computed, reused := s.Apply(next, m)
+	computed, reused, _ := s.Apply(next, m)
 	if computed != 1 {
 		t.Errorf("computed = %d, want 1 (only the appended review)", computed)
 	}
@@ -366,17 +597,17 @@ func TestApplyRefillsOnlyTouchedColumns(t *testing.T) {
 
 	// The old snapshot no longer resolves; the new one does, with columns
 	// matching direct computation.
-	if _, ok := s.ItemFeatures(oldP0, sch, z); ok {
+	if _, _, ok := s.ItemFeatures(oldP0, sch, z); ok {
 		t.Error("stale item snapshot still resolves after Apply")
 	}
 	newP0 := next.Items["p0"]
-	f, ok := s.ItemFeatures(newP0, sch, z)
+	f, _, ok := s.ItemFeatures(newP0, sch, z)
 	if !ok {
 		t.Fatal("new snapshot not served")
 	}
 	checkRuns(t, "new p0", f, newP0.Reviews, sch, z)
 	// Untouched items keep the same features (same backing runs).
-	f1After, ok := s.ItemFeatures(oldP1, sch, z)
+	f1After, _, ok := s.ItemFeatures(oldP1, sch, z)
 	if !ok {
 		t.Fatal("untouched item lost residency")
 	}
@@ -396,7 +627,7 @@ func TestLazyRebuildOnStaleEntry(t *testing.T) {
 	// lazily instead of serving the stale block.
 	next, m := mutate(t, c)
 	s.corpus.Store(next)
-	f, ok := s.ItemFeatures(m.New, sch, z)
+	f, _, ok := s.ItemFeatures(m.New, sch, z)
 	if !ok {
 		t.Fatal("lazy rebuild: not ok")
 	}
@@ -415,7 +646,7 @@ func TestApplyAfterRemoveAndUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	computed, reused := s.Apply(next, m)
+	computed, reused, _ := s.Apply(next, m)
 	if computed != 0 || reused != len(next.Items["p0"].Reviews) {
 		t.Errorf("remove: computed=%d reused=%d", computed, reused)
 	}
@@ -428,12 +659,12 @@ func TestApplyAfterRemoveAndUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	computed, reused = s.Apply(after, m)
+	computed, reused, _ = s.Apply(after, m)
 	if computed != 1 || reused != len(after.Items["p0"].Reviews)-1 {
 		t.Errorf("update: computed=%d reused=%d", computed, reused)
 	}
 	it := after.Items["p0"]
-	f, ok := s.ItemFeatures(it, sch, z)
+	f, _, ok := s.ItemFeatures(it, sch, z)
 	if !ok {
 		t.Fatal("post-update snapshot not resident")
 	}
@@ -445,13 +676,13 @@ func TestApplyResetsTargets(t *testing.T) {
 	s := New(c)
 	z := c.Aspects.Len()
 	sch := opinion.Schemes()[0]
-	before, ok := s.ItemFeatures(c.Items["p0"], sch, z)
+	before, _, ok := s.ItemFeatures(c.Items["p0"], sch, z)
 	if !ok {
 		t.Fatal("targets not served")
 	}
 	next, m := mutate(t, c)
 	s.Apply(next, m)
-	after, ok := s.ItemFeatures(next.Items["p0"], sch, z)
+	after, _, ok := s.ItemFeatures(next.Items["p0"], sch, z)
 	if !ok {
 		t.Fatal("targets not served after Apply")
 	}

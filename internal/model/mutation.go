@@ -45,7 +45,7 @@ var (
 // mutations are copy-on-write, so any Instance or Selection holding Old
 // keeps observing a consistent pre-mutation view while New is what the
 // corpus map serves from now on. Downstream caches keyed by item pointer
-// identity (featstore entries, regression problems) use exactly this
+// identity (featstore entries and their templates) use exactly this
 // property: untouched items keep their pointers, so only the touched
 // item's cached artifacts need refreshing.
 type Mutation struct {

@@ -89,7 +89,7 @@ func TestWarmHitReturnsIdenticalBytes(t *testing.T) {
 	}
 }
 
-// The cached path (corpus features, shared problems, flight, cache fill)
+// The cached path (corpus features and templates, flight, cache fill)
 // must produce the same payload as the same items sent inline, which run
 // the pipeline directly with nothing memoized (modulo elapsed_ms, which
 // measures real work).
@@ -139,7 +139,7 @@ func withoutElapsed(body []byte) []byte {
 }
 
 // Concurrent cold selects for distinct targets share one corpus's feature
-// store and ProblemCache while they run; each must still return the bytes
+// store and its templates while they run; each must still return the bytes
 // (modulo elapsed_ms) a fresh server computes for that request alone.
 func TestConcurrentColdSelectsMatchFreshServers(t *testing.T) {
 	c := cellphoneCorpus(t, 3)
@@ -193,7 +193,7 @@ type countingFeatures struct {
 	calls atomic.Int64
 }
 
-func (f *countingFeatures) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, bool) {
+func (f *countingFeatures) ItemFeatures(it *model.Item, sch opinion.Scheme, z int) (*opinion.Features, core.Templates, bool) {
 	f.calls.Add(1)
 	return f.FeatureSource.ItemFeatures(it, sch, z)
 }
@@ -205,7 +205,7 @@ func TestShortlistSelectLooksEachItemUpOnce(t *testing.T) {
 	c := cellphoneCorpus(t, 3)
 	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
 	s.mu.RLock()
-	fs, pc := s.feats["Cellphone"], s.problems["Cellphone"]
+	fs := s.feats["Cellphone"]
 	s.mu.RUnlock()
 	for _, sel := range core.Selectors() {
 		req := hotRequest(t, s)
@@ -223,7 +223,7 @@ func TestShortlistSelectLooksEachItemUpOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := &countingFeatures{FeatureSource: fs}
-		resp, apiErr := s.computeSelect(context.Background(), &req, inst, src, sel, solver, pc)
+		resp, apiErr := s.computeSelect(context.Background(), &req, inst, src, sel, solver)
 		if apiErr != nil {
 			t.Fatalf("%s: computeSelect: %v", sel.Name(), apiErr)
 		}

@@ -10,9 +10,8 @@
 //	           pointers, so pointer-keyed caches stay warm)
 //	store      one log-append record (no rewrite) when a MutationLog is
 //	           configured, written before the in-memory swap
-//	featstore  per-item column refill reusing every unchanged review column
-//	core       ProblemCache.InvalidateItem drops only the touched item's
-//	           regression problems
+//	featstore  per-item column refill reusing every unchanged review
+//	           column; the replaced blocks drop their regression templates
 //	servecache per-item generations fold into the select cache tag, so
 //	           only cached responses whose instance contains the touched
 //	           item stop answering
@@ -62,8 +61,8 @@ type MutationReceipt struct {
 type InvalidationScope struct {
 	// Scope is "item" for mutations; AddCorpus invalidations are "epoch".
 	Scope string `json:"scope"`
-	// ProblemsDropped counts regression problems of the old item snapshot
-	// removed from the category's ProblemCache.
+	// ProblemsDropped counts the regression templates the touched item's
+	// replaced feature blocks held (one block per scheme seen so far).
 	ProblemsDropped int `json:"problems_dropped"`
 	// ColumnsComputed / ColumnsReused count feature columns rebuilt fresh
 	// vs copied from the previous snapshot during the featstore refill.
@@ -92,8 +91,8 @@ func mutationError(err error) *apiError {
 // applyMutation runs one corpus delta end to end under the write lock:
 // clone, mutate, WAL-append (log first — a mutation that cannot be made
 // durable is not applied), swap, bump the item generation, refill the
-// touched feature columns, and drop the old snapshot's problems. The
-// receipt reports what happened.
+// touched feature columns, which drops the old snapshot's regression
+// templates. The receipt reports what happened.
 func (s *Server) applyMutation(category, kind string, mutate func(c *model.Corpus) (*model.Mutation, error)) (*MutationReceipt, *apiError) {
 	start := time.Now()
 	span := obs.StartStage(obs.StageMutateApply)
@@ -128,8 +127,7 @@ func (s *Server) applyMutation(category, kind string, mutate func(c *model.Corpu
 	}
 	gens[m.ItemID]++
 	gen := gens[m.ItemID]
-	computed, reused := s.feats[category].Apply(next, m)
-	dropped := s.problems[category].InvalidateItem(m.Old)
+	computed, reused, dropped := s.feats[category].Apply(next, m)
 	epoch := s.epochs[category]
 	s.mu.Unlock()
 	span.Stop()

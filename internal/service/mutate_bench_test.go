@@ -66,7 +66,7 @@ func appendBody(b *testing.B, id string) []byte {
 
 // benchMutateAppend measures the incremental write path: one HTTP append
 // per iteration, which clones the corpus map, refills exactly one item's
-// feature columns, and drops one item's cached problems. Cost is O(1) in
+// feature columns, and drops one item's regression templates. Cost is O(1) in
 // the corpus's review count (plus the O(n) map clone).
 func benchMutateAppend(b *testing.B, n int) {
 	c := mutationBenchCorpus(b, n)

@@ -333,6 +333,60 @@ func TestWarmHitPreservation(t *testing.T) {
 	}
 }
 
+// The receipt's problems_dropped counts the regression templates the
+// mutated item's replaced feature blocks held: after a warm CompaReSetS+
+// select over the item it is exactly what the store lost, and an item no
+// select touched held none.
+func TestReceiptCountsDroppedTemplates(t *testing.T) {
+	s, ts := testServer(t)
+	s.mu.RLock()
+	c, fs := s.corpora["Cellphone"], s.feats["Cellphone"]
+	s.mu.RUnlock()
+	target := dataset.TargetIDs(c)[0]
+	inst, err := c.NewInstance(target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string]bool{}
+	for _, it := range inst.Items {
+		members[it.ID] = true
+	}
+	outsider := ""
+	for _, id := range c.ItemIDs() {
+		if !members[id] {
+			outsider = id
+			break
+		}
+	}
+	if outsider == "" {
+		t.Fatal("every item is in the target's instance")
+	}
+
+	req := SelectRequest{Category: "Cellphone", Target: target, M: 3, Lambda: 1, Mu: 0.1, Algorithm: "CompaReSetS+"}
+	if resp, body := post(t, ts.URL+"/api/v1/select", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("select: status %d body %s", resp.StatusCode, body)
+	}
+	appendOne := func(item, id string) int {
+		t.Helper()
+		resp, body := doJSON(t, http.MethodPost, ts.URL+"/api/v1/corpora/Cellphone/items/"+item+"/reviews",
+			AppendReviewsBody{Reviews: []*model.Review{{ID: id, Rating: 4}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append to %s: status %d body %s", item, resp.StatusCode, body)
+		}
+		return decodeReceipt(t, body).Invalidation.ProblemsDropped
+	}
+
+	before, _ := fs.Templates()
+	dropped := appendOne(target, "drop-r1")
+	after, _ := fs.Templates()
+	if dropped <= 0 || dropped != before-after {
+		t.Errorf("target: problems_dropped = %d, store went %d -> %d templates", dropped, before, after)
+	}
+	if dropped := appendOne(outsider, "drop-r2"); dropped != 0 {
+		t.Errorf("untouched item: problems_dropped = %d, want 0", dropped)
+	}
+}
+
 // stripTiming zeroes the wall-clock field so responses can be compared
 // byte-for-byte: everything else in a SelectResponse is deterministic.
 func stripTiming(t *testing.T, body []byte) []byte {
@@ -352,10 +406,10 @@ func stripTiming(t *testing.T, body []byte) []byte {
 // TestMutationRebuildParity is the incremental-path certificate: a server
 // that absorbed a seeded sequence of HTTP mutations must serve selections
 // byte-identical (modulo timing) to a server built fresh from the final
-// corpus — i.e. the delta path through featstore, ProblemCache and cache
-// keying loses nothing relative to a whole-epoch rebuild. The live server
+// corpus — i.e. the delta path through featstore (columns and templates)
+// and cache keying loses nothing relative to a whole-epoch rebuild. The live server
 // serves every compared select once before the writes, so its feature
-// columns, regression problems and response cache are warm when the
+// columns, regression templates and response cache are warm when the
 // mutations land and must be invalidated exactly.
 func TestMutationRebuildParity(t *testing.T) {
 	cfg := datagen.Config{

@@ -350,7 +350,7 @@ func computeDirect(t *testing.T, s *Server, ctx context.Context, req *SelectRequ
 	if !ok {
 		t.Fatalf("unknown algorithm %q", algo)
 	}
-	resp, apiErr := s.computeSelect(ctx, req, inst, fs, sel, solver, nil)
+	resp, apiErr := s.computeSelect(ctx, req, inst, fs, sel, solver)
 	if apiErr != nil {
 		t.Fatalf("computeSelect: %v", apiErr)
 	}

@@ -36,8 +36,8 @@
 //
 // The mutation endpoints are the incremental write path: each applies one
 // typed delta (append/update/remove a review) copy-on-write, refills only
-// the touched item's feature columns, drops only its cached regression
-// problems, and re-keys only cached selections whose instance contains the
+// the touched item's feature columns, drops only its regression
+// templates, and re-keys only cached selections whose instance contains the
 // item (per-item generations folded into the cache key). Each returns a
 // MutationReceipt quantifying that invalidation. See mutate.go. Every
 // canonical corpus-referenced select answer names its instance's members in
@@ -135,12 +135,10 @@ type Server struct {
 	// feats holds each corpus's resident precomputed features; epochs
 	// holds the cache-key epoch token bumped whenever AddCorpus replaces a
 	// corpus, which atomically invalidates all of its cached results.
-	feats map[string]*featstore.Store
-	// problems holds each corpus's shared regression-problem cache
-	// (immutable templates; see core.ProblemCache) — replaced together with
-	// the feature store so problems never outlive their corpus generation.
-	problems map[string]*core.ProblemCache
-	epochs   map[string]string
+	// The feature store also holds each item's regression templates, so
+	// they never outlive their corpus generation.
+	feats  map[string]*featstore.Store
+	epochs map[string]string
 	// gens tracks per-item mutation generations within the current corpus
 	// epoch: gens[category][itemID] counts mutations of that item since the
 	// corpus was (re)loaded. The select cache key folds in the generations
@@ -189,15 +187,14 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 		logger = log.Default()
 	}
 	s := &Server{
-		corpora:  map[string]*model.Corpus{},
-		feats:    map[string]*featstore.Store{},
-		problems: map[string]*core.ProblemCache{},
-		epochs:   map[string]string{},
-		gens:     map[string]map[string]uint64{},
-		started:  time.Now(),
-		logger:   logger,
-		reg:      obs.Default(),
-		mutlog:   opts.MutationLog,
+		corpora: map[string]*model.Corpus{},
+		feats:   map[string]*featstore.Store{},
+		epochs:  map[string]string{},
+		gens:    map[string]map[string]uint64{},
+		started: time.Now(),
+		logger:  logger,
+		reg:     obs.Default(),
+		mutlog:  opts.MutationLog,
 	}
 	s.clientAborts = s.reg.Counter("comparesets_client_aborts_total",
 		"Responses whose write failed because the client disconnected.", nil)
@@ -271,7 +268,6 @@ func (s *Server) registerCorpus(name string, c *model.Corpus) {
 	s.epochSeq++
 	s.corpora[name] = c
 	s.feats[name] = featstore.New(c)
-	s.problems[name] = core.NewProblemCache()
 	s.epochs[name] = fmt.Sprintf("%d.%016x", s.epochSeq, c.Fingerprint())
 	// A corpus (re)load is an epoch-scope invalidation: the epoch token in
 	// every cache key changes and per-item generations start over.
@@ -524,7 +520,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.mu.RLock()
 		c, ok := s.corpora[req.Category]
 		fs := s.feats[req.Category]
-		pc := s.problems[req.Category]
 		epoch := s.epochs[req.Category]
 		var inst *model.Instance
 		var instErr error
@@ -550,7 +545,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		// The flight key folds the epoch in, so a read admitted after a
 		// write never joins a flight computing the pre-write answer.
 		body, _, err := s.flights.Do(ctx, key+"|epoch="+epoch, func(fctx context.Context) ([]byte, error) {
-			resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver, pc)
+			resp, apiErr := s.computeSelect(fctx, &req, inst, fs, sel, solver)
 			if apiErr != nil {
 				return nil, apiErr
 			}
@@ -595,13 +590,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 	// Inline instances take the direct path: their items are
 	// request-scoped, so there is no corpus identity to key a cache entry
-	// on, and caching their features or problems would pin dead instances.
+	// on, and caching their features or templates would pin dead instances.
 	inst, apiErr := inlineInstance(&req)
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
 	}
-	resp, apiErr := s.computeSelect(ctx, &req, inst, nil, sel, solver, nil)
+	resp, apiErr := s.computeSelect(ctx, &req, inst, nil, sel, solver)
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
@@ -675,12 +670,11 @@ func degradeBody(body []byte) []byte {
 // computeSelect runs the full selection pipeline for a validated request:
 // selection, response assembly, optional summaries/explanations/metrics,
 // and the optional shortlist solve. features supplies corpus-resident
-// features (the corpus's feature store; nil for inline instances); solver
-// is non-nil exactly when req.K > 0; problems is the corpus's shared
-// ProblemCache on the flight path, and nil for inline instances, whose
-// request-scoped items must not be pinned in a cache.
-func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, features core.FeatureSource, sel core.Selector, solver simgraph.Solver, problems *core.ProblemCache) (*SelectResponse, *apiError) {
-	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Features: features, Problems: problems}
+// features and regression templates (the corpus's feature store; nil for
+// inline instances, whose request-scoped items must not be pinned in a
+// cache); solver is non-nil exactly when req.K > 0.
+func (s *Server) computeSelect(ctx context.Context, req *SelectRequest, inst *model.Instance, features core.FeatureSource, sel core.Selector, solver simgraph.Solver) (*SelectResponse, *apiError) {
+	cfg := core.Config{M: req.M, Lambda: req.Lambda, Mu: req.Mu, Features: features}
 	if err := faultinject.CheckCtx(ctx, faultinject.PointServiceSelect); err != nil {
 		return nil, asAPIError(err)
 	}
