@@ -45,7 +45,6 @@ chaos-cluster:
 	sh scripts/chaos_cluster.sh
 
 # Fuzz the store's crash-recovery scan, the mutation-log append path, the
-# hand-rolled JSON encoders' byte parity with encoding/json, the
 # router/worker select-key parity, the rounding apportionment invariants,
 # the sparse rounder against the dense reference apportionment, and
 # block-built regression templates against their dense designs (bounded;
@@ -53,8 +52,6 @@ chaos-cluster:
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
-	go test -run '^$$' -fuzz FuzzEncodeParity -fuzztime 30s ./internal/service/
-	go test -run '^$$' -fuzz FuzzReviewMarshalAppend -fuzztime 30s ./internal/model/
 	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
 	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
 	go test -run '^$$' -fuzz FuzzSparseApportion -fuzztime 30s ./internal/regress/

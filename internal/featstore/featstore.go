@@ -23,7 +23,8 @@
 // store over its template byte budget drops cold entries' templates.
 //
 // A Store is bound to one corpus generation at a time. Loading a new corpus
-// still replaces the Store wholesale, but incremental mutations rebind the
+// still replaces the Store wholesale (the replaced one is Released, so it
+// leaves the cache gauges), but incremental mutations rebind the
 // existing Store to the post-mutation corpus clone (Apply): untouched items
 // keep their item pointers, so their feature blocks stay resident, and only
 // the touched item's block is rebuilt — reusing the columns of every review
@@ -71,6 +72,10 @@ type Store struct {
 	ring           []*entry
 	hand           int
 	tbytes, budget int
+
+	// released is set once Release has taken the store out of the gauges;
+	// lookups then decline, so no block is counted again.
+	released atomic.Bool
 }
 
 type shard struct {
@@ -156,6 +161,9 @@ func (s *Store) lookup(it *model.Item, sch opinion.Scheme, z int) *entry {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if s.released.Load() {
+		return nil
+	}
 	e, ok := sh.items[k]
 	switch {
 	case !ok:
@@ -278,6 +286,25 @@ func (s *Store) retire(old *entry) int {
 	old.retired = true
 	s.m.Bytes.Add(-float64(old.feat.Bytes()))
 	return s.drop(old)
+}
+
+// Release takes a store that a corpus reload replaced out of the
+// process-wide featstore gauges: every resident block is retired, which
+// uncounts its bytes and templates, and dropped from the entry count.
+// Requests still holding the store afterwards get ok=false and compute
+// their features per request.
+func (s *Store) Release() {
+	s.released.Store(true)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.items {
+			s.retire(e)
+		}
+		s.m.Entries.Add(-float64(len(sh.items)))
+		clear(sh.items)
+		sh.mu.Unlock()
+	}
 }
 
 // Templates returns the number of regression templates the store holds

@@ -478,6 +478,67 @@ func TestBytesGaugeTracksResidentBytes(t *testing.T) {
 	check("eviction", gauge0, resident0)
 }
 
+// Release returns both featstore gauges to where they stood before the
+// store was filled, templates included, and later lookups decline.
+func TestReleaseUncountsStore(t *testing.T) {
+	c := testCorpus(t)
+	s := New(c)
+	bytes0, entries0 := s.m.Bytes.Value(), s.m.Entries.Value()
+	inst, err := instanceOf(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (core.CompaReSetSPlus{}).Select(inst, core.Config{M: 3, Lambda: 1, Mu: 0.2, Features: s}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Templates(); n == 0 || s.m.Entries.Value() == entries0 {
+		t.Fatalf("select kept %d templates and moved entries by %g; want both", n, s.m.Entries.Value()-entries0)
+	}
+	s.Release()
+	if got := s.m.Bytes.Value() - bytes0; got != 0 {
+		t.Errorf("bytes gauge %+g after Release, want 0", got)
+	}
+	if got := s.m.Entries.Value() - entries0; got != 0 {
+		t.Errorf("entries gauge %+g after Release, want 0", got)
+	}
+	it := c.Items[c.ItemIDs()[0]]
+	if _, _, ok := s.ItemFeatures(it, opinion.Binary{}, s.z); ok {
+		t.Error("a released store served features")
+	}
+	if s.m.Entries.Value() != entries0 || s.Len() != 0 {
+		t.Errorf("a lookup after Release filled the store (Len %d)", s.Len())
+	}
+}
+
+// Lookups racing Release never leave a block counted: whatever they fill
+// before Release reaches their shard is retired with the rest, and later
+// ones decline.
+func TestReleaseDuringLookups(t *testing.T) {
+	c := testCorpus(t)
+	s := New(c)
+	bytes0, entries0 := s.m.Bytes.Value(), s.m.Entries.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, id := range c.ItemIDs() {
+					s.ItemFeatures(c.Items[id], opinion.Binary{}, s.z)
+				}
+			}
+		}()
+	}
+	s.Release()
+	wg.Wait()
+	if got := s.m.Bytes.Value() - bytes0; got != 0 {
+		t.Errorf("bytes gauge %+g after Release, want 0", got)
+	}
+	if got := s.m.Entries.Value() - entries0; got != 0 {
+		t.Errorf("entries gauge %+g after Release, want 0", got)
+	}
+}
+
 // instanceOf builds an instance over the first corpus item with every other
 // item as comparison.
 func instanceOf(c *model.Corpus) (*model.Instance, error) {

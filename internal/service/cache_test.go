@@ -230,8 +230,44 @@ func TestShortlistSelectLooksEachItemUpOnce(t *testing.T) {
 		if got, want := src.calls.Load(), int64(inst.NumItems()); got != want {
 			t.Errorf("%s (k=%d): %d feature lookups for %d items, want one per item", sel.Name(), req.K, got, want)
 		}
-		if got, want := withoutElapsed(s.encodeSelectPayload(resp)), withoutElapsed(served.Body.Bytes()); !bytes.Equal(got, want) {
+		payload, err := s.encodeJSON(resp)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", sel.Name(), err)
+		}
+		if got, want := withoutElapsed(payload), withoutElapsed(served.Body.Bytes()); !bytes.Equal(got, want) {
 			t.Errorf("%s: payload differs from the served answer\ngot    %s\nserved %s", sel.Name(), got, want)
+		}
+	}
+}
+
+// Replacing a corpus takes the old feature store out of the process-wide
+// featstore gauges: after three more loads of the same corpus they read
+// what a single load put there.
+func TestAddCorpusReleasesReplacedFeatureStore(t *testing.T) {
+	m := obs.NewCacheMetrics(obs.Default(), "featstore")
+	bytes0, entries0 := m.Bytes.Value(), m.Entries.Value()
+	c := cellphoneCorpus(t, 3)
+	s := New(map[string]*model.Corpus{"Cellphone": c}, nil)
+	h := s.Handler()
+	load := func() (bytes, entries float64) {
+		t.Helper()
+		s.mu.RLock()
+		fs := s.feats["Cellphone"]
+		s.mu.RUnlock()
+		fs.Precompute(opinion.Binary{})
+		if rec := postRecorded(t, h, "/api/v1/select", hotRequest(t, s)); rec.Code != http.StatusOK {
+			t.Fatalf("select: status %d body %s", rec.Code, rec.Body.String())
+		}
+		return m.Bytes.Value() - bytes0, m.Entries.Value() - entries0
+	}
+	wantBytes, wantEntries := load()
+	if wantBytes <= 0 || wantEntries <= 0 {
+		t.Fatalf("one load: bytes %+g entries %+g, want both positive", wantBytes, wantEntries)
+	}
+	for i := 1; i <= 3; i++ {
+		s.AddCorpus("Cellphone", c)
+		if bytes, entries := load(); bytes != wantBytes || entries != wantEntries {
+			t.Errorf("reload %d: bytes %+g entries %+g, want %+g and %+g", i, bytes, entries, wantBytes, wantEntries)
 		}
 	}
 }

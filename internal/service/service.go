@@ -167,9 +167,9 @@ type Server struct {
 	clientAborts *obs.Counter
 	staleServed  *obs.Counter
 	flightPanics *obs.Counter
-	// encodeBytes counts response bytes produced by the hand-rolled
-	// encoders (writeJSON fast path + cacheable select fills). Cached
-	// payloads are counted once, at fill time, not per serve.
+	// encodeBytes counts the response bytes encodeJSON produces (writeJSON
+	// and select flight fills). Cached payloads are counted once, at fill
+	// time, not per serve.
 	encodeBytes *obs.Counter
 }
 
@@ -204,7 +204,7 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 	s.flightPanics = s.reg.Counter("comparesets_http_panics_total",
 		"Handler panics recovered by the middleware.", obs.Labels{"endpoint": "select.flight"})
 	s.encodeBytes = s.reg.Counter("comparesets_encode_bytes_total",
-		"Response JSON bytes produced by the pooled hand-rolled encoders.", nil)
+		"Response JSON bytes produced by the response encoder.", nil)
 	s.storeProbe = opts.StoreProbe
 	if opts.MaxInflight > 0 {
 		maxQueue := opts.MaxQueue
@@ -267,6 +267,9 @@ func (s *Server) registerCorpus(name string, c *model.Corpus) {
 	_, replacing := s.corpora[name]
 	s.epochSeq++
 	s.corpora[name] = c
+	if old := s.feats[name]; old != nil {
+		old.Release()
+	}
 	s.feats[name] = featstore.New(c)
 	s.epochs[name] = fmt.Sprintf("%d.%016x", s.epochSeq, c.Fingerprint())
 	// A corpus (re)load is an epoch-scope invalidation: the epoch token in
@@ -549,7 +552,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			if apiErr != nil {
 				return nil, apiErr
 			}
-			payload := s.encodeSelectPayload(resp)
+			payload, err := s.encodeJSON(resp)
+			if err != nil {
+				return nil, internalError(fmt.Errorf("encoding select response: %w", err))
+			}
 			if !canonical(resp) {
 				// Every waiter learns the verdict with the bytes.
 				return nil, &nonCanonical{payload: payload}
@@ -834,14 +840,32 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// writeJSONReflect is the reflection fallback behind writeJSON for shapes
-// without a hand-rolled encoder (see encode.go).
-func (s *Server) writeJSONReflect(w http.ResponseWriter, status int, v any) {
+// encodeJSON renders v as a response body: json.Marshal plus the trailing
+// newline json.Encoder framing adds, so a cached select payload and a
+// freshly written response are byte-identical. A value json.Marshal
+// rejects (a NaN or infinite float) returns the error and counts nothing.
+func (s *Server) encodeJSON(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, '\n')
+	s.encodeBytes.Add(len(body))
+	return body, nil
+}
+
+// writeJSON writes v as the response in one Write; a failed write is
+// accounted as a client abort. A value that does not encode answers a
+// logged 500 internal envelope instead.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := s.encodeJSON(v)
+	if err != nil {
+		s.writeAPIError(w, internalError(fmt.Errorf("encoding %T response: %w", v, err)))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Encoding of our own response types cannot fail; a write error
-		// means the client went away mid-response.
+	if _, err := w.Write(body); err != nil {
 		s.clientAborts.Inc()
 	}
 }

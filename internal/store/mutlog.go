@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"comparesets/internal/jsonenc"
 	"comparesets/internal/model"
 )
 
@@ -42,8 +41,10 @@ const (
 )
 
 // envelopePrefix distinguishes mutation envelopes from legacy review
-// payloads; logEnvelope marshals "op" first, model.Review marshals "id"
-// first, so the prefix test is exact for records this package wrote.
+// payloads; json.Marshal writes struct fields in declaration order, so
+// logEnvelope encodes "op" first and model.Review "id" first, and the
+// prefix test is exact for records this package wrote.
+// TestRecordPayloadsGolden pins both record shapes.
 var envelopePrefix = []byte(`{"op":`)
 
 // logEnvelope is the payload of an update or remove record. Field order
@@ -54,31 +55,6 @@ type logEnvelope struct {
 	Review   *model.Review `json:"review,omitempty"`
 	ItemID   string        `json:"item_id,omitempty"`
 	ReviewID string        `json:"review_id,omitempty"`
-}
-
-// marshalAppend appends the envelope's JSON encoding, byte-identical to
-// json.Marshal (including omitempty drops), so hand-encoded and
-// reflection-encoded logs are interchangeable byte-for-byte. Parity is
-// locked by TestEnvelopeMarshalParity.
-func (e *logEnvelope) marshalAppend(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"op":`...)
-	dst = jsonenc.AppendString(dst, e.Op)
-	if e.Review != nil {
-		dst = append(dst, `,"review":`...)
-		var err error
-		if dst, err = e.Review.MarshalAppend(dst); err != nil {
-			return dst, err
-		}
-	}
-	if e.ItemID != "" {
-		dst = append(dst, `,"item_id":`...)
-		dst = jsonenc.AppendString(dst, e.ItemID)
-	}
-	if e.ReviewID != "" {
-		dst = append(dst, `,"review_id":`...)
-		dst = jsonenc.AppendString(dst, e.ReviewID)
-	}
-	return append(dst, '}'), nil
 }
 
 // decodeRecord turns one record payload into its review (append/update) or
@@ -213,14 +189,10 @@ func (s *Store) AppendUpdate(rec *model.Review) error {
 	if s.livePos(rec.ItemID, rec.ID) < 0 {
 		return fmt.Errorf("store: update of unknown review %q on item %q", rec.ID, rec.ItemID)
 	}
-	buf := jsonenc.GetBuffer()
-	defer jsonenc.PutBuffer(buf)
-	env := logEnvelope{Op: opUpdate, Review: rec}
-	payload, err := env.marshalAppend(buf.B)
+	payload, err := json.Marshal(logEnvelope{Op: opUpdate, Review: rec})
 	if err != nil {
 		return fmt.Errorf("store: encoding update %q: %w", rec.ID, err)
 	}
-	buf.B = payload
 	offset, err := s.writeRecord(payload)
 	if err != nil {
 		return err
@@ -240,14 +212,10 @@ func (s *Store) AppendRemove(itemID, reviewID string) error {
 	if s.livePos(itemID, reviewID) < 0 {
 		return fmt.Errorf("store: remove of unknown review %q on item %q", reviewID, itemID)
 	}
-	buf := jsonenc.GetBuffer()
-	defer jsonenc.PutBuffer(buf)
-	env := logEnvelope{Op: opRemove, ItemID: itemID, ReviewID: reviewID}
-	payload, err := env.marshalAppend(buf.B)
+	payload, err := json.Marshal(logEnvelope{Op: opRemove, ItemID: itemID, ReviewID: reviewID})
 	if err != nil {
 		return fmt.Errorf("store: encoding tombstone %q: %w", reviewID, err)
 	}
-	buf.B = payload
 	if _, err := s.writeRecord(payload); err != nil {
 		return err
 	}

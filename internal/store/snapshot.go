@@ -11,11 +11,11 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 
-	"comparesets/internal/jsonenc"
 	"comparesets/internal/model"
 )
 
@@ -33,16 +33,13 @@ func WriteCorpusLog(w io.Writer, c *model.Corpus) (int, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, fmt.Errorf("store: writing snapshot header: %w", err)
 	}
-	buf := jsonenc.GetBuffer()
-	defer jsonenc.PutBuffer(buf)
 	n := 0
 	for _, id := range c.ItemIDs() {
 		for _, rec := range c.Items[id].Reviews {
-			payload, err := rec.MarshalAppend(buf.B[:0])
+			payload, err := json.Marshal(rec)
 			if err != nil {
 				return n, fmt.Errorf("store: encoding review %q: %w", rec.ID, err)
 			}
-			buf.B = payload
 			if len(payload) > MaxRecordSize {
 				return n, fmt.Errorf("store: review %q exceeds max record size", rec.ID)
 			}

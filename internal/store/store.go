@@ -36,6 +36,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -50,7 +51,6 @@ import (
 	"time"
 
 	"comparesets/internal/faultinject"
-	"comparesets/internal/jsonenc"
 	"comparesets/internal/model"
 )
 
@@ -351,13 +351,10 @@ func (s *Store) Append(rec *model.Review) error {
 	if s.closed {
 		return ErrClosed
 	}
-	buf := jsonenc.GetBuffer()
-	defer jsonenc.PutBuffer(buf)
-	payload, err := rec.MarshalAppend(buf.B)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encoding review %q: %w", rec.ID, err)
 	}
-	buf.B = payload
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("store: review %q exceeds max record size", rec.ID)
 	}
