@@ -45,13 +45,15 @@ chaos-cluster:
 	sh scripts/chaos_cluster.sh
 
 # Fuzz the store's crash-recovery scan, the mutation-log append path, the
+# exact shortlist solver against brute force and its parallel search, the
 # router/worker select-key parity, the rounding apportionment invariants,
 # the sparse rounder against the dense reference apportionment, and
-# block-built regression templates against their dense designs (bounded;
-# raise -fuzztime locally).
+# block-built regression templates against their dense designs — the same
+# seven targets CI's fuzz smokes run (bounded; raise -fuzztime locally).
 fuzz:
 	go test -run '^$$' -fuzz FuzzStoreScan -fuzztime 30s ./internal/store/
 	go test -run '^$$' -fuzz FuzzCSLGAppend -fuzztime 30s ./internal/store/
+	go test -run '^$$' -fuzz FuzzExactCrossCheck -fuzztime 30s ./internal/simgraph/
 	go test -run '^$$' -fuzz FuzzSelectKeyParity -fuzztime 30s ./internal/cluster/
 	go test -run '^$$' -fuzz FuzzApportion -fuzztime 30s ./internal/regress/
 	go test -run '^$$' -fuzz FuzzSparseApportion -fuzztime 30s ./internal/regress/
@@ -60,7 +62,9 @@ fuzz:
 # Record the hot-path benchmarks into versioned JSON; commit the diff
 # alongside performance changes. BENCH_core.json covers the selection
 # pipeline (core, regress, linalg, store, service); BENCH_service.json
-# isolates the serving path (cold vs warm cache vs coalesced);
+# isolates the serving path (cold vs warm cache vs coalesced; 1s per
+# benchmark, because a fixed 50x leaves BenchmarkSelectCold dominated by
+# first-touch warm-up);
 # BENCH_simgraph.json covers the shortlist solvers (Exact/Greedy/HkS at
 # n∈{16,32,64}, k∈{5,10} — 10x because HkS n=64 runs 64 exact solves/op);
 # BENCH_mutate.json compares the incremental write path against the old
@@ -70,7 +74,7 @@ fuzz:
 # `go run ./cmd/benchpair <parent-ref>`.
 bench-json:
 	go run ./cmd/bench -out BENCH_core.json
-	go run ./cmd/bench -out BENCH_service.json ./internal/service/
+	go run ./cmd/bench -out BENCH_service.json -benchtime 1s ./internal/service/
 	go run ./cmd/bench -out BENCH_simgraph.json -benchtime 10x ./internal/simgraph/
 	go run ./cmd/bench -out BENCH_mutate.json -bench 'Mutate' ./internal/service/
 

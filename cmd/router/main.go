@@ -20,7 +20,13 @@
 // response without any upstream exchange, a miss is a plain forward, and
 // mutation receipts (or any divergence/rejoin event) invalidate the
 // affected category's entries.
-// -edge-cache-bytes sizes it.
+//
+// The flags are deployment settings only: -addr, -backends,
+// -replication, -edge-cache-bytes (the edge cache's byte budget) and
+// -drain (the graceful-shutdown window). The routing policy — ring size,
+// retries, deadlines, health polling, breakers, retry budget, backoff and
+// upstream pooling — is one fixed set of constants in internal/cluster,
+// tabled in DESIGN.md.
 //
 // Operational routes: GET /healthz, GET /readyz (cluster view: per-backend
 // health + breaker state, retry budget, unroutable categories), GET
@@ -31,8 +37,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -45,25 +53,29 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "router:", err)
+		os.Exit(1)
+	}
+	_ = os.Stderr.Sync()
+}
+
+// run parses args, then routes until SIGINT/SIGTERM; usage text and logs
+// go to stderr.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("router", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		backends       = flag.String("backends", "", "comma-separated worker base URLs (required)")
-		replication    = flag.Int("replication", 0, "replicas per category (0 = all backends)")
-		vnodes         = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default 128)")
-		maxRetries     = flag.Int("max-retries", 2, "extra read attempts after the first")
-		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "per-request deadline when the client sends no timeout_ms")
-		healthInterval = flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll period")
-		consecFails    = flag.Int("breaker-consecutive", 5, "consecutive failures that open a backend's breaker")
-		errorRate      = flag.Float64("breaker-error-rate", 0.5, "windowed error rate that opens a backend's breaker")
-		cooldown       = flag.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before half-open probes")
-		retryTokens    = flag.Float64("retry-tokens", 10, "retry budget bucket capacity")
-		retryRatio     = flag.Float64("retry-ratio", 0.1, "retry budget deposited per successful request")
-		edgeBytes      = flag.Int64("edge-cache-bytes", cluster.DefaultEdgeCacheBytes, "edge response cache budget in bytes")
-		idleConns      = flag.Int("upstream-idle-conns", 0, "pooled idle connections kept per backend (0 = default 32)")
-		drain          = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
+		addr        = fs.String("addr", ":8080", "listen address")
+		backends    = fs.String("backends", "", "comma-separated worker base URLs (required)")
+		replication = fs.Int("replication", 0, "replicas per category (0 = all backends)")
+		edgeBytes   = fs.Int64("edge-cache-bytes", cluster.DefaultEdgeCacheBytes, "edge response cache budget in bytes")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	)
-	flag.Parse()
-	logger := log.New(os.Stderr, "router: ", log.LstdFlags)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := log.New(stderr, "router: ", log.LstdFlags)
 
 	var addrs []string
 	for _, b := range strings.Split(*backends, ",") {
@@ -72,28 +84,17 @@ func main() {
 		}
 	}
 	if len(addrs) == 0 {
-		logger.Fatal("-backends is required (comma-separated worker base URLs)")
+		return errors.New("-backends is required (comma-separated worker base URLs)")
 	}
 
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Backends:       addrs,
 		Replication:    *replication,
-		VirtualNodes:   *vnodes,
-		MaxRetries:     *maxRetries,
-		DefaultTimeout: *defaultTimeout,
-		HealthInterval: *healthInterval,
-		Breaker: cluster.BreakerConfig{
-			ConsecutiveFailures: *consecFails,
-			ErrorRate:           *errorRate,
-			Cooldown:            *cooldown,
-		},
-		RetryBudget:       cluster.RetryBudgetConfig{Tokens: *retryTokens, Ratio: *retryRatio},
-		EdgeCacheBytes:    *edgeBytes,
-		UpstreamIdleConns: *idleConns,
-		Logger:            logger,
+		EdgeCacheBytes: *edgeBytes,
+		Logger:         logger,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	rt.Start()
 	defer rt.Stop()
@@ -114,7 +115,7 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && err != http.ErrServerClosed {
-			logger.Fatal(err)
+			return err
 		}
 	case <-ctx.Done():
 		logger.Printf("shutting down (drain %v)", *drain)
@@ -124,7 +125,7 @@ func main() {
 			logger.Printf("shutdown: %v", err)
 		}
 	}
-	_ = os.Stderr.Sync()
+	return nil
 }
 
 func logRequests(logger *log.Logger, next http.Handler) http.Handler {

@@ -21,9 +21,10 @@
 // regression templates.
 //
 // -max-inflight bounds concurrently executing select requests; excess
-// requests queue briefly and are shed with 503 + Retry-After once the
-// queue fills or their deadline cannot outlast the expected wait. -store
-// opens an append-only review store log whose health feeds GET /readyz;
+// requests queue briefly (up to 4×-max-inflight) and are shed with 503 +
+// Retry-After once the queue fills or their deadline cannot outlast the
+// expected wait. -store opens an append-only review store log whose
+// health feeds GET /readyz;
 // -mutlog additionally makes that log the write-ahead mutation log —
 // every mutation endpoint call is appended to it before the in-memory
 // apply (an empty log is seeded with the loaded corpora first, so update
@@ -69,7 +70,6 @@ func main() {
 		seed          = flag.Int64("seed", 1, "synthesis seed")
 		cacheBytes    = flag.Int64("cache-bytes", service.DefaultCacheBytes, "selection result cache budget in bytes")
 		maxInflight   = flag.Int("max-inflight", 0, "bound on concurrently executing select requests (0 = unlimited)")
-		maxQueue      = flag.Int("max-queue", 0, "admission queue bound (0 = 4×max-inflight, negative = no queue)")
 		storePath     = flag.String("store", "", "append-only review store log to open (health feeds /readyz)")
 		mutLog        = flag.Bool("mutlog", false, "write-ahead log corpus mutations to the -store log (seeds an empty log with the loaded corpora)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
@@ -89,7 +89,7 @@ func main() {
 				logger.Fatal(err)
 			}
 		}
-		corpora, err = cluster.Join(context.Background(), nil, strings.TrimRight(*joinURL, "/"), dir, logger)
+		corpora, err = cluster.Join(context.Background(), strings.TrimRight(*joinURL, "/"), dir, logger)
 	} else {
 		corpora, err = loadCorpora(*dataDir, *synthetic, *seed, logger)
 	}
@@ -100,7 +100,6 @@ func main() {
 	opts := service.Options{
 		CacheBytes:  *cacheBytes,
 		MaxInflight: *maxInflight,
-		MaxQueue:    *maxQueue,
 	}
 	var st *store.Store
 	if *storePath != "" {

@@ -43,65 +43,35 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes one breaker. The zero value is usable: every field
-// falls back to the package default.
-type BreakerConfig struct {
+// breakerConfig tunes one breaker; defaultTuning.breaker holds the
+// router's values.
+type breakerConfig struct {
 	// ConsecutiveFailures opens the circuit after this many failures in a
-	// row (default 5).
+	// row.
 	ConsecutiveFailures int
 	// Window is how many recent outcomes the error-rate trip condition
-	// looks at (default 50).
+	// looks at.
 	Window int
 	// ErrorRate opens the circuit when the windowed failure fraction
-	// reaches this value with at least MinSamples outcomes recorded
-	// (default 0.5).
+	// reaches this value with at least MinSamples outcomes recorded.
 	ErrorRate float64
 	// MinSamples gates the error-rate trip so a cold window cannot open on
-	// its first failure (default 10).
+	// its first failure.
 	MinSamples int
 	// Cooldown is how long an open circuit refuses traffic before letting
-	// probes through (default 500ms).
+	// probes through.
 	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrent probes while half-open (default 1).
+	// HalfOpenProbes bounds concurrent probes while half-open.
 	HalfOpenProbes int
 	// SuccessesToClose is how many consecutive probe successes close a
-	// half-open circuit (default 2).
+	// half-open circuit.
 	SuccessesToClose int
-	// now overrides the clock in tests; nil uses time.Now.
-	now func() time.Time
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.ConsecutiveFailures <= 0 {
-		c.ConsecutiveFailures = 5
-	}
-	if c.Window <= 0 {
-		c.Window = 50
-	}
-	if c.ErrorRate <= 0 || c.ErrorRate > 1 {
-		c.ErrorRate = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 500 * time.Millisecond
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 2
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
-	return c
 }
 
 // Breaker is one backend's circuit. Safe for concurrent use.
 type Breaker struct {
-	cfg BreakerConfig
+	cfg breakerConfig
+	now func() time.Time // the cooldown clock; tests swap in a fake
 
 	mu           sync.Mutex
 	state        BreakerState
@@ -117,10 +87,9 @@ type Breaker struct {
 	onTransition func(from, to BreakerState)
 }
 
-// NewBreaker builds a breaker with the config's defaults applied.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
+// newBreaker builds a closed breaker.
+func newBreaker(cfg breakerConfig) *Breaker {
+	return &Breaker{cfg: cfg, now: time.Now, window: make([]bool, cfg.Window)}
 }
 
 // OnTransition registers a state-change observer (replacing any previous
@@ -220,7 +189,7 @@ func (b *Breaker) Record(success bool) {
 // maybeHalfOpen promotes an open circuit whose cooldown has elapsed.
 // Caller holds b.mu.
 func (b *Breaker) maybeHalfOpen() {
-	if b.state == BreakerOpen && b.cfg.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.transition(BreakerHalfOpen)
 	}
 }
@@ -235,7 +204,7 @@ func (b *Breaker) transition(to BreakerState) {
 	b.state = to
 	switch to {
 	case BreakerOpen:
-		b.openedAt = b.cfg.now()
+		b.openedAt = b.now()
 		b.probes = 0
 		b.probeWins = 0
 	case BreakerHalfOpen:

@@ -12,14 +12,21 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 
-func newTestBreaker(clk *fakeClock, cfg BreakerConfig) *Breaker {
-	cfg.now = clk.now
-	return NewBreaker(cfg)
+// newTestBreaker builds a breaker on the router's breaker policy with
+// set's overrides applied, driven by clk.
+func newTestBreaker(clk *fakeClock, set func(*breakerConfig)) *Breaker {
+	cfg := defaultTuning.breaker
+	set(&cfg)
+	b := newBreaker(cfg)
+	b.now = clk.now
+	return b
 }
 
 func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{ConsecutiveFailures: 3})
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 3
+	})
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker refused request %d", i)
@@ -42,8 +49,11 @@ func TestBreakerOpensOnErrorRate(t *testing.T) {
 	clk := newFakeClock()
 	// Alternate success/failure: never 3 consecutive failures, but the
 	// windowed error rate reaches 50% once MinSamples outcomes exist.
-	b := newTestBreaker(clk, BreakerConfig{
-		ConsecutiveFailures: 100, Window: 20, ErrorRate: 0.5, MinSamples: 10,
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 100
+		c.Window = 20
+		c.ErrorRate = 0.5
+		c.MinSamples = 10
 	})
 	for i := 0; i < 9; i++ {
 		b.Record(i%2 == 0) // F S F S F S F S F → 5 fails in 9
@@ -59,8 +69,11 @@ func TestBreakerOpensOnErrorRate(t *testing.T) {
 
 func TestBreakerHalfOpenAfterCooldownThenCloses(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{
-		ConsecutiveFailures: 1, Cooldown: time.Second, SuccessesToClose: 2, HalfOpenProbes: 1,
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 1
+		c.Cooldown = time.Second
+		c.SuccessesToClose = 2
+		c.HalfOpenProbes = 1
 	})
 	var transitions []string
 	b.OnTransition(func(from, to BreakerState) {
@@ -112,7 +125,10 @@ func TestBreakerHalfOpenAfterCooldownThenCloses(t *testing.T) {
 
 func TestBreakerHalfOpenReopensOnProbeFailure(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{ConsecutiveFailures: 1, Cooldown: time.Second})
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 1
+		c.Cooldown = time.Second
+	})
 	b.Record(false)
 	clk.advance(time.Second)
 	if !b.Allow() {
@@ -135,9 +151,13 @@ func TestBreakerHalfOpenReopensOnProbeFailure(t *testing.T) {
 
 func TestBreakerCloseResetsWindow(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{
-		ConsecutiveFailures: 2, Cooldown: time.Second, SuccessesToClose: 1,
-		Window: 10, ErrorRate: 0.5, MinSamples: 4,
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 2
+		c.Cooldown = time.Second
+		c.SuccessesToClose = 1
+		c.Window = 10
+		c.ErrorRate = 0.5
+		c.MinSamples = 4
 	})
 	b.Record(false)
 	b.Record(false) // trips (consecutive)
@@ -159,7 +179,10 @@ func TestBreakerCloseResetsWindow(t *testing.T) {
 
 func TestBreakerIgnoresStragglersWhileOpen(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{ConsecutiveFailures: 1, Cooldown: time.Second})
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 1
+		c.Cooldown = time.Second
+	})
 	b.Record(false)
 	b.Record(true) // straggler from before the trip
 	if got := b.State(); got != BreakerOpen {
@@ -169,8 +192,11 @@ func TestBreakerIgnoresStragglersWhileOpen(t *testing.T) {
 
 func TestBreakerReleaseFreesHalfOpenProbeSlot(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk, BreakerConfig{
-		ConsecutiveFailures: 1, Cooldown: time.Second, HalfOpenProbes: 1, SuccessesToClose: 1,
+	b := newTestBreaker(clk, func(c *breakerConfig) {
+		c.ConsecutiveFailures = 1
+		c.Cooldown = time.Second
+		c.HalfOpenProbes = 1
+		c.SuccessesToClose = 1
 	})
 	b.Record(false)
 	clk.advance(time.Second)
@@ -202,7 +228,7 @@ func TestBreakerReleaseFreesHalfOpenProbeSlot(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustionAndRefill(t *testing.T) {
-	b := NewRetryBudget(RetryBudgetConfig{Tokens: 2, Ratio: 0.5})
+	b := newRetryBudget(retryBudgetConfig{Tokens: 2, Ratio: 0.5})
 	if !b.Withdraw() || !b.Withdraw() {
 		t.Fatal("full budget refused a withdrawal")
 	}
@@ -228,7 +254,7 @@ func TestRetryBudgetExhaustionAndRefill(t *testing.T) {
 }
 
 func TestRetryBudgetRefund(t *testing.T) {
-	b := NewRetryBudget(RetryBudgetConfig{Tokens: 2, Ratio: 0.5})
+	b := newRetryBudget(retryBudgetConfig{Tokens: 2, Ratio: 0.5})
 	if !b.Withdraw() {
 		t.Fatal("full budget refused a withdrawal")
 	}
@@ -246,7 +272,7 @@ func TestRetryBudgetRefund(t *testing.T) {
 }
 
 func TestBackoffDelayJitterBounds(t *testing.T) {
-	cfg := BackoffConfig{}.withDefaults()
+	cfg := defaultTuning.backoff
 	rng := testRand()
 	for attempt := 1; attempt <= 10; attempt++ {
 		base := cfg.Base << uint(attempt-1)

@@ -93,14 +93,16 @@ func TestClusterSurvivesReplicaKillMidLoad(t *testing.T) {
 	defer workerTS[1].Close()
 	defer workerTS[2].Close()
 
-	rt, err := NewRouter(RouterOptions{
+	tun := defaultTuning
+	tun.healthInterval = 50 * time.Millisecond
+	tun.breaker.ConsecutiveFailures = 2
+	tun.breaker.Cooldown = 300 * time.Millisecond
+	rt, err := newRouter(RouterOptions{
 		Backends: []string{workerTS[0].URL, workerTS[1].URL, workerTS[2].URL},
 		// Replicate everywhere: the strongest zero-mutation-loss check.
-		Replication:    3,
-		HealthInterval: 50 * time.Millisecond,
-		Breaker:        BreakerConfig{ConsecutiveFailures: 2, Cooldown: 300 * time.Millisecond},
-		Logger:         testLogger(t),
-	})
+		Replication: 3,
+		Logger:      testLogger(t),
+	}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +284,7 @@ func TestClusterSurvivesReplicaKillMidLoad(t *testing.T) {
 // the chaos story: probabilistic router.forward errors must be absorbed by
 // retries with at least 99% of requests still succeeding. The router gets a
 // deep retry budget and a patient breaker so faults burn retries, not
-// candidates; with MaxRetries 3 a request fails only when four independent
+// candidates; with maxRetries 3 a request fails only when four independent
 // 15%-probability draws all fire (~5 in ten thousand). The workers name no
 // instance, so the edge memoizes nothing and every request is forwarded and
 // draws. Gated on FAULTINJECT so plain `go test ./...` stays fault-free.
@@ -294,10 +296,11 @@ func TestRouterMasksInjectedForwardFaults(t *testing.T) {
 
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t), newMockWorker(t)}
 	proxyEveryRead(workers)
-	rt, ts, _ := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.MaxRetries = 3
-		o.RetryBudget = RetryBudgetConfig{Tokens: 100, Ratio: 1}
-		o.Breaker = BreakerConfig{ConsecutiveFailures: 1000}
+	rt, ts, _ := newTestRouter(t, workers, func(o *tuning) {
+		o.maxRetries = 3
+		o.retryBudget = retryBudgetConfig{Tokens: 100, Ratio: 1}
+		o.breaker = defaultTuning.breaker
+		o.breaker.ConsecutiveFailures = 1000
 	})
 
 	faultinject.Seed(faultinject.CurrentSeed())
@@ -359,7 +362,7 @@ func TestSnapshotConnDropTearsStreamAndJoinRecovers(t *testing.T) {
 
 	// Join retries internally: arm another one-shot tear and join everything.
 	faultinject.Arm(faultinject.PointRouterSnapshot, faultinject.Fault{Mode: faultinject.ModeConnDrop, Remaining: 1})
-	joined, err := Join(ctx, nil, ts.URL, t.TempDir(), testLogger(t))
+	joined, err := Join(ctx, ts.URL, t.TempDir(), testLogger(t))
 	if err != nil {
 		t.Fatalf("join did not survive a single torn transfer: %v", err)
 	}

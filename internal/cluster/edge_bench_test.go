@@ -30,10 +30,8 @@ func benchRouter(b *testing.B, namesInstance bool) (*Router, http.Handler, *http
 	})
 	backend := httptest.NewServer(mux)
 	b.Cleanup(backend.Close)
-	rt, err := NewRouter(RouterOptions{
-		Backends:       []string{backend.URL},
-		HealthInterval: time.Hour, // no poller noise during timing
-	})
+	// An hourly poll keeps poller noise out of the timing.
+	rt, err := newRouter(RouterOptions{Backends: []string{backend.URL}}, pollEvery(time.Hour))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,11 +30,10 @@ func TestRouterEdgeWarmHitByteParityAgainstRealWorkers(t *testing.T) {
 	svc2, w2 := newWorker(t, seed)
 	defer w2.Close()
 
-	rt, err := NewRouter(RouterOptions{
-		Backends:       []string{w1.URL, w2.URL},
-		HealthInterval: 50 * time.Millisecond,
-		Logger:         testLogger(t),
-	})
+	rt, err := newRouter(RouterOptions{
+		Backends: []string{w1.URL, w2.URL},
+		Logger:   testLogger(t),
+	}, pollEvery(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +137,10 @@ func TestRouterColdReadsCoalesceAtWorker(t *testing.T) {
 	}))
 	defer w.Close()
 
-	rt, err := NewRouter(RouterOptions{
-		Backends:       []string{w.URL},
-		HealthInterval: 50 * time.Millisecond,
-		Logger:         testLogger(t),
-	})
+	rt, err := newRouter(RouterOptions{
+		Backends: []string{w.URL},
+		Logger:   testLogger(t),
+	}, pollEvery(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,11 +195,10 @@ func newRealCluster(t *testing.T, corpora func() map[string]*model.Corpus) *real
 		t.Cleanup(ts.Close)
 		addrs = append(addrs, ts.URL)
 	}
-	rt, err := NewRouter(RouterOptions{
-		Backends:       addrs,
-		HealthInterval: 50 * time.Millisecond,
-		Logger:         testLogger(t),
-	})
+	rt, err := newRouter(RouterOptions{
+		Backends: addrs,
+		Logger:   testLogger(t),
+	}, pollEvery(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

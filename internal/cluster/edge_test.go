@@ -499,8 +499,8 @@ func TestRouterEdgeReceiptInvalidatesMutatedCategoryOnly(t *testing.T) {
 // replayed but never cached — the next read goes upstream again.
 func TestRouterEdgeErrorFlightsAreNotMemoized(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t)}
-	rt, ts, _ := newTestRouter(t, workers, func(o *RouterOptions) {
-		o.MaxRetries = -1 // no retries: one failed attempt settles the read
+	rt, ts, _ := newTestRouter(t, workers, func(o *tuning) {
+		o.maxRetries = 0 // no retries: one failed attempt settles the read
 	})
 	_ = rt
 	workers[0].fail.Store(true)

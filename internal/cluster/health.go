@@ -57,20 +57,14 @@ type HealthWatcher struct {
 	done chan struct{}
 }
 
-// defaultProbeTimeout bounds one /readyz poll when the caller's client has
-// no timeout of its own.
+// defaultProbeTimeout bounds one /readyz poll. The router's probe client
+// carries it as its timeout; probe applies it itself to a client with none.
 const defaultProbeTimeout = 2 * time.Second
 
-// NewHealthWatcher builds a watcher over the backend base URLs. interval
-// ≤ 0 defaults to 500ms. onChange, when non-nil, observes every state
-// transition (for logging/metrics).
+// NewHealthWatcher builds a watcher that polls the backend base URLs
+// through client every interval. onChange, when non-nil, observes every
+// state transition (for logging/metrics).
 func NewHealthWatcher(backends []string, client *http.Client, interval time.Duration, onChange func(addr, from, to string)) *HealthWatcher {
-	if client == nil {
-		client = &http.Client{Timeout: defaultProbeTimeout}
-	}
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
 	w := &HealthWatcher{
 		client:   client,
 		interval: interval,

@@ -17,35 +17,25 @@ import (
 	"time"
 )
 
-// RetryBudgetConfig tunes a RetryBudget. Zero values use the defaults.
-type RetryBudgetConfig struct {
-	// Tokens is the bucket capacity and its starting fill (default 10).
+// retryBudgetConfig tunes a RetryBudget; defaultTuning.retryBudget holds
+// the router's values.
+type retryBudgetConfig struct {
+	// Tokens is the bucket capacity and its starting fill.
 	Tokens float64
-	// Ratio is how much budget each successful request deposits
-	// (default 0.1 — at most one retry per ten successes, steady-state).
+	// Ratio is how much budget each successful request deposits (0.1 is at
+	// most one retry per ten successes, steady-state).
 	Ratio float64
-}
-
-func (c RetryBudgetConfig) withDefaults() RetryBudgetConfig {
-	if c.Tokens <= 0 {
-		c.Tokens = 10
-	}
-	if c.Ratio <= 0 {
-		c.Ratio = 0.1
-	}
-	return c
 }
 
 // RetryBudget is a token bucket shared by every retry the router issues. Safe for concurrent use.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	cfg    RetryBudgetConfig
+	cfg    retryBudgetConfig
 }
 
-// NewRetryBudget builds a full bucket.
-func NewRetryBudget(cfg RetryBudgetConfig) *RetryBudget {
-	cfg = cfg.withDefaults()
+// newRetryBudget builds a full bucket.
+func newRetryBudget(cfg retryBudgetConfig) *RetryBudget {
 	return &RetryBudget{tokens: cfg.Tokens, cfg: cfg}
 }
 
@@ -92,29 +82,19 @@ func (b *RetryBudget) Remaining() float64 {
 	return b.tokens
 }
 
-// BackoffConfig shapes the inter-attempt delay: jittered exponential,
+// backoffConfig shapes the inter-attempt delay: jittered exponential,
 // base·2^attempt with ±50% jitter, capped.
-type BackoffConfig struct {
-	// Base is the attempt-0 delay (default 5ms).
+type backoffConfig struct {
+	// Base is the attempt-0 delay.
 	Base time.Duration
-	// Cap bounds the grown delay before jitter (default 100ms).
+	// Cap bounds the grown delay before jitter.
 	Cap time.Duration
-}
-
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.Base <= 0 {
-		c.Base = 5 * time.Millisecond
-	}
-	if c.Cap <= 0 {
-		c.Cap = 100 * time.Millisecond
-	}
-	return c
 }
 
 // delay computes the jittered delay before retry number attempt (1-based:
 // the first retry is attempt 1). rng draws the jitter; it must be used
 // under the caller's synchronization.
-func (c BackoffConfig) delay(attempt int, rng *rand.Rand) time.Duration {
+func (c backoffConfig) delay(attempt int, rng *rand.Rand) time.Duration {
 	d := c.Base << uint(attempt-1)
 	if d > c.Cap || d <= 0 {
 		d = c.Cap

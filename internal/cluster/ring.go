@@ -37,11 +37,6 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-backend vnode count of the hash ring; 128
-// keeps the max/min load spread under ~15% for small clusters while the
-// ring stays tiny (N×128 points).
-const DefaultVirtualNodes = 128
-
 // Ring places categories onto backends by consistent hashing with virtual
 // nodes. A category's replica set is the first Replication distinct
 // backends clockwise from its hash point, so adding or removing one backend
@@ -58,9 +53,11 @@ type ringPoint struct {
 	backend int // index into backends
 }
 
-// NewRing builds a ring over the backend addresses. replication clamps to
-// [1, len(backends)]; vnodes ≤ 0 uses DefaultVirtualNodes.
-func NewRing(backends []string, replication, vnodes int) (*Ring, error) {
+// NewRing builds a ring over the backend addresses with
+// defaultTuning.vnodes points per backend; 128 keeps the max/min load
+// spread under ~15% for small clusters while the ring stays tiny (N×128
+// points). replication clamps to [1, len(backends)].
+func NewRing(backends []string, replication int) (*Ring, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one backend")
 	}
@@ -74,9 +71,7 @@ func NewRing(backends []string, replication, vnodes int) (*Ring, error) {
 		}
 		seen[b] = true
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+	vnodes := defaultTuning.vnodes
 	if replication < 1 {
 		replication = 1
 	}

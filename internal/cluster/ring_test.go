@@ -17,26 +17,26 @@ func testBackends(n int) []string {
 }
 
 func TestRingRejectsBadConfigs(t *testing.T) {
-	if _, err := NewRing(nil, 1, 0); err == nil {
+	if _, err := NewRing(nil, 1); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 1, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}, 1); err == nil {
 		t.Error("empty backend address accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 1, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}, 1); err == nil {
 		t.Error("duplicate backend accepted")
 	}
 }
 
 func TestRingReplicationClamps(t *testing.T) {
-	r, err := NewRing(testBackends(3), 10, 8)
+	r, err := NewRing(testBackends(3), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Replication(); got != 3 {
 		t.Errorf("replication clamped to %d, want 3", got)
 	}
-	r, err = NewRing(testBackends(3), 0, 8)
+	r, err = NewRing(testBackends(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestRingReplicationClamps(t *testing.T) {
 
 func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 	backends := testBackends(5)
-	r1, err := NewRing(backends, 3, 0)
+	r1, err := NewRing(backends, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(backends, 3, 0)
+	r2, err := NewRing(backends, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 
 func TestRingDistributionIsRoughlyUniform(t *testing.T) {
 	backends := testBackends(4)
-	r, err := NewRing(backends, 1, 0)
+	r, err := NewRing(backends, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestRingDistributionIsRoughlyUniform(t *testing.T) {
 // replica sets never touched it.
 func TestRingRemovalMovesOnlyTheLostArc(t *testing.T) {
 	all := testBackends(5)
-	rAll, err := NewRing(all, 2, 0)
+	rAll, err := NewRing(all, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rLess, err := NewRing(all[:4], 2, 0)
+	rLess, err := NewRing(all[:4], 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,95 +47,67 @@ import (
 	"comparesets/internal/selectreq"
 )
 
-// RouterOptions configures a Router. Backends is required; every other
-// field has a serviceable default.
+// RouterOptions holds a router's deployment settings. Backends is
+// required; the routing policy itself is fixed (see defaultTuning).
 type RouterOptions struct {
 	// Backends are the worker base URLs (e.g. http://127.0.0.1:8081).
 	Backends []string
 	// Replication is how many replicas hold each category (default: all
 	// backends; clamped to [1, len(Backends)]).
 	Replication int
-	// VirtualNodes per backend on the hash ring (default 128).
-	VirtualNodes int
-	// MaxRetries bounds extra read attempts after the first (default 2).
-	MaxRetries int
-	// DefaultTimeout is the per-request deadline when the client sends no
-	// timeout_ms (default 30s).
-	DefaultTimeout time.Duration
-	// HealthInterval is the /readyz poll period (default 500ms).
-	HealthInterval time.Duration
-	// Breaker, RetryBudget, Backoff tune the resilience machinery; zero
-	// values take the package defaults.
-	Breaker     BreakerConfig
-	RetryBudget RetryBudgetConfig
-	Backoff     BackoffConfig
-	// Client is the upstream HTTP client. When nil a tuned pooled client is
-	// built from UpstreamIdleConns and UpstreamTimeout.
-	Client *http.Client
-	// UpstreamIdleConns is MaxIdleConnsPerHost on the default upstream
-	// transport, sized for replica fan-out under concurrency (default 32).
-	// Ignored when Client is set.
-	UpstreamIdleConns int
-	// UpstreamTimeout is the default upstream client's backstop timeout —
-	// per-request contexts carry the real deadlines, this only bounds a
-	// wedged exchange (default 2×DefaultTimeout). Ignored when Client is
-	// set.
-	UpstreamTimeout time.Duration
 	// EdgeCacheBytes is the edge response-cache budget (default
 	// DefaultEdgeCacheBytes).
 	EdgeCacheBytes int64
-	// Registry receives router metrics (default obs.NewRegistry(), so
-	// in-process tests don't collide with worker registries).
-	Registry *obs.Registry
 	// Logger for lifecycle and divergence events (default log.Default()).
 	Logger *log.Logger
-	// Seed drives backoff jitter; 0 uses the faultinject seed so chaos runs
-	// are reproducible.
-	Seed int64
 }
 
-func (o RouterOptions) withDefaults() RouterOptions {
-	if o.Replication <= 0 {
-		o.Replication = len(o.Backends)
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.UpstreamIdleConns <= 0 {
-		o.UpstreamIdleConns = 32
-	}
-	if o.UpstreamTimeout <= 0 {
-		o.UpstreamTimeout = 2 * o.DefaultTimeout
-	}
-	if o.Client == nil {
-		backends := len(o.Backends)
-		if backends < 1 {
-			backends = 1
-		}
-		o.Client = &http.Client{
-			Timeout: o.UpstreamTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        o.UpstreamIdleConns * backends,
-				MaxIdleConnsPerHost: o.UpstreamIdleConns,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
-	}
-	if o.Logger == nil {
-		o.Logger = log.Default()
-	}
-	if o.Seed == 0 {
-		o.Seed = faultinject.CurrentSeed()
-	}
-	return o
+// tuning is the routing policy: ring, read, resilience and upstream
+// settings. Every router runs defaultTuning; in-package tests copy it and
+// shorten its timings through newRouter.
+type tuning struct {
+	// vnodes is the per-backend vnode count of the hash ring. NewRing reads
+	// it from defaultTuning.
+	vnodes int
+	// maxRetries bounds extra read attempts after the first.
+	maxRetries int
+	// defaultTimeout is the per-request deadline when the client sends no
+	// timeout_ms.
+	defaultTimeout time.Duration
+	// healthInterval is the /readyz poll period.
+	healthInterval time.Duration
+	breaker        breakerConfig
+	retryBudget    retryBudgetConfig
+	backoff        backoffConfig
+	// upstreamIdleConns is MaxIdleConnsPerHost on the upstream transport,
+	// sized for replica fan-out under concurrency.
+	upstreamIdleConns int
+	// upstreamTimeout is the upstream client's backstop timeout —
+	// per-request contexts carry the real deadlines, this only bounds a
+	// wedged exchange.
+	upstreamTimeout time.Duration
+}
+
+// defaultTuning is the one routing policy. Backoff jitter is seeded from
+// the faultinject seed at construction so chaos runs are reproducible.
+var defaultTuning = tuning{
+	vnodes:         128,
+	maxRetries:     2,
+	defaultTimeout: 30 * time.Second,
+	healthInterval: 500 * time.Millisecond,
+	breaker: breakerConfig{
+		ConsecutiveFailures: 5,
+		Window:              50,
+		ErrorRate:           0.5,
+		MinSamples:          10,
+		Cooldown:            500 * time.Millisecond,
+		HalfOpenProbes:      1,
+		SuccessesToClose:    2,
+	},
+	retryBudget:       retryBudgetConfig{Tokens: 10, Ratio: 0.1},
+	backoff:           backoffConfig{Base: 5 * time.Millisecond, Cap: 100 * time.Millisecond},
+	upstreamIdleConns: 32,
+	upstreamTimeout:   60 * time.Second,
 }
 
 // timeoutMSRe rewrites the timeout_ms field in-place so the rest of the
@@ -145,12 +117,12 @@ var timeoutMSRe = regexp.MustCompile(`"timeout_ms"\s*:\s*[0-9]+`)
 // Router is the fault-tolerant routing tier over a fixed set of worker
 // replicas.
 type Router struct {
-	opts     RouterOptions
+	tun      tuning
+	client   *http.Client
 	ring     *Ring
 	breakers map[string]*Breaker
 	health   *HealthWatcher
 	budget   *RetryBudget
-	backoff  BackoffConfig
 	reg      *obs.Registry
 	logger   *log.Logger
 	edge     *edgeCache
@@ -169,21 +141,41 @@ type Router struct {
 
 // NewRouter builds (but does not start) a router over the backends.
 func NewRouter(opts RouterOptions) (*Router, error) {
-	opts = opts.withDefaults()
-	ring, err := NewRing(opts.Backends, opts.Replication, opts.VirtualNodes)
+	return newRouter(opts, defaultTuning)
+}
+
+// newRouter builds a router that runs the given policy.
+func newRouter(opts RouterOptions, tun tuning) (*Router, error) {
+	replication := opts.Replication
+	if replication <= 0 {
+		replication = len(opts.Backends)
+	}
+	ring, err := NewRing(opts.Backends, replication)
 	if err != nil {
 		return nil, err
 	}
+	logger := opts.Logger
+	if logger == nil {
+		logger = log.Default()
+	}
+	reg := obs.NewRegistry()
 	rt := &Router{
-		opts:      opts,
+		tun: tun,
+		client: &http.Client{
+			Timeout: tun.upstreamTimeout,
+			Transport: &http.Transport{
+				MaxIdleConns:        tun.upstreamIdleConns * len(opts.Backends),
+				MaxIdleConnsPerHost: tun.upstreamIdleConns,
+				IdleConnTimeout:     90 * time.Second,
+			},
+		},
 		ring:      ring,
 		breakers:  make(map[string]*Breaker, len(opts.Backends)),
-		budget:    NewRetryBudget(opts.RetryBudget),
-		backoff:   opts.Backoff.withDefaults(),
-		reg:       opts.Registry,
-		logger:    opts.Logger,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		edge:      newEdgeCache(opts.EdgeCacheBytes, opts.Registry),
+		budget:    newRetryBudget(tun.retryBudget),
+		reg:       reg,
+		logger:    logger,
+		rng:       rand.New(rand.NewSource(faultinject.CurrentSeed())),
+		edge:      newEdgeCache(opts.EdgeCacheBytes, reg),
 		catLocks:  map[string]*sync.Mutex{},
 		divergent: map[string]bool{},
 	}
@@ -194,7 +186,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		"Forward attempts per backend by outcome.",
 		func(k forwardKey) obs.Labels { return obs.Labels{"backend": k.addr, "outcome": k.outcome} })
 	for _, addr := range opts.Backends {
-		b := NewBreaker(opts.Breaker)
+		b := newBreaker(tun.breaker)
 		addr := addr
 		b.OnTransition(func(from, to BreakerState) {
 			rt.reg.Counter("comparesets_router_breaker_transitions_total",
@@ -204,7 +196,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		})
 		rt.breakers[addr] = b
 	}
-	rt.health = NewHealthWatcher(opts.Backends, nil, opts.HealthInterval, func(addr, from, to string) {
+	rt.health = NewHealthWatcher(opts.Backends, &http.Client{Timeout: defaultProbeTimeout}, tun.healthInterval, func(addr, from, to string) {
 		rt.logger.Printf("router: health %s: %s -> %s", addr, from, to)
 	})
 	return rt, nil
@@ -338,7 +330,7 @@ func (rt *Router) catLock(category string) *sync.Mutex {
 func (rt *Router) jitterDelay(attempt int) time.Duration {
 	rt.rngMu.Lock()
 	defer rt.rngMu.Unlock()
-	return rt.backoff.delay(attempt, rt.rng)
+	return rt.tun.backoff.delay(attempt, rt.rng)
 }
 
 // --- forwarded response plumbing -------------------------------------------
@@ -391,7 +383,7 @@ func (rt *Router) doAttempt(ctx context.Context, addr, method, pathAndQuery stri
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := rt.opts.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +530,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, category s
 	span := obs.StartStage(obs.StageRouterForward)
 	defer span.Stop()
 
-	budgetDur := rt.opts.DefaultTimeout
+	budgetDur := rt.tun.defaultTimeout
 	if timeoutMS > 0 {
 		budgetDur = time.Duration(timeoutMS) * time.Millisecond
 	}
@@ -618,7 +610,7 @@ func (rt *Router) proxyRead(ctx context.Context, r *http.Request, category strin
 
 	var lastFail *fwdResp
 	var lastErr error
-	for attempt := 0; attempt <= rt.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= rt.tun.maxRetries; attempt++ {
 		if attempt > 0 {
 			if !rt.budget.Withdraw() {
 				break
@@ -723,7 +715,7 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 	lock.Lock()
 	defer lock.Unlock()
 
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.DefaultTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.tun.defaultTimeout)
 	defer cancel()
 
 	if err := faultinject.CheckCtx(ctx, faultinject.PointRouterForward); err != nil {
@@ -949,7 +941,7 @@ func (rt *Router) handleSnapshotProxy(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		resp, err := rt.opts.Client.Do(req)
+		resp, err := rt.client.Do(req)
 		if err != nil {
 			lastErr = err
 			rt.health.MarkUnreachable(addr)

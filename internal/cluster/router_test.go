@@ -129,8 +129,8 @@ func (w *mockWorker) selectBodies() []string {
 }
 
 // newTestRouter builds a started router over the mock workers with snappy
-// test timings.
-func newTestRouter(t *testing.T, workers []*mockWorker, mutate func(*RouterOptions)) (*Router, *httptest.Server, map[string]*mockWorker) {
+// test timings; mutate, when non-nil, adjusts the policy further.
+func newTestRouter(t *testing.T, workers []*mockWorker, mutate func(*tuning)) (*Router, *httptest.Server, map[string]*mockWorker) {
 	t.Helper()
 	byAddr := map[string]*mockWorker{}
 	addrs := make([]string, len(workers))
@@ -138,17 +138,15 @@ func newTestRouter(t *testing.T, workers []*mockWorker, mutate func(*RouterOptio
 		addrs[i] = w.ts.URL
 		byAddr[w.ts.URL] = w
 	}
-	opts := RouterOptions{
-		Backends:       addrs,
-		HealthInterval: 20 * time.Millisecond,
-		Breaker:        BreakerConfig{ConsecutiveFailures: 3, Cooldown: 100 * time.Millisecond},
-		Backoff:        BackoffConfig{Base: time.Millisecond, Cap: 4 * time.Millisecond},
-		Logger:         testLogger(t),
-	}
+	tun := defaultTuning
+	tun.healthInterval = 20 * time.Millisecond
+	tun.breaker.ConsecutiveFailures = 3
+	tun.breaker.Cooldown = 100 * time.Millisecond
+	tun.backoff = backoffConfig{Base: time.Millisecond, Cap: 4 * time.Millisecond}
 	if mutate != nil {
-		mutate(&opts)
+		mutate(&tun)
 	}
-	rt, err := NewRouter(opts)
+	rt, err := newRouter(RouterOptions{Backends: addrs, Logger: testLogger(t)}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +167,13 @@ func newTestRouter(t *testing.T, workers []*mockWorker, mutate func(*RouterOptio
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 	return rt, ts, byAddr
+}
+
+// pollEvery is the router policy with a /readyz poll period of d.
+func pollEvery(d time.Duration) tuning {
+	tun := defaultTuning
+	tun.healthInterval = d
+	return tun
 }
 
 func postSelect(t *testing.T, url, body string) (*http.Response, string) {
@@ -277,10 +282,10 @@ func TestRouterForwards4xxVerbatimWithoutRetry(t *testing.T) {
 
 func TestRouterRewritesDeadlineOnRetry(t *testing.T) {
 	workers := []*mockWorker{newMockWorker(t), newMockWorker(t)}
-	rt, ts, byAddr := newTestRouter(t, workers, func(o *RouterOptions) {
+	rt, ts, byAddr := newTestRouter(t, workers, func(o *tuning) {
 		// A visible backoff so the retry's remaining budget is measurably
 		// smaller than the original.
-		o.Backoff = BackoffConfig{Base: 60 * time.Millisecond, Cap: 60 * time.Millisecond}
+		o.backoff = backoffConfig{Base: 60 * time.Millisecond, Cap: 60 * time.Millisecond}
 	})
 	primary := rt.Ring().Placement("Cameras")[0]
 	byAddr[primary].fail.Store(true)

@@ -269,13 +269,11 @@ const joinAttempts = 4
 // proxy): it lists the peer's categories and fetches every snapshot, with
 // bounded jittered retries per category — a torn transfer is refetched, and
 // the store-level recovery makes each retry start from a clean slate.
-func Join(ctx context.Context, client *http.Client, base, dir string, logger *log.Logger) (map[string]*model.Corpus, error) {
+func Join(ctx context.Context, base, dir string, logger *log.Logger) (map[string]*model.Corpus, error) {
 	if logger == nil {
 		logger = log.Default()
 	}
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
+	client := &http.Client{Timeout: 60 * time.Second}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/categories", nil)
 	if err != nil {
 		return nil, err
@@ -294,7 +292,7 @@ func Join(ctx context.Context, client *http.Client, base, dir string, logger *lo
 	}
 
 	rng := rand.New(rand.NewSource(faultinject.CurrentSeed()))
-	backoff := BackoffConfig{Base: 50 * time.Millisecond, Cap: time.Second}.withDefaults()
+	backoff := backoffConfig{Base: 50 * time.Millisecond, Cap: time.Second}
 	out := make(map[string]*model.Corpus, len(cats))
 	for _, cat := range cats {
 		var lastErr error

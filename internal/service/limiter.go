@@ -35,13 +35,12 @@ type limiter struct {
 // pipeline latency, so a cold limiter sheds conservatively).
 const ewmaSeed = 50 * time.Millisecond
 
-func newLimiter(capacity, maxQueue int, reg *obs.Registry) *limiter {
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
+// newLimiter admits capacity requests at once and queues up to
+// 4×capacity more.
+func newLimiter(capacity int, reg *obs.Registry) *limiter {
 	l := &limiter{
 		capacity: capacity,
-		maxQueue: maxQueue,
+		maxQueue: 4 * capacity,
 		slots:    make(chan struct{}, capacity),
 		shed: func(reason string) *obs.Counter {
 			return reg.Counter("comparesets_load_shed_total",

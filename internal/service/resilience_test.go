@@ -112,7 +112,8 @@ func TestFlightPanicContained(t *testing.T) {
 func TestAdmissionControlSheds(t *testing.T) {
 	c := cellphoneCorpus(t, 3)
 	s := NewWithOptions(map[string]*model.Corpus{"Cellphone": c}, nil,
-		Options{MaxInflight: 1, MaxQueue: -1})
+		Options{MaxInflight: 1})
+	s.limiter.maxQueue = 0 // no queue: a request beyond the slot is shed at once
 	h := s.Handler()
 	req := hotRequest(t, s)
 
@@ -144,7 +145,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 // TestLimiterDeadlineShed proves the limiter sheds a queued request whose
 // deadline cannot outlast the expected wait, without consuming queue time.
 func TestLimiterDeadlineShed(t *testing.T) {
-	l := newLimiter(1, 4, obs.Default())
+	l := newLimiter(1, obs.Default())
 	release, aerr := l.acquire(context.Background())
 	if aerr != nil {
 		t.Fatalf("first acquire: %v", aerr)
@@ -161,7 +162,7 @@ func TestLimiterDeadlineShed(t *testing.T) {
 // TestLimiterQueueWaits proves a queued request is admitted when a slot
 // frees up, and that release is idempotent.
 func TestLimiterQueueWaits(t *testing.T) {
-	l := newLimiter(1, 4, obs.Default())
+	l := newLimiter(1, obs.Default())
 	release, aerr := l.acquire(context.Background())
 	if aerr != nil {
 		t.Fatalf("first acquire: %v", aerr)

@@ -96,14 +96,10 @@ type Options struct {
 	// DefaultCacheBytes.
 	CacheBytes int64
 	// MaxInflight bounds concurrently executing select requests; excess
-	// requests wait in a bounded queue and are shed with 503 + Retry-After
-	// when the queue is full or the expected wait exceeds their deadline.
-	// ≤ 0 disables admission control.
+	// requests wait in a queue of up to 4×MaxInflight and are shed with
+	// 503 + Retry-After when the queue is full or the expected wait exceeds
+	// their deadline. ≤ 0 disables admission control.
 	MaxInflight int
-	// MaxQueue bounds the admission wait queue; 0 defaults to
-	// 4×MaxInflight, negative disables queueing entirely (requests beyond
-	// MaxInflight are shed immediately).
-	MaxQueue int
 	// StoreProbe, when set, is consulted by /readyz: a non-nil error marks
 	// the backing review store unhealthy and the server degraded.
 	StoreProbe func() error
@@ -207,11 +203,7 @@ func NewWithOptions(corpora map[string]*model.Corpus, logger *log.Logger, opts O
 		"Response JSON bytes produced by the response encoder.", nil)
 	s.storeProbe = opts.StoreProbe
 	if opts.MaxInflight > 0 {
-		maxQueue := opts.MaxQueue
-		if maxQueue == 0 {
-			maxQueue = 4 * opts.MaxInflight
-		}
-		s.limiter = newLimiter(opts.MaxInflight, maxQueue, s.reg)
+		s.limiter = newLimiter(opts.MaxInflight, s.reg)
 	}
 	bytes := opts.CacheBytes
 	if bytes <= 0 {
