@@ -60,23 +60,21 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzBlockDesign -fuzztime 30s ./internal/regress/
 
 # Record the hot-path benchmarks into versioned JSON; commit the diff
-# alongside performance changes. BENCH_core.json covers the selection
-# pipeline (core, regress, linalg, store, service); BENCH_service.json
-# isolates the serving path (cold vs warm cache vs coalesced; 1s per
-# benchmark, because a fixed 50x leaves BenchmarkSelectCold dominated by
-# first-touch warm-up);
+# alongside performance changes. Each benchmark has one record.
+# BENCH_core.json covers the selection pipeline (core, regress, linalg,
+# store); BENCH_service.json isolates the serving path (cold vs warm cache
+# vs coalesced, and the incremental write path against the old
+# whole-epoch flush: append-1-review vs AddCorpus+precompute at
+# n∈{64,256}; 1s per benchmark, because a fixed 50x leaves
+# BenchmarkSelectCold dominated by first-touch warm-up);
 # BENCH_simgraph.json covers the shortlist solvers (Exact/Greedy/HkS at
-# n∈{16,32,64}, k∈{5,10} — 10x because HkS n=64 runs 64 exact solves/op);
-# BENCH_mutate.json compares the incremental write path against the old
-# whole-epoch flush (append-1-review vs AddCorpus+precompute at
-# n∈{64,256}). The end-to-end
-# serving numbers come from perfbench, gated against a parent commit by
-# `go run ./cmd/benchpair <parent-ref>`.
+# n∈{16,32,64}, k∈{5,10} — 10x because HkS n=64 runs 64 exact solves/op).
+# The end-to-end serving numbers come from perfbench, gated against a
+# parent commit by `go run ./cmd/benchpair <parent-ref>`.
 bench-json:
 	go run ./cmd/bench -out BENCH_core.json
 	go run ./cmd/bench -out BENCH_service.json -benchtime 1s ./internal/service/
 	go run ./cmd/bench -out BENCH_simgraph.json -benchtime 10x ./internal/simgraph/
-	go run ./cmd/bench -out BENCH_mutate.json -bench 'Mutate' ./internal/service/
 
 # Prove the compute kernels stay free of bounds checks: build the linalg
 # package with the BCE diagnostic and fail if the compiler reports a bounds

@@ -51,7 +51,7 @@ func main() {
 	if len(pkgs) == 0 {
 		pkgs = []string{
 			"./internal/core/", "./internal/regress/", "./internal/linalg/",
-			"./internal/store/", "./internal/service/",
+			"./internal/store/",
 		}
 	}
 

@@ -52,6 +52,35 @@ func TestBenchRowsNameDefinedBenchmarks(t *testing.T) {
 	}
 }
 
+// Each benchmark has one record: no two BENCH_*.json files hold a row for
+// the same benchmark of the same package, so no two figures for it can
+// disagree.
+func TestBenchRowsRecordedOnce(t *testing.T) {
+	records, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordedIn := map[string]string{}
+	for _, path := range records {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report Report
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		file := filepath.Base(path)
+		for name, r := range report.Results {
+			key := filepath.Clean(r.Package) + " " + name
+			if other, ok := recordedIn[key]; ok {
+				t.Errorf("%s of %s is recorded in both %s and %s", name, r.Package, other, file)
+			}
+			recordedIn[key] = file
+		}
+	}
+}
+
 // definedBenchmarks maps each directory of the tree to the Benchmark
 // functions its _test.go files declare.
 func definedBenchmarks(t *testing.T) map[string]map[string]bool {

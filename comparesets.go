@@ -33,8 +33,10 @@
 //	fmt.Println(m.Kind, m.ItemID, m.ReviewIDs) // append p07 [r-new]
 //
 // The internal packages implement every substrate from scratch on the
-// standard library: dense linear algebra with NNLS (internal/linalg), the
-// Integer-Regression machinery (internal/regress), ROUGE metrics
+// standard library: linear algebra with incremental Cholesky factors
+// (internal/linalg), the Integer-Regression machinery, whose one NOMP
+// solver works in Gram space and drops an atom that would make the
+// factorization singular (internal/regress), ROUGE metrics
 // (internal/rouge), a synthetic Amazon-like corpus generator
 // (internal/datagen) with a frequency-based aspect-sentiment extractor
 // (internal/aspectex), the TargetHkS solvers (internal/simgraph), and the

@@ -15,28 +15,6 @@ func benchSystem(rows, cols int) (*Matrix, Vector) {
 	return a, b
 }
 
-func BenchmarkLeastSquares(b *testing.B) {
-	a, y := benchSystem(120, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNNLS(b *testing.B) {
-	a, y := benchSystem(120, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NNLS(a, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRidgeSolve(b *testing.B) {
 	a, y := benchSystem(120, 10)
 	b.ReportAllocs()

@@ -114,7 +114,8 @@ func (u *UpdatableCholesky) grow() {
 // Gram entries against the existing columns (length Size()) and diag the
 // new diagonal entry. It returns ErrNotPositiveDefinite — leaving the
 // factorization unchanged — when the extended matrix is numerically
-// singular, which signals the caller to fall back to a dense solve.
+// singular, so the caller can drop the new column and go on with the
+// factor it had.
 func (u *UpdatableCholesky) Extend(row Vector, diag float64) error {
 	checkLen(u.n, len(row))
 	if u.n == u.cap {

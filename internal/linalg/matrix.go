@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -24,21 +23,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, data: make([]float64, r*c)}
 }
 
-// MatrixFromColumns builds a matrix from the given columns. All columns must
-// share the same length.
-func MatrixFromColumns(cols []Vector) *Matrix {
-	if len(cols) == 0 {
-		return NewMatrix(0, 0)
-	}
-	r := len(cols[0])
-	m := NewMatrix(r, len(cols))
-	for j, c := range cols {
-		checkLen(r, len(c))
-		copy(m.data[j*r:(j+1)*r], c)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[j*m.Rows+i] }
 
@@ -48,9 +32,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[j*m.Rows+i] = v }
 // Col returns column j as a slice aliasing the matrix storage. Mutating the
 // returned slice mutates the matrix.
 func (m *Matrix) Col(j int) Vector { return Vector(m.data[j*m.Rows : (j+1)*m.Rows]) }
-
-// ColCopy returns a copy of column j.
-func (m *Matrix) ColCopy(j int) Vector { return m.Col(j).Clone() }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -79,19 +60,6 @@ func (m *Matrix) MulVecT(y Vector) Vector {
 	return out
 }
 
-// SelectColumns returns a new matrix assembled from the listed columns of m,
-// in order. Indices may repeat.
-func (m *Matrix) SelectColumns(idx []int) *Matrix {
-	out := NewMatrix(m.Rows, len(idx))
-	for k, j := range idx {
-		if j < 0 || j >= m.Cols {
-			panic(fmt.Sprintf("linalg: column index %d out of range [0,%d)", j, m.Cols))
-		}
-		copy(out.data[k*m.Rows:(k+1)*m.Rows], m.data[j*m.Rows:(j+1)*m.Rows])
-	}
-	return out
-}
-
 // String renders the matrix row by row, mostly for debugging and tests.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -105,86 +73,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// LeastSquares solves min_x ||A x - b||_2 via QR decomposition with
-// Householder reflections. A must have Rows >= Cols and full column rank; a
-// rank-deficient A yields the minimum-norm-ish solution produced by
-// back-substitution with tiny pivots guarded to zero.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	checkLen(a.Rows, len(b))
-	if a.Cols == 0 {
-		return Vector{}, nil
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: underdetermined system %dx%d", a.Rows, a.Cols)
-	}
-	r := a.Clone()
-	y := b.Clone()
-	// Householder QR, applying reflections to y as we go.
-	for k := 0; k < r.Cols; k++ {
-		// Build the reflector for column k below row k.
-		var norm float64
-		for i := k; i < r.Rows; i++ {
-			v := r.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		if r.At(k, k) > 0 {
-			norm = -norm
-		}
-		// v = x - norm*e1, stored in place below the diagonal.
-		vk := r.At(k, k) - norm
-		r.Set(k, k, norm)
-		if vk == 0 {
-			continue
-		}
-		// Normalize so v[0] = 1 implicitly; beta = -vk/norm.
-		beta := -vk / norm
-		// Store scaled reflector tail in a scratch vector.
-		tail := make([]float64, r.Rows-k)
-		tail[0] = 1
-		for i := k + 1; i < r.Rows; i++ {
-			tail[i-k] = r.At(i, k) / vk
-			r.Set(i, k, 0)
-		}
-		// Apply H = I - beta * v vᵀ to the remaining columns.
-		for j := k + 1; j < r.Cols; j++ {
-			var s float64
-			for i := k; i < r.Rows; i++ {
-				s += tail[i-k] * r.At(i, j)
-			}
-			s *= beta
-			for i := k; i < r.Rows; i++ {
-				r.Set(i, j, r.At(i, j)-s*tail[i-k])
-			}
-		}
-		// Apply H to y.
-		var s float64
-		for i := k; i < r.Rows; i++ {
-			s += tail[i-k] * y[i]
-		}
-		s *= beta
-		for i := k; i < r.Rows; i++ {
-			y[i] -= s * tail[i-k]
-		}
-	}
-	// Back substitution on the upper-triangular R.
-	x := NewVector(r.Cols)
-	for k := r.Cols - 1; k >= 0; k-- {
-		s := y[k]
-		for j := k + 1; j < r.Cols; j++ {
-			s -= r.At(k, j) * x[j]
-		}
-		d := r.At(k, k)
-		if math.Abs(d) < 1e-12 {
-			x[k] = 0
-			continue
-		}
-		x[k] = s / d
-	}
-	return x, nil
 }

@@ -1,11 +1,23 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// matrixFromColumns builds a matrix from equal-length columns.
+func matrixFromColumns(cols []Vector) *Matrix {
+	if len(cols) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(cols[0]), len(cols))
+	for j, c := range cols {
+		checkLen(m.Rows, len(c))
+		copy(m.Col(j), c)
+	}
+	return m
+}
 
 func randomMatrix(rng *rand.Rand, r, c int) *Matrix {
 	m := NewMatrix(r, c)
@@ -28,36 +40,17 @@ func TestMatrixAtSet(t *testing.T) {
 	}
 }
 
-func TestMatrixFromColumns(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 2}, {3, 4}})
-	if m.Rows != 2 || m.Cols != 2 {
-		t.Fatalf("dims = %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(0, 1) != 3 || m.At(1, 0) != 2 {
-		t.Errorf("layout wrong: %v", m)
-	}
-	empty := MatrixFromColumns(nil)
-	if empty.Rows != 0 || empty.Cols != 0 {
-		t.Errorf("empty dims = %dx%d", empty.Rows, empty.Cols)
-	}
-}
-
 func TestMatrixColAliases(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 2}})
+	m := matrixFromColumns([]Vector{{1, 2}})
 	col := m.Col(0)
 	col[0] = 42
 	if m.At(0, 0) != 42 {
 		t.Error("Col should alias storage")
 	}
-	cp := m.ColCopy(0)
-	cp[1] = -1
-	if m.At(1, 0) != 2 {
-		t.Error("ColCopy should not alias storage")
-	}
 }
 
 func TestMulVec(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 0}, {0, 1}, {1, 1}})
+	m := matrixFromColumns([]Vector{{1, 0}, {0, 1}, {1, 1}})
 	got := m.MulVec(Vector{2, 3, 4})
 	if !got.ApproxEqual(Vector{6, 7}, 1e-12) {
 		t.Errorf("MulVec = %v", got)
@@ -65,109 +58,23 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecT(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 0}, {0, 1}, {1, 1}})
+	m := matrixFromColumns([]Vector{{1, 0}, {0, 1}, {1, 1}})
 	got := m.MulVecT(Vector{5, 7})
 	if !got.ApproxEqual(Vector{5, 7, 12}, 1e-12) {
 		t.Errorf("MulVecT = %v", got)
 	}
 }
 
-func TestSelectColumns(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 1}, {2, 2}, {3, 3}})
-	s := m.SelectColumns([]int{2, 0, 2})
-	want := MatrixFromColumns([]Vector{{3, 3}, {1, 1}, {3, 3}})
-	for j := 0; j < 3; j++ {
-		if !s.ColCopy(j).ApproxEqual(want.ColCopy(j), 0) {
-			t.Errorf("col %d = %v", j, s.ColCopy(j))
-		}
-	}
-}
-
-func TestSelectColumnsOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMatrix(1, 1).SelectColumns([]int{5})
-}
-
 func TestMatrixString(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 3}, {2, 4}})
+	m := matrixFromColumns([]Vector{{1, 3}, {2, 4}})
 	s := m.String()
 	if !strings.Contains(s, "1 2") || !strings.Contains(s, "3 4") {
 		t.Errorf("String = %q", s)
 	}
 }
 
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined but consistent: x = (1, 2).
-	a := MatrixFromColumns([]Vector{{1, 0, 1}, {0, 1, 1}})
-	b := Vector{1, 2, 3}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.ApproxEqual(Vector{1, 2}, 1e-9) {
-		t.Errorf("x = %v", x)
-	}
-}
-
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	// The LS residual must be orthogonal to the column space.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		r := 5 + rng.Intn(10)
-		c := 1 + rng.Intn(4)
-		a := randomMatrix(rng, r, c)
-		b := NewVector(r)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resid := b.Sub(a.MulVec(x))
-		g := a.MulVecT(resid)
-		for j := range g {
-			if math.Abs(g[j]) > 1e-8 {
-				t.Fatalf("trial %d: gradient %v not ~0", trial, g)
-			}
-		}
-	}
-}
-
-func TestLeastSquaresUnderdetermined(t *testing.T) {
-	a := NewMatrix(1, 2)
-	if _, err := LeastSquares(a, Vector{1}); err == nil {
-		t.Error("expected error for underdetermined system")
-	}
-}
-
-func TestLeastSquaresEmpty(t *testing.T) {
-	x, err := LeastSquares(NewMatrix(3, 0), Vector{1, 2, 3})
-	if err != nil || len(x) != 0 {
-		t.Errorf("x = %v, err = %v", x, err)
-	}
-}
-
-func TestLeastSquaresRankDeficient(t *testing.T) {
-	// Two identical columns: solver must not blow up.
-	a := MatrixFromColumns([]Vector{{1, 1, 1}, {1, 1, 1}})
-	b := Vector{2, 2, 2}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit := a.MulVec(x)
-	if !fit.ApproxEqual(b, 1e-8) {
-		t.Errorf("fit = %v, want %v", fit, b)
-	}
-}
-
 func TestCloneMatrixIndependence(t *testing.T) {
-	m := MatrixFromColumns([]Vector{{1, 2}})
+	m := matrixFromColumns([]Vector{{1, 2}})
 	c := m.Clone()
 	c.Set(0, 0, 9)
 	if m.At(0, 0) != 1 {

@@ -47,15 +47,6 @@ func SparseFromColumns(rows int, cols []Vector) *SparseColumns {
 	return s
 }
 
-// SparseFromMatrix extracts the non-zeros of every column of m.
-func SparseFromMatrix(m *Matrix) *SparseColumns {
-	cols := make([]Vector, m.Cols)
-	for j := range cols {
-		cols[j] = m.Col(j)
-	}
-	return SparseFromColumns(m.Rows, cols)
-}
-
 // Cols returns the number of columns.
 func (s *SparseColumns) Cols() int { return len(s.Off) - 1 }
 

@@ -1,6 +1,9 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
-// Integer-Regression machinery: vectors, column-major matrices, QR-based
-// least squares, and an active-set non-negative least squares (NNLS) solver.
+// Package linalg provides the small linear-algebra kernel used by the
+// Integer-Regression machinery: vectors, column-major matrices, sparse
+// column runs, a Cholesky ridge solve, and the updatable Cholesky factor
+// behind NOMP's one non-negative least-squares solver. That factor grows
+// and shrinks with the NNLS passive set and refuses a column that would
+// make it singular; the NOMP path then drops that atom.
 //
 // Everything is plain float64 on the standard library; the problem sizes in
 // this repository (tens of rows, hundreds of columns, supports of at most a
@@ -121,16 +124,6 @@ func (v Vector) Max() float64 {
 // (Eq. 2).
 func SquaredDistance(v, w Vector) float64 {
 	return SqDistKernel(v, w)
-}
-
-// L1Distance returns sum_i |v_i - w_i|.
-func L1Distance(v, w Vector) float64 {
-	checkLen(len(v), len(w))
-	var s float64
-	for i := range v {
-		s += math.Abs(v[i] - w[i])
-	}
-	return s
 }
 
 // Cosine returns the cosine similarity of v and w (Eq. 9). If either vector

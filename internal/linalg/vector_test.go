@@ -82,12 +82,6 @@ func TestSquaredDistanceMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestL1Distance(t *testing.T) {
-	if got := L1Distance(Vector{1, -2}, Vector{0, 2}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("L1Distance = %v, want 5", got)
-	}
-}
-
 func TestCosine(t *testing.T) {
 	if got := Cosine(Vector{1, 0}, Vector{0, 1}); !almostEqual(got, 0, 1e-12) {
 		t.Errorf("orthogonal cosine = %v", got)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -126,7 +127,8 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestOpsMux(t *testing.T) {
-	mux := OpsMux(NewRegistry())
+	mux := http.NewServeMux()
+	RegisterOps(mux, NewRegistry())
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -65,11 +65,3 @@ func RegisterOps(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
-
-// OpsMux returns a fresh mux carrying only the operational endpoints —
-// for deployments that serve ops on a separate private port.
-func OpsMux(reg *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	RegisterOps(mux, reg)
-	return mux
-}

@@ -24,7 +24,7 @@ func benchProblem(rows, cols int) (*linalg.Matrix, linalg.Vector) {
 	for i := range y {
 		y[i] = rng.Float64()
 	}
-	return linalg.MatrixFromColumns(colsv), y
+	return matrixFromColumns(colsv), y
 }
 
 // Sinks keep the compiler from dropping the measured calls.
@@ -34,20 +34,7 @@ var (
 	sinkSel     []int
 )
 
-// BenchmarkNOMPPath measures the dense reference NOMP, the Gram solver's
-// numerical fallback.
-func BenchmarkNOMPPath(b *testing.B) {
-	a, y := benchProblem(150, 25)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkPath, _ = nompPathDense(ctx, a, y, 10)
-	}
-}
-
-// BenchmarkProblemNOMPPath measures the incremental Gram-space NOMP against
-// the same workload as BenchmarkNOMPPath, amortizing the template
+// BenchmarkProblemNOMPPath measures the NOMP path, amortizing the template
 // preprocessing across targets the way the CompaReSetS+ sweeps do.
 func BenchmarkProblemNOMPPath(b *testing.B) {
 	a, y := benchProblem(150, 25)
@@ -65,7 +52,7 @@ func BenchmarkProblemNOMPPath(b *testing.B) {
 // unique ones.
 func BenchmarkDedup(b *testing.B) {
 	a, _ := benchProblem(150, 25)
-	block := Block{Cols: linalg.SparseFromMatrix(a), Scale: 1}
+	block := Block{Cols: sparseMatrix(a), Scale: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,7 +64,7 @@ func BenchmarkDedup(b *testing.B) {
 // SolveContext.
 func BenchmarkSolve(b *testing.B) {
 	a, y := benchProblem(150, 25)
-	block := Block{Cols: linalg.SparseFromMatrix(a), Scale: 1}
+	block := Block{Cols: sparseMatrix(a), Scale: 1}
 	eval := func(sel []int) float64 { return float64(len(sel)) }
 	ctx := context.Background()
 	b.ReportAllocs()

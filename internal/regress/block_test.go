@@ -97,7 +97,8 @@ func sparseOf(col linalg.Vector) ([]int32, []float64) {
 // dense design they stand for bit for bit: the grouping against pairwise
 // bit comparison of the dense columns; every Gram float and every Aᵀy
 // entry against GatherDotKernel over each unique column's non-zeros, the
-// dense design path's arithmetic; the dense fallback's matrix; and the NOMP
+// dense design path's arithmetic; the unique columns rebuilt from the
+// blocks; and the NOMP
 // path and the Solve selection and objective against the problem built
 // from the dense matrix itself.
 func checkBlockDesign(t *testing.T, blocks []Block, y linalg.Vector, m int) {
@@ -130,7 +131,7 @@ func checkBlockDesign(t *testing.T, blocks []Block, y linalg.Vector, m int) {
 	}
 	unique, _, _ := dedup(a)
 	if got := p.denseUnique(); !sameMatrix(got, unique) {
-		t.Fatalf("fallback matrix differs from the dense design's unique columns")
+		t.Fatalf("unique columns rebuilt from the blocks differ from the dense design's")
 	}
 	dense := newProblem(a)
 	if got, ref := gramPath(p, y, m), gramPath(dense, y, m); !samePath(got, ref) {

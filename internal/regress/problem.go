@@ -2,7 +2,6 @@ package regress
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 	"time"
@@ -11,11 +10,6 @@ import (
 	"comparesets/internal/linalg"
 	"comparesets/internal/obs"
 )
-
-// errGramFallback signals that the incremental Gram-space solver hit a
-// numerical failure and the dense reference path must be used instead. It
-// never escapes the package.
-var errGramFallback = errors.New("regress: gram solver fallback")
 
 // Problem is a preprocessed Integer-Regression instance: the dedup grouping
 // of the design together with every target-independent structure the
@@ -28,11 +22,10 @@ var errGramFallback = errors.New("regress: gram solver fallback")
 //
 // Cached problems live for the life of a corpus, so a problem holds no
 // copy of its design, dense or sparse: its blocks point at the review
-// columns the feature store keeps once per item, and the rare numerical
-// fallback rebuilds a dense matrix from them. What it owns is the grouping
-// (flat int32 offsets over one member array), the Gram matrix (its packed
-// lower triangle) and the block list: four allocations with the header,
-// whatever its size. Bytes counts them.
+// columns the feature store keeps once per item. What it owns is the
+// grouping (flat int32 offsets over one member array), the Gram matrix
+// (its packed lower triangle) and the block list: four allocations with
+// the header, whatever its size. Bytes counts them.
 //
 // A Problem additionally owns reusable solver scratch, so it is NOT safe
 // for concurrent use; give each goroutine its own Problem (the per-item
@@ -333,17 +326,22 @@ func sameBits(a, b linalg.Vector) bool {
 }
 
 // nompPath returns the non-negative OMP solution after each of the first
-// maxAtoms greedy support extensions, as nompPathDense does on the unique
-// columns. Instead of gathering the support columns and re-solving a dense
-// least-squares problem from scratch on every atom addition
-// (O(rows·|support|²) per atom), it works in Gram space: correlations come
+// maxAtoms greedy support extensions (path[ℓ-1] has at most ℓ atoms),
+// realizing the "for ℓ = 1..m: x = NOMP(Ṽ, Υ)" loop of Algorithm 1 in one
+// pass over the unique columns. It works in Gram space: correlations come
 // from c = Aᵀy and the cached Gram matrix, and the NNLS subproblem is
 // solved by a warm-started Lawson–Hanson iteration whose normal-equations
 // factorization grows by rank-1 extension on atom add and shrinks by
-// rotation on eviction. It clamps the atom budget and, on a numerical
-// failure, falls back to nompPathDense for the whole call. The path lives
-// in solver scratch, valid until the scratch is released. Cancellation
-// propagates from either path as ctx.Err().
+// rotation on eviction. An atom whose Gram block with the passive set is
+// numerically singular, so that the factorization refuses it, lies in the
+// span of the passive atoms already fitted: it is dropped for the rest of
+// the path and the step moves on to the next-best correlation. Each step
+// either grows the path or bans one atom, so the loop ends.
+//
+// ctx is checked once per step, a deterministic checkpoint that never
+// changes the results of uncancelled runs; a cancelled call returns
+// ctx.Err(). All working state lives in the Problem's reusable scratch,
+// and so does the path, valid until the scratch is released.
 func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) ([]linalg.Vector, error) {
 	if maxAtoms > p.cols {
 		maxAtoms = p.cols
@@ -353,32 +351,6 @@ func (p *Problem) nompPath(ctx context.Context, y linalg.Vector, maxAtoms int) (
 		// columns; larger supports cannot improve an exact fit anyway.
 		maxAtoms = p.rows
 	}
-	path, err := p.nompGram(ctx, y, maxAtoms)
-	if errors.Is(err, errGramFallback) {
-		return nompPathDense(ctx, p.denseUnique(), y, maxAtoms)
-	}
-	return path, err
-}
-
-// denseUnique rebuilds the unique columns as a dense matrix from the
-// design blocks. Only the dense fallback reads it, so it is built per
-// fallback call rather than kept in every template.
-func (p *Problem) denseUnique() *linalg.Matrix {
-	u := linalg.NewMatrix(p.rows, p.cols)
-	for j := 0; j < p.cols; j++ {
-		p.blocks.scatter(p.groups.first(j), u.Col(j))
-	}
-	return u
-}
-
-// nompGram runs the Gram-space NOMP loop. It returns errGramFallback when
-// the incremental factorization hits a numerical failure, in which case the
-// caller re-runs the dense reference implementation, and ctx.Err() when the
-// call is cancelled (checked once per atom extension — a deterministic
-// checkpoint that never changes results of uncancelled runs). All working
-// state lives in the Problem's reusable scratch; only the returned path
-// vectors are allocated per call.
-func (p *Problem) nompGram(ctx context.Context, y linalg.Vector, maxAtoms int) ([]linalg.Vector, error) {
 	n := p.cols
 	const tol = 1e-10
 	sc := p.scratchState(maxAtoms)
@@ -432,13 +404,16 @@ func (p *Problem) nompGram(ctx context.Context, y linalg.Vector, maxAtoms int) (
 		inSupport[best] = true
 
 		nnlsStart := time.Now()
-		ok := s.refit(support)
+		entered := s.refit(support)
 		nnlsTime += time.Since(nnlsStart)
-		if !ok {
-			return nil, errGramFallback
+		if !entered {
+			// Drop the refused atom. inSupport stays set, so it is never
+			// picked again, and the step adds no path entry.
+			support = support[:len(support)-1]
+			continue
 		}
 		// Evict zeroed atoms from the support (they may be re-added by a
-		// later greedy step, matching the dense path's semantics).
+		// later greedy step, matching the dense reference's semantics).
 		live := support[:0]
 		for _, j := range support {
 			if sc.x[j] > tol {
@@ -482,7 +457,9 @@ type supportSolver struct {
 }
 
 // enter adds unique column j to the passive set, extending the
-// factorization by one row. It reports false on numerical failure.
+// factorization by one row. It reports false, changing nothing, when the
+// factorization refuses j: j's Gram block with the passive set is
+// numerically singular.
 func (s *supportSolver) enter(j int) bool {
 	sc := s.sc
 	k := len(sc.passive)
@@ -510,8 +487,12 @@ func (s *supportSolver) leave(k int) {
 
 // refit re-optimizes the NNLS coefficients after the support gained the
 // atoms in support that are not yet passive (in NOMP: exactly one new
-// atom). It runs Lawson–Hanson restricted to the support, warm-started from
-// the current passive set, and reports false on numerical failure.
+// atom). It reports false, with the state unchanged, when the
+// factorization refuses a new atom. Otherwise it runs Lawson–Hanson
+// restricted to the support, warm-started from the current passive set,
+// and ends with the current iterate when the KKT conditions hold, its
+// iteration budget runs out, or the factorization refuses an atom the KKT
+// check would re-admit.
 func (s *supportSolver) refit(support []int) bool {
 	const tol = 1e-10
 	sc := s.sc
@@ -601,15 +582,10 @@ func (s *supportSolver) refit(support []int) bool {
 				best, bestW = j, w
 			}
 		}
-		if best < 0 {
+		if best < 0 || !s.enter(best) {
 			return true
 		}
-		if !s.enter(best) {
-			return false
-		}
 	}
-	// Iteration budget exhausted: keep the best iterate, mirroring the
-	// dense solver's ErrNNLSNoConvergence behavior.
 	return true
 }
 

@@ -24,7 +24,7 @@ func sparseProblem(rng *rand.Rand, rows, cols, nnz int) (*linalg.Matrix, linalg.
 	for i := range y {
 		y[i] = rng.Float64()
 	}
-	return linalg.MatrixFromColumns(colsv), y
+	return matrixFromColumns(colsv), y
 }
 
 func TestProblemNOMPPathMatchesDenseReference(t *testing.T) {
@@ -134,7 +134,7 @@ func TestProblemDuplicateColumnsDedup(t *testing.T) {
 		{0, 1, 0, 0},
 		{1, 0, 1, 0},
 	}
-	p := newProblem(linalg.MatrixFromColumns(cols))
+	p := newProblem(matrixFromColumns(cols))
 	if u := p.denseUnique(); u.Cols != 2 {
 		t.Fatalf("unique cols = %d, want 2", u.Cols)
 	}

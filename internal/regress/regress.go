@@ -16,10 +16,7 @@
 package regress
 
 import (
-	"context"
 	"sync"
-
-	"comparesets/internal/linalg"
 )
 
 // dedupScratch is the per-call working state of groupColumns, pooled across
@@ -130,79 +127,4 @@ func putDedupScratch(sc *dedupScratch) {
 	sc.firstCol = sc.firstCol[:0]
 	sc.count = sc.count[:0]
 	dedupPool.Put(sc)
-}
-
-// nompPathDense is the reference NOMP implementation: non-negative OMP on
-// (a, y), returning the solution after each of the first maxAtoms greedy
-// support extensions (path[ℓ-1] has at most ℓ atoms), with a cancellation
-// checkpoint per extension. The greedy path realizes the "for ℓ = 1..m:
-// x = NOMP(Ṽ, Υ)" loop of Algorithm 1 in one pass. It is the fallback
-// when the Gram-space solver hits a numerical failure.
-func nompPathDense(ctx context.Context, a *linalg.Matrix, y linalg.Vector, maxAtoms int) ([]linalg.Vector, error) {
-	n := a.Cols
-	if maxAtoms > n {
-		maxAtoms = n
-	}
-	if maxAtoms > a.Rows {
-		// The NNLS subproblem needs at least as many rows as support
-		// columns; larger supports cannot improve an exact fit anyway.
-		maxAtoms = a.Rows
-	}
-	sparse := linalg.SparseFromMatrix(a)
-	corr := linalg.NewVector(n)
-	path := make([]linalg.Vector, 0, maxAtoms)
-	support := []int{}
-	inSupport := make([]bool, n)
-	x := linalg.NewVector(n)
-	resid := y.Clone()
-	const tol = 1e-10
-	for len(path) < maxAtoms {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Greedy atom: maximum positive correlation with the residual.
-		for j := range corr {
-			idx, val := sparse.Col(j)
-			corr[j] = linalg.GatherDotKernel(idx, val, resid)
-		}
-		best, bestC := -1, tol
-		for j := 0; j < n; j++ {
-			if !inSupport[j] && corr[j] > bestC {
-				best, bestC = j, corr[j]
-			}
-		}
-		if best < 0 {
-			// No atom improves the fit; replicate the last solution for
-			// the remaining budgets so callers still get m entries.
-			for len(path) < maxAtoms {
-				path = append(path, x.Clone())
-			}
-			break
-		}
-		support = append(support, best)
-		inSupport[best] = true
-
-		sub := a.SelectColumns(support)
-		z, err := linalg.NNLS(sub, y)
-		if err != nil && z == nil {
-			// Unrecoverable; keep the previous iterate.
-			path = append(path, x.Clone())
-			continue
-		}
-		// Install coefficients; evict zeroed atoms from the support.
-		x = linalg.NewVector(n)
-		live := support[:0]
-		for k, j := range support {
-			if z[k] > tol {
-				x[j] = z[k]
-				live = append(live, j)
-			} else {
-				inSupport[j] = false
-			}
-		}
-		support = live
-		resid = y.Sub(a.MulVec(x))
-		path = append(path, x.Clone())
-	}
-	return path, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDedupGroupsIdenticalColumns(t *testing.T) {
-	a := linalg.MatrixFromColumns([]linalg.Vector{
+	a := matrixFromColumns([]linalg.Vector{
 		{1, 0}, {0, 1}, {1, 0}, {1, 0}, {0, 1},
 	})
 	unique, counts, members := dedup(a)
@@ -28,7 +28,7 @@ func TestDedupGroupsIdenticalColumns(t *testing.T) {
 }
 
 func TestDedupDistinguishesClose(t *testing.T) {
-	a := linalg.MatrixFromColumns([]linalg.Vector{{1}, {1 + 1e-15}})
+	a := matrixFromColumns([]linalg.Vector{{1}, {1 + 1e-15}})
 	unique, _, _ := dedup(a)
 	if unique.Cols != 2 {
 		t.Errorf("distinct floats collapsed: cols = %d", unique.Cols)
@@ -37,7 +37,7 @@ func TestDedupDistinguishesClose(t *testing.T) {
 
 func TestNOMPPathRecoversSparseCombination(t *testing.T) {
 	// y = 2*col0 + 1*col2 exactly.
-	a := linalg.MatrixFromColumns([]linalg.Vector{
+	a := matrixFromColumns([]linalg.Vector{
 		{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1},
 	})
 	y := linalg.Vector{2, 0, 1}
@@ -71,7 +71,7 @@ func TestNOMPPathMonotoneResidual(t *testing.T) {
 			}
 			colsv[j] = v
 		}
-		a := linalg.MatrixFromColumns(colsv)
+		a := matrixFromColumns(colsv)
 		y := linalg.NewVector(rows)
 		for i := range y {
 			y[i] = rng.Float64()
@@ -89,7 +89,7 @@ func TestNOMPPathMonotoneResidual(t *testing.T) {
 }
 
 func TestNOMPPathZeroTarget(t *testing.T) {
-	a := linalg.MatrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
+	a := matrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
 	path := densePath(a, linalg.Vector{0, 0}, 2)
 	for _, x := range path {
 		if x.Norm1() > 1e-10 {
@@ -126,7 +126,7 @@ func TestRoundRespectsCaps(t *testing.T) {
 // A solve whose NOMP iterates are all zero has nothing to round: it scores
 // no candidate and returns (nil, +Inf).
 func TestRoundZeroVector(t *testing.T) {
-	a := linalg.MatrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
+	a := matrixFromColumns([]linalg.Vector{{1, 0}, {0, 1}})
 	sel, obj := solve(newProblem(a), linalg.Vector{0, 0}, 3, func([]int) float64 {
 		t.Fatal("a zero iterate produced a candidate")
 		return 0
@@ -197,7 +197,7 @@ func TestSolvePicksExactSubset(t *testing.T) {
 		{0, 1, 0, 1},
 		{1, 1, 1, 1},
 	}
-	a := linalg.MatrixFromColumns(cols)
+	a := matrixFromColumns(cols)
 	y := linalg.Vector{0, 1, 0, 0.5} // = 0.5*(col1 + col3)
 	eval := func(sel []int) float64 {
 		sum := linalg.NewVector(4)
@@ -228,7 +228,7 @@ func TestSolveEmptyMatrix(t *testing.T) {
 }
 
 func TestSolveZeroBudget(t *testing.T) {
-	a := linalg.MatrixFromColumns([]linalg.Vector{{1}})
+	a := matrixFromColumns([]linalg.Vector{{1}})
 	sel, obj := solve(newProblem(a), linalg.Vector{1}, 0, func([]int) float64 { return 0 })
 	if sel != nil || !math.IsInf(obj, 1) {
 		t.Errorf("sel = %v obj = %v", sel, obj)
@@ -249,7 +249,7 @@ func TestSolveNeverExceedsBudget(t *testing.T) {
 			}
 			colsv[j] = v
 		}
-		a := linalg.MatrixFromColumns(colsv)
+		a := matrixFromColumns(colsv)
 		y := linalg.NewVector(rows)
 		for i := range y {
 			y[i] = rng.Float64()
@@ -289,14 +289,14 @@ func TestSparseCorrelationsMatchDense(t *testing.T) {
 			}
 			colsv[j] = v
 		}
-		a := linalg.MatrixFromColumns(colsv)
+		a := matrixFromColumns(colsv)
 		resid := linalg.NewVector(rows)
 		for i := range resid {
 			resid[i] = rng.NormFloat64()
 		}
 		want := a.MulVecT(resid)
 		got := linalg.NewVector(cols)
-		d, _, _ := newStack([]Block{{Cols: linalg.SparseFromMatrix(a), Scale: 1}})
+		d, _, _ := newStack([]Block{{Cols: sparseMatrix(a), Scale: 1}})
 		for j := range got {
 			got[j] = d.dot(j, resid)
 		}
@@ -340,7 +340,7 @@ func TestRoundingAblation(t *testing.T) {
 			}
 			colsv[j] = v
 		}
-		a := linalg.MatrixFromColumns(colsv)
+		a := matrixFromColumns(colsv)
 		// Target: normalized sum of a hidden subset — a distribution to
 		// match, as in the selection problems.
 		hidden := rng.Perm(cols)[:4]
@@ -375,7 +375,7 @@ func TestSolveHandlesDuplicateReviews(t *testing.T) {
 	// Four identical reviews and a target needing multiplicity: the dedup +
 	// expand path must pick distinct originals.
 	col := linalg.Vector{1, 1}
-	a := linalg.MatrixFromColumns([]linalg.Vector{col, col, col, col})
+	a := matrixFromColumns([]linalg.Vector{col, col, col, col})
 	y := linalg.Vector{1, 1}
 	sel, _ := solve(newProblem(a), y, 3, func(s []int) float64 {
 		return math.Abs(float64(len(s)) - 2) // prefer exactly two reviews
